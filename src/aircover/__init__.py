@@ -55,7 +55,6 @@ from aircover.coverage import (
 from aircover.geometry import (
     AgentState,
     CommGraph,
-    DegenerateTriangle,
     DegenerateTrio,
     Fov,
     Line2,

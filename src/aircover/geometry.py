@@ -7,7 +7,7 @@ functions, the per-triangle working frame used by the analytic gradients, and
 two independent detectors for coverage holes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -25,11 +25,7 @@ def cross2(a, b) -> float:
 
 
 class DegenerateTrio(Exception):
-    """Raised when three FOVs admit no usable radical center (collinear centers or a concentric pair)."""
-
-
-class DegenerateTriangle(Exception):
-    """Raised when a triangle's signed area is below tolerance."""
+    """Raised when three FOVs admit no usable radical center or triangle (collinear centers, a concentric pair, or an area below tolerance)."""
 
 
 @dataclass(frozen=True)
@@ -128,11 +124,10 @@ class TrioContext:
 
 @dataclass
 class CommGraph:
-    """Communication graph: footprint-overlap-filtered power-diagram adjacency."""
+    """Communication graph: the trios of power-diagram vertices with pairwise-overlapping footprints."""
 
     n: int
-    edges: set
-    trios: dict = field(default_factory=dict)
+    trios: dict
 
     def trios_of(self, agent_id: int):
         return self.trios.get(agent_id, [])
@@ -210,7 +205,7 @@ def point_in_triangle(I, J, K, v, area_tol: float = AREA_TOL):
     v = np.asarray(v, dtype=float)
     denom = cross2(J - I, K - I)
     if abs(denom) < 2.0 * area_tol:
-        raise DegenerateTriangle("triangle area below tolerance")
+        raise DegenerateTrio("triangle area below tolerance")
     r_ijk = cross2(J - I, v - I) / denom
     r_jki = cross2(K - J, v - J) / denom
     r_kij = cross2(I - K, v - K) / denom
@@ -331,107 +326,70 @@ def detect_holes_grid(states, r: float, mission, resolution: float):
 
 
 def build_graph(states, r: float) -> CommGraph:
-    """Communication graph: power-diagram adjacency filtered by footprint overlap.
+    """Communication graph: power-diagram vertices whose three footprints overlap pairwise.
 
-    Edges join agents whose power cells share a (possibly degenerate) face and
-    whose footprints intersect (closed comparison, so tangency counts).
-    Trios are triples whose candidate radical center is a power-diagram vertex
-    — no other footprint has strictly smaller power distance there — and whose
-    three edges all survive the overlap filter.  A degenerate vertex shared by
-    four or more footprints is split into triangles by an index-ordered fan
-    from its lowest-index member.
+    Trios are triples whose radical center is a power-diagram vertex — no
+    other footprint has a smaller power distance there, within
+    ADJACENCY_TOL — and whose footprints intersect pairwise (closed
+    comparison, so tangency counts).  A degenerate vertex shared by four or
+    more footprints is split into triangles by an index-ordered fan from its
+    lowest-index member.
+
+    Only the 3-cliques of the footprint-overlap graph are tried as
+    candidates.  This is exact: a triple with a non-overlapping pair never
+    survives the overlap filter, each candidate's vertex test still sees all
+    n footprints, and a live vertex is a point where the three power cells
+    meet, so they are pairwise adjacent.  Cost: O(n²) center distances plus
+    O(t·n) vertex tests over the t overlap 3-cliques, instead of O(n⁴).
     """
     n = len(states)
     fovs = [fov_of(s, r) for s in states]
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _fovs_overlap(fovs[i], fovs[j]) and _cells_adjacent(fovs, i, j):
-                edges.add((i, j))
+    centers = np.array([f.center for f in fovs]).reshape(n, 2)
+    radii = np.array([f.radius for f in fovs])
+    radii2 = radii**2
+    # Pairwise inner products through matmul round like np.linalg.norm's dot,
+    # so tangent pairs are decided as a per-pair norm would decide them.
+    diff = (centers[:, None, :] - centers[None, :, :])[..., None, :]
+    dist = np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0]
+    overlap = np.triu(dist <= radii[:, None] + radii[None, :], 1)
 
     trio_triples = set()
     handled_degenerate = set()
     for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
+        offsets = centers - centers[i]
+        radius_gap = radii2 - radii2[i]
+        for j in np.flatnonzero(overlap[i]).tolist():
+            for k in np.flatnonzero(overlap[i] & overlap[j]).tolist():
                 try:
                     v = radical_center(fovs[i], fovs[j], fovs[k])
                 except DegenerateTrio:
                     continue
-                d = power_distance(fovs[i], v)
-                cofactor = [i, j, k]
-                vertex_alive = True
-                for l in range(n):
-                    if l in (i, j, k):
-                        continue
-                    dl = power_distance(fovs[l], v)
-                    if dl < d - ADJACENCY_TOL:
-                        vertex_alive = False
-                        break
-                    if dl <= d + ADJACENCY_TOL:
-                        cofactor.append(l)
-                if not vertex_alive:
+                # Power distance of every footprint at v minus footprint i's,
+                # o·(o − 2w) − (R² − Rᵢ²) with o = c − cᵢ and w = v − cᵢ: exact
+                # for a footprint concentric with i, however far away v lies.
+                excess = (offsets * (offsets - 2.0 * (v - centers[i]))).sum(axis=1) - radius_gap
+                # j and k tie with i at v by construction; keep rounding out.
+                excess[[j, k]] = 0.0
+                if np.any(excess < -ADJACENCY_TOL):
                     continue
-                cofactor = tuple(sorted(cofactor))
+                cofactor = tuple(np.flatnonzero(excess <= ADJACENCY_TOL).tolist())
                 if len(cofactor) == 3:
                     trio_triples.add(cofactor)
-                else:
+                elif cofactor not in handled_degenerate:
                     # Split the degenerate vertex once, deterministically.
-                    if cofactor in handled_degenerate:
-                        continue
                     handled_degenerate.add(cofactor)
                     apex = cofactor[0]
-                    rest = cofactor[1:]
-                    for m in range(len(rest) - 1):
-                        trio_triples.add((apex, rest[m], rest[m + 1]))
+                    for a, b in zip(cofactor[1:], cofactor[2:]):
+                        if overlap[apex, a] and overlap[apex, b] and overlap[a, b]:
+                            trio_triples.add((apex, a, b))
 
     trios = {i: [] for i in range(n)}
     for triple in sorted(trio_triples):
         a, b, c = triple
-        if not ((a, b) in edges and (a, c) in edges and (b, c) in edges):
-            continue
         try:
             ctx = make_trio(triple, [states[a], states[b], states[c]], r)
         except DegenerateTrio:
             continue
         for agent in triple:
             trios[agent].append(ctx)
-    return CommGraph(n=n, edges=edges, trios=trios)
-
-
-def _fovs_overlap(fa: Fov, fb: Fov) -> bool:
-    # Closed test: tangent footprints count as overlapping.
-    return np.linalg.norm(fa.center - fb.center) <= fa.radius + fb.radius
-
-
-def _cells_adjacent(fovs, i: int, j: int) -> bool:
-    """1-D feasibility test: do the power cells of i and j meet along their radical axis?
-
-    On the axis the difference to any third cell's power distance is affine,
-    so the shared face is an interval; the cells are adjacent iff it is
-    nonempty (closed, with tolerance).
-    """
-    try:
-        axis = radical_axis(fovs[i], fovs[j])
-    except DegenerateTrio:
-        return False
-    q0, u = axis.point, axis.direction
-    lo, hi = -np.inf, np.inf
-    for l in range(len(fovs)):
-        if l in (i, j):
-            continue
-        # g(t) = d_i(q0 + t u) − d_l(q0 + t u) must stay ≤ 0 (within tolerance).
-        g0 = power_distance(fovs[i], q0) - power_distance(fovs[l], q0)
-        g1 = 2.0 * float((fovs[l].center - fovs[i].center) @ u)
-        if abs(g1) < 1e-15:
-            if g0 > ADJACENCY_TOL:
-                return False
-            continue
-        t = (ADJACENCY_TOL - g0) / g1
-        if g1 > 0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-        if lo > hi:
-            return False
-    return lo <= hi
+    return CommGraph(n=n, trios=trios)

@@ -32,7 +32,6 @@ from aircover.coverage import (
 )
 from aircover.geometry import (
     AgentState,
-    DegenerateTriangle,
     DegenerateTrio,
     build_graph,
     detect_holes_grid,
@@ -140,7 +139,7 @@ def _min_ncbf(graph, states, epsilon):
         for trio in trios:
             try:
                 value = ncbf_value(trio, i, epsilon).value
-            except (DegenerateTrio, DegenerateTriangle):
+            except DegenerateTrio:
                 log.warning("agent %d: degenerate trio %s skipped in trace", i, trio.ids)
                 continue
             best = value if best is None else min(best, value)

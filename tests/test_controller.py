@@ -1,5 +1,7 @@
 """Tests for the per-agent QP safety filter and constraint assembly."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from aircover.controller import (
     qp_weights,
     solve_qp,
 )
-from aircover.geometry import AgentState, build_graph, make_trio
+from aircover.geometry import AgentState, TrioContext, build_graph, fov_of, make_trio
 from conftest import random_trio
 
 
@@ -101,6 +103,29 @@ class TestBuildConstraints:
         assert degenerate_guard(comps, 1e4)
         rows = build_constraints(0, [trio], 0.2, ClassK(), 1e4)
         assert rows == []
+
+    def test_below_tolerance_triangle_dropped_with_warning(self, caplog):
+        # A trio whose triangle area is below AREA_TOL reaches the filter
+        # (built by hand, as rounding can let one through make_trio): the
+        # triangle ratios cannot be formed, so the trio is dropped, not raised.
+        states = (
+            AgentState(0.0, 0.0, 1.0, 1.0),
+            AgentState(1.0, 0.0, 1.0, 1.0),
+            AgentState(2.0, 1e-10, 1.0, 1.0),
+        )
+        fovs = tuple(fov_of(s, 1.0) for s in states)
+        trio = TrioContext(
+            ids=(0, 1, 2),
+            states=states,
+            fovs=fovs,
+            radical_center=np.array([1.0, 0.5]),
+            triangle=tuple(f.center for f in fovs),
+            r=1.0,
+        )
+        with caplog.at_level(logging.WARNING, logger="aircover.controller"):
+            rows = build_constraints(0, [trio], 0.2, ClassK(), 1e4)
+        assert rows == []
+        assert "degenerate, dropped" in caplog.text
 
     def test_footprint_only_mode(self, rng):
         alpha = ClassK()

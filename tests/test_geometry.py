@@ -4,7 +4,6 @@ import pytest
 from aircover.geometry import (
     AgentState,
     cross2,
-    DegenerateTriangle,
     DegenerateTrio,
     Fov,
     build_graph,
@@ -117,7 +116,7 @@ class TestPointInTriangle:
             assert sum(ratios) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_triangle_rejected(self):
-        with pytest.raises(DegenerateTriangle):
+        with pytest.raises(DegenerateTrio):
             point_in_triangle((0, 0), (1, 0), (2, 0), (0.5, 0.5))
 
 
@@ -167,17 +166,24 @@ class TestSigmaDFrame:
             assert intercept == pytest.approx(v_frame[1], abs=1e-9)
 
 
+def assert_footprints_overlap_pairwise(trio):
+    for a in range(3):
+        for b in range(a + 1, 3):
+            fa, fb = trio.fovs[a], trio.fovs[b]
+            assert np.linalg.norm(fa.center - fb.center) <= fa.radius + fb.radius
+
+
 class TestBuildGraph:
-    def test_distant_fovs_share_no_edge(self):
-        states = equal_radius_states([(0, 0), (10, 0)])
+    def test_distant_fovs_give_no_trio(self):
+        states = equal_radius_states([(0, 0), (10, 0), (5, 8)])
         g = build_graph(states, r=1.0)
-        assert g.edges == set()
+        assert g.all_trios() == []
 
     def test_three_overlapping_fovs_single_trio(self):
         states = equal_radius_states([(0, 0), (1.5, 0), (0.75, 1.2)])
         g = build_graph(states, r=1.0)
-        assert g.edges == {(0, 1), (0, 2), (1, 2)}
         assert len(g.all_trios()) == 1
+        assert_footprints_overlap_pairwise(g.all_trios()[0])
         for i in range(3):
             assert [t.ids for t in g.trios_of(i)] == [(0, 1, 2)]
 
@@ -216,8 +222,7 @@ class TestBuildGraph:
             ]
             g = build_graph(states, r=1.0)
             for trio in g.all_trios():
-                a, b, c = trio.ids
-                assert (a, b) in g.edges and (a, c) in g.edges and (b, c) in g.edges
+                assert_footprints_overlap_pairwise(trio)
 
 
 class TestHoleOracles:
