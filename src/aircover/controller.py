@@ -125,7 +125,7 @@ def build_constraints(
     return rows
 
 
-def solve_qp(problem: QpProblem, warm_start=None, max_iter: int = 200) -> np.ndarray:
+def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     """Dual active-set solve (Goldfarb–Idnani) of the weighted least-distance QP.
 
     Starts at the unconstrained optimum u_nom and drives the most violated
@@ -135,10 +135,8 @@ def solve_qp(problem: QpProblem, warm_start=None, max_iter: int = 200) -> np.nda
     blocking constraints leave the set when their multiplier reaches zero,
     and a spanned normal with no positive combination coefficient is a Farkas
     certificate of infeasibility.  Ties break on the lowest index, so the
-    solve is deterministic.  warm_start is accepted for interface stability;
-    the method restarts from the unconstrained optimum each call.
+    solve is deterministic.
     """
-    del warm_start
     u_nom = np.asarray(problem.u_nom, dtype=float)
     w = np.asarray(problem.weights, dtype=float)
     if w.shape != u_nom.shape or np.any(w <= 0):

@@ -6,9 +6,17 @@ desired capture distance).  Each grid point is owned by the covering agent of
 highest quality; overlap losers are tracked separately so the objective can
 penalize redundant coverage.  The nominal input is the gradient ascent of that
 objective, evaluated by midpoint quadrature with analytic partials.
+
+The quadrature visits each agent only on its window: the grid cells under
+its footprint's bounding box, with a one-cell margin.  ``partition``
+evaluates the sensing model once per agent on that window and keeps the
+terms, so the objective and every nominal input reuse them; the density mass
+phi·cell_area is computed once per grid and density.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +74,12 @@ class DensityField:
 
 
 class CoverageGrid:
-    """Uniform midpoint grid over the mission rectangle."""
+    """Uniform midpoint grid over the mission rectangle.
+
+    Points are in the ravel order of an (nx, ny) cell layout; ``cells`` views
+    any per-point array in that layout, so a window of cells is a
+    subsequence of the points.
+    """
 
     def __init__(self, mission, resolution: float):
         if resolution <= 0:
@@ -84,8 +97,48 @@ class CoverageGrid:
         self.mission = tuple(float(v) for v in mission)
         self.resolution = float(resolution)
         self.shape = (nx, ny)
+        self.spacing = (dx, dy)
         self.points = np.column_stack([XX.ravel(), YY.ravel()])
         self.cell_area = dx * dy
+        self._mass = (None, None)  # (density, its point masses)
+
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        """View of a per-point array in the (nx, ny) cell layout."""
+        return values.reshape(self.shape + values.shape[1:])
+
+    def window(self, cx: float, cy: float, radius: float) -> tuple:
+        """(x, y) cell slices under a disk's bounding box, with a one-cell margin."""
+        spans = []
+        for c, lo, d, n in zip((cx, cy), self.mission[:2], self.spacing, self.shape):
+            start = math.floor((c - radius - lo) / d - 0.5) - 1
+            stop = math.ceil((c + radius - lo) / d - 0.5) + 2
+            spans.append(slice(min(max(start, 0), n), min(max(stop, 0), n)))
+        return tuple(spans)
+
+    def mass(self, density: "DensityField") -> np.ndarray:
+        """Read-only point masses phi·cell_area, computed once per density object."""
+        if self._mass[0] is not density:
+            mass = density.phi(self.points) * self.cell_area
+            mass.flags.writeable = False
+            self._mass = (density, mass)
+        return self._mass[1]
+
+
+@dataclass(frozen=True)
+class FieldWindow:
+    """One agent's sensing model on its grid window.
+
+    cells are the window's slices of the grid's cell layout; terms the
+    `_field_terms` at the window's points, from which the quality f, the
+    closed (covered) and open (strict) footprint masks and the gradient are
+    all taken.  Arrays have the window's (wx, wy) shape.
+    """
+
+    cells: tuple
+    terms: tuple
+    f: np.ndarray
+    covered: np.ndarray
+    strict: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,14 +146,33 @@ class Partition:
     """Conic Voronoi assignment of grid points.
 
     owner[q] is the covering agent of maximal sensing quality (−1 when no
-    footprint covers q); f[i, q] the quality fields; covered closed-disk
-    membership; strict open-disk membership (where gradients are evaluated).
+    footprint covers q); windows[i] agent i's sensing model under its
+    footprint.  The dense (n, N) views are built on first use: f[i, q] the
+    quality fields; covered closed-disk membership; strict open-disk
+    membership (where gradients are evaluated).
     """
 
     owner: np.ndarray
-    f: np.ndarray
-    covered: np.ndarray
-    strict: np.ndarray
+    windows: tuple
+    grid: CoverageGrid
+
+    def _dense(self, name: str, fill) -> np.ndarray:
+        out = np.full((len(self.windows), len(self.owner)), fill)
+        for row, window in zip(out, self.windows):
+            self.grid.cells(row)[window.cells] = getattr(window, name)
+        return out
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self._dense("f", 0.0)
+
+    @cached_property
+    def covered(self) -> np.ndarray:
+        return self._dense("covered", False)
+
+    @cached_property
+    def strict(self) -> np.ndarray:
+        return self._dense("strict", False)
 
     def losers(self, i: int) -> np.ndarray:
         """Points agent i covers but does not own (its overlap set)."""
@@ -118,9 +190,9 @@ class CoverageReport:
 
 
 def _field_terms(state: AgentState, params: SensingParams, points):
-    """Vectorized pieces of the sensing model at ground points."""
-    dx = state.x - points[:, 0]
-    dy = state.y - points[:, 1]
+    """Vectorized pieces of the sensing model at ground points (..., 2)."""
+    dx = state.x - points[..., 0]
+    dy = state.y - points[..., 1]
     d2 = dx * dx + dy * dy
     s = np.sqrt(d2 + state.z**2)
     A = np.sqrt(state.lam**2 + params.r**2)
@@ -132,29 +204,17 @@ def _field_terms(state: AgentState, params: SensingParams, points):
     return dx, dy, d2, s, A, radius, f_pers, f_res
 
 
-def sensing_quality(state: AgentState, q, params: SensingParams) -> float:
-    """Perspective × resolution quality of a ground point; zero outside the footprint."""
-    points = np.atleast_2d(np.asarray(q, dtype=float))
-    _, _, d2, _, _, radius, f_pers, f_res = _field_terms(state, params, points)
-    f = np.where(d2 <= radius**2, f_pers * f_res, 0.0)
-    return float(f[0])
-
-
-def sensing_field(state: AgentState, params: SensingParams, points):
-    """Quality, closed, and strict footprint masks of one agent over many points."""
-    _, _, d2, _, _, radius, f_pers, f_res = _field_terms(state, params, points)
+def _masked_quality(terms):
+    """Quality (zero outside the footprint), closed and strict footprint masks."""
+    _, _, d2, _, _, radius, f_pers, f_res = terms
     covered = d2 <= radius**2
     strict = d2 < radius**2
-    f = np.where(covered, f_pers * f_res, 0.0)
-    return f, covered, strict
+    return np.where(covered, f_pers * f_res, 0.0), covered, strict
 
 
-def sensing_gradient(state: AgentState, params: SensingParams, points) -> np.ndarray:
-    """(4, N) analytic partials of the quality w.r.t. the agent state.
-
-    Valid at points strictly inside the footprint; the caller masks.
-    """
-    dx, dy, d2, s, A, _, f_pers, f_res = _field_terms(state, params, points)
+def _gradient(state: AgentState, params: SensingParams, terms) -> np.ndarray:
+    """(4, ...) analytic partials of the quality w.r.t. the agent state, from its terms."""
+    dx, dy, d2, s, A, _, f_pers, f_res = terms
     z, lam = state.z, state.lam
     s3 = s**3
     # Perspective factor: distance enters through s only; λ also moves A.
@@ -172,7 +232,7 @@ def sensing_gradient(state: AgentState, params: SensingParams, points) -> np.nda
     dr_y = res_scale * dy / s
     dr_z = res_scale * z / s
     dr_lam = f_res * params.kappa * params.r**2 / (lam * A * A)
-    return np.vstack(
+    return np.stack(
         [
             f_pers * dr_x + f_res * dp_x,
             f_pers * dr_y + f_res * dp_y,
@@ -182,18 +242,42 @@ def sensing_gradient(state: AgentState, params: SensingParams, points) -> np.nda
     )
 
 
+def sensing_quality(state: AgentState, q, params: SensingParams) -> float:
+    """Perspective × resolution quality of a ground point; zero outside the footprint."""
+    points = np.atleast_2d(np.asarray(q, dtype=float))
+    return float(sensing_field(state, params, points)[0][0])
+
+
+def sensing_field(state: AgentState, params: SensingParams, points):
+    """Quality, closed, and strict footprint masks of one agent over many points."""
+    return _masked_quality(_field_terms(state, params, points))
+
+
+def sensing_gradient(state: AgentState, params: SensingParams, points) -> np.ndarray:
+    """(4, N) analytic partials of the quality w.r.t. the agent state.
+
+    Valid at points strictly inside the footprint; the caller masks.
+    """
+    return _gradient(state, params, _field_terms(state, params, points))
+
+
 def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
     """Assign each grid point to its best covering agent (lowest index on ties)."""
-    n = len(states)
-    N = len(grid.points)
-    f = np.zeros((n, N))
-    covered = np.zeros((n, N), dtype=bool)
-    strict = np.zeros((n, N), dtype=bool)
+    points = grid.cells(grid.points)
+    owner = np.full(len(grid.points), -1)
+    owner_cells = grid.cells(owner)
+    best = grid.cells(np.full(len(grid.points), -np.inf))
+    windows = []
     for i, state in enumerate(states):
-        f[i], covered[i], strict[i] = sensing_field(state, params, grid.points)
-    masked = np.where(covered, f, -np.inf)
-    owner = np.where(covered.any(axis=0), np.argmax(masked, axis=0), -1)
-    return Partition(owner=owner, f=f, covered=covered, strict=strict)
+        cells = grid.window(state.x, state.y, params.r * state.z / state.lam)
+        terms = _field_terms(state, params, points[cells])
+        f, covered, strict = _masked_quality(terms)
+        # Only a strictly better quality takes a point: ties stay with the lower index.
+        wins = covered & (f > best[cells])
+        best[cells][wins] = f[wins]
+        owner_cells[cells][wins] = i
+        windows.append(FieldWindow(cells, terms, f, covered, strict))
+    return Partition(owner=owner, windows=tuple(windows), grid=grid)
 
 
 def coverage_objective(
@@ -202,12 +286,15 @@ def coverage_objective(
     """Midpoint-quadrature objective H = H_M − w·H_O and per-agent owned masses."""
     if part is None:
         part = partition(states, params, grid)
-    point_mass = density.phi(grid.points) * grid.cell_area
+    mass = grid.cells(grid.mass(density))
+    owner = grid.cells(part.owner)
     masses = []
     H_O = 0.0
-    for i in range(len(states)):
-        masses.append(float(np.sum(part.f[i] * point_mass, where=part.owner == i)))
-        H_O += float(np.sum(part.f[i] * point_mass, where=part.losers(i)))
+    for i, window in enumerate(part.windows):
+        weighted = window.f * mass[window.cells]
+        owned = owner[window.cells] == i
+        masses.append(float(np.sum(weighted, where=owned)))
+        H_O += float(np.sum(weighted, where=window.covered & ~owned))
     H_M = float(sum(masses))
     return CoverageReport(H_M=H_M, H_O=H_O, H=H_M - params.w * H_O, cell_masses=tuple(masses))
 
@@ -223,14 +310,14 @@ def nominal_input(
     """Gradient-ascent input: owned-region pull minus w × overlap-region pull."""
     if part is None:
         part = partition(states, params, grid)
-    point_mass = density.phi(grid.points) * grid.cell_area
-    own = (part.owner == i) & part.strict[i]
-    lose = part.losers(i) & part.strict[i]
-    u = np.zeros(4)
-    if own.any():
-        grad = sensing_gradient(states[i], params, grid.points[own])
-        u += grad @ point_mass[own]
-    if lose.any():
-        grad = sensing_gradient(states[i], params, grid.points[lose])
-        u -= params.w * (grad @ point_mass[lose])
-    return u
+    window = part.windows[i]
+    mass = grid.cells(grid.mass(density))[window.cells]
+    owned = grid.cells(part.owner)[window.cells] == i
+
+    # Gather the terms before taking the gradient: columns selected from a
+    # window-wide gradient are not C-contiguous, and the product then rounds differently.
+    def pull(mask):
+        terms = tuple(t[mask] if np.ndim(t) else t for t in window.terms)
+        return _gradient(states[i], params, terms) @ mass[mask]
+
+    return pull(owned & window.strict) - params.w * pull(~owned & window.strict)

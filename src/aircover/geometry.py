@@ -267,13 +267,14 @@ def hole_exists_exact(trio: TrioContext) -> bool:
     return power_distance(trio.fovs[0], trio.radical_center) > 0.0
 
 
-def detect_holes_grid(states, r: float, mission, resolution: float):
+def detect_holes_grid(states, r: float, mission, resolution: float, graph=None):
     """Independent grid oracle for holes.
 
     Samples the mission rectangle at cell centers; a witness is an uncovered
     cell lying strictly inside some trio triangle whose uncovered connected
     component (4-connectivity) does not touch the mission boundary.  Returns
-    the witness points as an (m, 2) array.
+    the witness points as an (m, 2) array.  graph is the communication graph
+    of these states, built here when not given.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -300,7 +301,8 @@ def detect_holes_grid(states, r: float, mission, resolution: float):
     touches_boundary = np.zeros(nlab + 1, dtype=bool)
     touches_boundary[edge_labels] = True
 
-    graph = build_graph(states, r)
+    if graph is None:
+        graph = build_graph(states, r)
     trios = graph.all_trios()
     if not trios:
         return np.empty((0, 2))

@@ -95,7 +95,11 @@ class Scenario:
         )
 
     def grid(self) -> CoverageGrid:
-        return CoverageGrid(self.density.mission, self.grid_resolution)
+        """The coverage grid, built on first use and kept for the scenario's lifetime."""
+        if "_grid" not in self.__dict__:
+            grid = CoverageGrid(self.density.mission, self.grid_resolution)
+            object.__setattr__(self, "_grid", grid)
+        return self.__dict__["_grid"]
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,9 @@ def step(world: WorldState, scenario: Scenario):
     min_ncbf, trio_counts = _min_ncbf(graph, states, scenario.epsilon)
     if world.step % scenario.hole_check_every == 0:
         witnesses = len(
-            detect_holes_grid(states, params.r, scenario.density.mission, scenario.grid_resolution)
+            detect_holes_grid(
+                states, params.r, scenario.density.mission, scenario.grid_resolution, graph
+            )
         )
     else:
         witnesses = -1

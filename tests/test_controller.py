@@ -229,13 +229,6 @@ class TestSolveQp:
         assert out[2] == pytest.approx(1.0, rel=1e-5)
         assert abs(out[3]) < 2e-6
 
-    def test_warm_start_same_answer(self, rng):
-        for _ in range(20):
-            problem, _ = random_feasible_problem(rng)
-            cold = solve_qp(problem)
-            warm = solve_qp(problem, warm_start=[0, 1])
-            assert np.max(np.abs(cold - warm)) < 1e-9
-
     def test_iteration_cap_raises_numerical_failure(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(NumericalFailure):

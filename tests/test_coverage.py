@@ -173,6 +173,16 @@ class TestCoverageGrid:
         assert np.all(grid.points[:, 0] > 0) and np.all(grid.points[:, 0] < 12)
         assert np.all(grid.points[:, 1] > 0) and np.all(grid.points[:, 1] < 8)
 
+    def test_mass_cached_per_density(self):
+        grid = CoverageGrid((0, 0, 12, 8), 0.5)
+        near = DensityField(components=((1.0, (3.0, 3.0), 2.0),), mission=(0, 0, 12, 8))
+        far = DensityField(components=((1.0, (9.0, 6.0), 2.0),), mission=(0, 0, 12, 8))
+        mass = grid.mass(near)
+        assert grid.mass(near) is mass
+        assert not mass.flags.writeable
+        np.testing.assert_array_equal(mass, near.phi(grid.points) * grid.cell_area)
+        np.testing.assert_array_equal(grid.mass(far), far.phi(grid.points) * grid.cell_area)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CoverageGrid((0, 0, 10, 10), 0.0)

@@ -265,6 +265,16 @@ class TestHoleOracles:
         dists = np.linalg.norm(witnesses - trio.radical_center, axis=1)
         assert dists.max() < 1.0
 
+    def test_grid_oracle_uses_a_given_graph(self):
+        states = self.shrinkable_trio(1.6)
+        built = detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.05)
+        given = detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.05, build_graph(states, 1.0))
+        assert len(built) > 0
+        np.testing.assert_array_equal(given, built)
+        # The oracle trusts the graph it is given: with no trios there is no witness.
+        alone = build_graph(states[:1], 1.0)
+        assert len(detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.05, alone)) == 0
+
     def test_oracles_agree_on_random_trios(self, rng):
         mismatches = 0
         n_cases = 60

@@ -1,8 +1,11 @@
 """Tests for the discrete-time simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from aircover.cli import parse_config, serialize
 from aircover.controller import ClassK
 from aircover.coverage import DensityField, SensingParams
 from aircover.geometry import AgentState
@@ -208,3 +211,35 @@ class TestRun:
         assert len(records) == 40
         assert summary["fallback_count"] == 0
         assert records[-1].H >= records[0].H - 1e-6 * abs(records[0].H)
+
+
+class TestCaching:
+    def test_density_evaluated_once_per_run(self, monkeypatch):
+        calls = []
+        original = DensityField.phi
+
+        def counting(self, points):
+            calls.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(DensityField, "phi", counting)
+        counts = []
+        for steps in (2, 7):
+            calls.clear()
+            run(trio_scenario(steps=steps, fixed_nominal=None))
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    def test_grid_built_once_per_scenario(self):
+        scenario = trio_scenario()
+        grid = scenario.grid()
+        assert scenario.grid() is grid
+        finer = replace(scenario, grid_resolution=0.05)
+        assert finer.grid() is not grid
+        assert finer.grid().resolution == 0.05
+
+    def test_cached_grid_leaves_equality_and_round_trip_alone(self):
+        scenario = trio_scenario()
+        scenario.grid()
+        assert scenario == trio_scenario()
+        assert parse_config(serialize(scenario)) == scenario
