@@ -31,7 +31,7 @@ print("mover y    h (barrier)   argmax   exact oracle   grid witnesses")
 for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
     mover = AgentState(0.0, y, 1.5, 1.0)
     trio = make_trio((0, 1, 2), [mover, *hoverers], r)
-    value = ncbf_value(trio, 0, epsilon=0.2)
+    value = ncbf_value(cbf_components(trio, 0).vals, epsilon=0.2)
     holed = hole_exists_exact(trio)
     witnesses = detect_holes_grid([mover, *hoverers], r, (-4, -4, 4, 4), 0.02)
     print(f"{y:+7.1f}   {value.value:+11.4f}   comp {value.argmax}   "
@@ -46,12 +46,13 @@ comps = cbf_components(trio, 0)
 print("\ncomponent values from the mover's viewpoint:",
       np.round(comps.vals, 4))
 print("almost-active set (within epsilon = 0.2 of the max):",
-      ncbf_value(trio, 0, 0.2).active_set)
+      ncbf_value(comps.vals, 0.2).active_set)
 
 # Every component has an analytic gradient in the agent's own four controls
-# (x, y, z, lambda).  Check one against central finite differences.
+# (x, y, z, lambda), read from the same evaluation's working frame.  Check one
+# against central finite differences.
 component = 4
-grad = cbf_gradient(trio, 0, component).as_array()
+grad = cbf_gradient(comps, component)
 h = 1e-6
 fd = np.zeros(4)
 for coord in range(4):

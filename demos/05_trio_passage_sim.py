@@ -11,7 +11,8 @@ and a triangle-side condition on the way in and out.
 
 from dataclasses import replace
 
-from aircover import build_graph, initial_world, ncbf_value, parse_config, run, step
+from aircover import (build_graph, cbf_components, initial_world, ncbf_value,
+                      parse_config, run, step)
 from aircover.cli import bundled_scenario
 
 scenario = parse_config(bundled_scenario("trio"))
@@ -26,7 +27,7 @@ print("\nstep    mover y    barrier h   certificate")
 for k in range(scenario.steps):
     trios = build_graph(world.states, scenario.sensing.r).trios_of(0)
     if trios:
-        value = ncbf_value(trios[0], 0, scenario.epsilon)
+        value = ncbf_value(cbf_components(trios[0], 0).vals, scenario.epsilon)
         if value.argmax != last_argmax or k % 400 == 0:
             print(f"{k:>4}   {world.states[0].y:+8.3f}   {value.value:+9.4f}"
                   f"   component {value.argmax}"

@@ -7,11 +7,9 @@ controller, a discrete-time simulator, and a scenario-file CLI.
 
 from aircover.barrier import (
     CbfComponents,
-    CbfGradient,
     NcbfValue,
     cbf_components,
     cbf_gradient,
-    compose_ncbf,
     component_apex,
     degenerate_guard,
     ncbf_value,
@@ -38,6 +36,7 @@ from aircover.controller import (
     build_constraints,
     qp_weights,
     solve_qp,
+    trio_views,
 )
 from aircover.coverage import (
     CoverageGrid,

@@ -8,10 +8,14 @@ no hole exists.  Component indices are 1-based: 1..3 are the triangle-side
 conditions (lines IJ, JK, KI with I the viewpoint agent), 4 is footprint
 membership.
 
-Analytic gradients are derived in the per-triangle working frame (x-axis on
-segment JK, y-axis on the JK radical axis) where the radical center has a
-closed form, then rotated back to world coordinates; altitude and focal-length
-entries are frame-invariant.
+`cbf_components` is the one evaluation of a (trio, viewpoint) per step: it
+computes the four values and the viewpoint's working frame (x-axis on segment
+JK, y-axis on the JK radical axis) with the frame coordinates of the three
+footprint centers.  The safety filter and the trace share that result:
+`ncbf_value` composes the values, and `cbf_gradient` reads the stored frame to
+give one component's analytic gradient, where the radical center has a closed
+form, rotated back to world coordinates; altitude and focal-length entries
+are frame-invariant.
 """
 
 from dataclasses import dataclass
@@ -20,6 +24,7 @@ import numpy as np
 
 from aircover.geometry import (
     DegenerateTrio,
+    SigmaDFrame,
     TrioContext,
     point_in_triangle,
     power_distance,
@@ -29,9 +34,21 @@ from aircover.geometry import (
 
 @dataclass(frozen=True)
 class CbfComponents:
-    """The four per-triangle condition values, ordered (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint)."""
+    """One (trio, viewpoint) evaluation: the four condition values and what their gradients need.
+
+    `vals` is ordered (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint).
+    `frame` is the viewpoint's working frame and `coords` holds
+    (x_i, y_i, x_j, x_k, R_i², R_j², R_k², z, λ, r): the frame coordinates of
+    the three footprint centers, the squared radii, the viewpoint's altitude
+    and focal length, and the sensing constant.  Values alone suffice for
+    composition and the guard; gradients need the rest.
+    """
 
     vals: tuple
+    trio: TrioContext = None
+    viewpoint: int = None
+    frame: SigmaDFrame = None
+    coords: tuple = None
 
     def __getitem__(self, component: int) -> float:
         # 1-based component index.
@@ -47,40 +64,38 @@ class NcbfValue:
     active_set: tuple
 
 
-@dataclass(frozen=True)
-class CbfGradient:
-    """World-frame partial derivatives of one component w.r.t. the viewpoint agent's state."""
-
-    d_x: float
-    d_y: float
-    d_z: float
-    d_lambda: float
-
-    def as_array(self):
-        return np.array([self.d_x, self.d_y, self.d_z, self.d_lambda])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-
 def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
-    """Evaluate the four condition values from one agent's viewpoint.
+    """Evaluate the four condition values and the working frame from one agent's viewpoint.
 
     The triangle ratios use vertex roles (I, J, K) = (viewpoint, lower other,
     higher other); the footprint value is the negated power distance of the
-    radical center to the viewpoint's footprint.
+    radical center to the viewpoint's footprint.  Raises DegenerateTrio when
+    the triangle's area is below tolerance.
     """
     i, j, k = trio.roles(viewpoint)
-    I = trio.fovs[trio.index_of(i)].center
-    J = trio.fovs[trio.index_of(j)].center
-    K = trio.fovs[trio.index_of(k)].center
+    fi, fj, fk = (trio.fovs[trio.index_of(a)] for a in (i, j, k))
     v = trio.radical_center
-    _, (r_ijk, r_jki, r_kij) = point_in_triangle(I, J, K, v)
-    h_f = -power_distance(trio.fovs[trio.index_of(i)], v)
-    return CbfComponents(vals=(-r_ijk, -r_jki, -r_kij, h_f))
+    _, (r_ijk, r_jki, r_kij) = point_in_triangle(fi.center, fj.center, fk.center, v)
+    h_f = -power_distance(fi, v)
+    frame = sigma_d_frame(trio, viewpoint)
+    pi = frame.to_frame(fi.center)
+    state = trio.states[trio.index_of(i)]
+    coords = (
+        float(pi[0]),
+        float(pi[1]),
+        float(frame.to_frame(fj.center)[0]),
+        float(frame.to_frame(fk.center)[0]),
+        fi.radius**2,
+        fj.radius**2,
+        fk.radius**2,
+        state.z,
+        state.lam,
+        trio.r,
+    )
+    return CbfComponents((-r_ijk, -r_jki, -r_kij, h_f), trio, viewpoint, frame, coords)
 
 
-def compose_ncbf(vals, epsilon: float) -> NcbfValue:
+def ncbf_value(vals, epsilon: float) -> NcbfValue:
     """Max-compose four component values and collect the almost-active set {ℓ : |h_ℓ − h| ≤ ε}."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -89,11 +104,6 @@ def compose_ncbf(vals, epsilon: float) -> NcbfValue:
     argmax = vals.index(value) + 1
     active = tuple(l + 1 for l, h in enumerate(vals) if abs(h - value) <= epsilon)
     return NcbfValue(value=value, argmax=argmax, active_set=active)
-
-
-def ncbf_value(trio: TrioContext, viewpoint: int, epsilon: float) -> NcbfValue:
-    """Max of the four components plus the almost-active set, from one agent's viewpoint."""
-    return compose_ncbf(cbf_components(trio, viewpoint).vals, epsilon)
 
 
 def component_apex(trio: TrioContext, viewpoint: int, component: int):
@@ -107,33 +117,8 @@ def component_apex(trio: TrioContext, viewpoint: int, component: int):
     return {1: k, 2: i, 3: j, 4: None}[component]
 
 
-def _frame_coordinates(trio: TrioContext, viewpoint: int):
-    """Working-frame coordinates and radius data for the gradient formulas."""
-    i, j, k = trio.roles(viewpoint)
-    frame = sigma_d_frame(trio, viewpoint)
-    fi = trio.fovs[trio.index_of(i)]
-    fj = trio.fovs[trio.index_of(j)]
-    fk = trio.fovs[trio.index_of(k)]
-    pi = frame.to_frame(fi.center)
-    pj = frame.to_frame(fj.center)
-    pk = frame.to_frame(fk.center)
-    state = trio.states[trio.index_of(i)]
-    return frame, {
-        "xi": float(pi[0]),
-        "yi": float(pi[1]),
-        "xj": float(pj[0]),
-        "xk": float(pk[0]),
-        "Ri2": fi.radius**2,
-        "Rj2": fj.radius**2,
-        "Rk2": fk.radius**2,
-        "z": state.z,
-        "lam": state.lam,
-        "r": trio.r,
-    }
-
-
-def cbf_gradient(trio: TrioContext, viewpoint: int, component: int) -> CbfGradient:
-    """Analytic world-frame gradient of one component w.r.t. the viewpoint agent's state.
+def cbf_gradient(components: CbfComponents, component: int) -> np.ndarray:
+    """Analytic world-frame gradient (∂x, ∂y, ∂z, ∂λ) of one component w.r.t. the viewpoint agent's state.
 
     Derivatives are taken holding the other two agents fixed; the working
     frame they define is therefore constant, and the world planar gradient is
@@ -141,15 +126,14 @@ def cbf_gradient(trio: TrioContext, viewpoint: int, component: int) -> CbfGradie
     """
     if component not in (1, 2, 3, 4):
         raise ValueError("component must be 1..4")
-    frame, c = _frame_coordinates(trio, viewpoint)
-    xi, yi, xj, xk = c["xi"], c["yi"], c["xj"], c["xk"]
+    xi, yi, xj, xk, Ri2, Rj2, Rk2, z, lam, r = components.coords
     if abs(yi) < 1e-12:
         raise DegenerateTrio("viewpoint agent on the line through the other two")
     # Derivative of the squared footprint radius w.r.t. altitude and focal length.
-    dR2_dz = 2.0 * c["r"] ** 2 * c["z"] / c["lam"] ** 2
-    dR2_dlam = -2.0 * c["r"] ** 2 * c["z"] ** 2 / c["lam"] ** 3
+    dR2_dz = 2.0 * r**2 * z / lam**2
+    dR2_dlam = -2.0 * r**2 * z**2 / lam**3
     # C compares the two power offsets that set the radical-center height.
-    C = (xi**2 - c["Ri2"]) - (xj**2 - c["Rj2"])
+    C = (xi**2 - Ri2) - (xj**2 - Rj2)
     vy = (C + yi**2) / (2.0 * yi)
 
     if component == 4:
@@ -172,12 +156,12 @@ def cbf_gradient(trio: TrioContext, viewpoint: int, component: int) -> CbfGradie
     else:
         # Components 1 and 3 are symmetric under the J↔K swap.
         if component == 1:
-            xo, denom = xj, xk - xj
+            xo, denom, Ro2 = xj, xk - xj, Rj2
             Co = C
         else:
-            xo, denom = xk, xj - xk
-            Co = (xi**2 - c["Ri2"]) - (xk**2 - c["Rk2"])
-        d_x = -(3.0 * xi**2 - 2.0 * xo * xi + (yi**2 - c["Ri2"]) - (xo**2 - (c["Rj2"] if component == 1 else c["Rk2"]))) / (
+            xo, denom, Ro2 = xk, xj - xk, Rk2
+            Co = (xi**2 - Ri2) - (xk**2 - Rk2)
+        d_x = -(3.0 * xi**2 - 2.0 * xo * xi + (yi**2 - Ri2) - (xo**2 - Ro2)) / (
             2.0 * denom * yi**2
         )
         d_y = (xi - xo) * Co / (denom * yi**3)
@@ -186,8 +170,8 @@ def cbf_gradient(trio: TrioContext, viewpoint: int, component: int) -> CbfGradie
         d_z = -dh_dR2 * dR2_dz
         d_lam = -dh_dR2 * dR2_dlam
 
-    world_xy = frame.to_world_vector([gx, gy])
-    return CbfGradient(d_x=float(world_xy[0]), d_y=float(world_xy[1]), d_z=d_z, d_lambda=d_lam)
+    world_xy = components.frame.to_world_vector([gx, gy])
+    return np.array([world_xy[0], world_xy[1], d_z, d_lam])
 
 
 def degenerate_guard(components: CbfComponents, threshold: float):

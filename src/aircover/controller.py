@@ -1,10 +1,14 @@
 """Per-agent QP safety filter.
 
-Each agent assembles one linear constraint per almost-active barrier component
-over each of its triangles, then minimally modifies its nominal input in the
-weighted least-squares sense subject to those constraints.  The QP is tiny
-(4 variables, a couple dozen constraints at most), so a deterministic dense
-active-set method is used rather than an external solver.
+`trio_views` evaluates each of an agent's triangles once from its viewpoint
+(`barrier.cbf_components`) and drops a degenerate one with a single warning;
+the simulator shares that list between this filter and the trace.  From it
+the agent assembles one linear constraint per almost-active, non-suppressed
+barrier component, computing only those components' gradients, then minimally
+modifies its nominal input in the weighted least-squares sense subject to
+those constraints.  The QP is tiny (4 variables, a couple dozen constraints at
+most), so a deterministic dense active-set method is used rather than an
+external solver.
 """
 
 import logging
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from aircover.barrier import cbf_components, cbf_gradient, degenerate_guard
-from aircover.geometry import CommGraph, DegenerateTrio
+from aircover.geometry import DegenerateTrio
 
 log = logging.getLogger(__name__)
 
@@ -76,19 +80,27 @@ class FilterParams:
     w_lambda: float = 3.0e6
     guard_threshold: float = 1.0e4
     components: tuple = ALL_COMPONENTS
-    gradient_floor: float = GRADIENT_FLOOR
+
+
+def trio_views(viewpoint: int, trios):
+    """One `cbf_components` evaluation per trio from the viewpoint; a degenerate trio is dropped with a warning."""
+    views = []
+    for trio in trios:
+        try:
+            views.append(cbf_components(trio, viewpoint))
+        except DegenerateTrio as exc:
+            log.warning("agent %d trio %s degenerate, dropped: %s", viewpoint, trio.ids, exc)
+    return views
 
 
 def build_constraints(
-    viewpoint: int,
-    trios,
+    views,
     epsilon: float,
     alpha: ClassK,
     guard_threshold: float,
     components: tuple = ALL_COMPONENTS,
-    gradient_floor: float = GRADIENT_FLOOR,
 ):
-    """One (a, b) halfspace per almost-active, non-suppressed component of each triangle.
+    """One (a, b) halfspace per almost-active, non-suppressed component of each evaluated triangle.
 
     a is the world-frame gradient of the component with respect to the agent's
     own state; b = −α(h)/3 splits the decay budget evenly across the triangle's
@@ -96,32 +108,32 @@ def build_constraints(
     (all four normally; only the footprint condition in hf-only mode).
     """
     rows = []
-    for trio in trios:
+    for comps in views:
+        viewpoint, ids = comps.viewpoint, comps.trio.ids
+        suppressed = degenerate_guard(comps, guard_threshold)
+        value = max(comps[l] for l in components)
+        b = -alpha(value) / 3.0
         try:
-            comps = cbf_components(trio, viewpoint)
-            suppressed = degenerate_guard(comps, guard_threshold)
-            value = max(comps[l] for l in components)
-            b = -alpha(value) / 3.0
             for l in components:
                 if abs(comps[l] - value) > epsilon:
                     continue
                 if l in suppressed:
                     log.debug(
                         "agent %d trio %s: component %d suppressed (|%.3g| > %.3g)",
-                        viewpoint, trio.ids, l, comps[l], guard_threshold,
+                        viewpoint, ids, l, comps[l], guard_threshold,
                     )
                     continue
-                a = cbf_gradient(trio, viewpoint, l).as_array()
+                a = cbf_gradient(comps, l)
                 norm = float(np.linalg.norm(a))
-                if norm < gradient_floor:
+                if norm < GRADIENT_FLOOR:
                     log.warning(
                         "agent %d trio %s: component %d gradient vanished (%.3g); constraint dropped",
-                        viewpoint, trio.ids, l, norm,
+                        viewpoint, ids, l, norm,
                     )
                     continue
                 rows.append((a, b))
         except DegenerateTrio as exc:
-            log.warning("agent %d trio %s degenerate, dropped: %s", viewpoint, trio.ids, exc)
+            log.warning("agent %d trio %s degenerate, dropped: %s", viewpoint, ids, exc)
     return rows
 
 
@@ -215,29 +227,18 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
             mu.pop(blocker)
 
 
-def agent_control(
-    viewpoint: int,
-    states,
-    graph: CommGraph,
-    u_nom,
-    params: FilterParams,
-) -> np.ndarray:
-    """Safety-filtered input for one agent given a consistent state snapshot.
+def agent_control(viewpoint: int, views, u_nom, params: FilterParams) -> np.ndarray:
+    """Safety-filtered input for one agent from its own triangles' evaluations (`trio_views`).
 
     Only the agent's own triangles (and the neighbor states embedded in them)
     are consulted — the distributed information pattern.  Raises Infeasible or
     NumericalFailure for the caller to handle (fall back and log).
     """
-    del states  # the trio contexts carry every neighbor state this agent needs
+    if any(v.viewpoint != viewpoint for v in views):
+        raise ValueError(f"views must be evaluated from agent {viewpoint}'s viewpoint")
     u_nom = np.asarray(u_nom, dtype=float)
     rows = build_constraints(
-        viewpoint,
-        graph.trios_of(viewpoint),
-        params.epsilon,
-        params.alpha,
-        params.guard_threshold,
-        components=params.components,
-        gradient_floor=params.gradient_floor,
+        views, params.epsilon, params.alpha, params.guard_threshold, params.components
     )
     if not rows:
         return u_nom.copy()

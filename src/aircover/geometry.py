@@ -43,9 +43,6 @@ class AgentState:
         for name in ("x", "y", "z", "lam"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    def position(self):
-        return np.array([self.x, self.y, self.z])
-
     def as_array(self):
         return np.array([self.x, self.y, self.z, self.lam])
 
@@ -117,9 +114,6 @@ class TrioContext:
         """Return (i, j, k) id roles for a viewpoint: itself first, the others in id order."""
         others = [a for a in self.ids if a != viewpoint]
         return (viewpoint, others[0], others[1])
-
-    def frame(self, viewpoint: int) -> SigmaDFrame:
-        return sigma_d_frame(self, viewpoint)
 
 
 @dataclass

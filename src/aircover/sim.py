@@ -21,6 +21,7 @@ from aircover.controller import (
     Infeasible,
     NumericalFailure,
     agent_control,
+    trio_views,
 )
 from aircover.coverage import (
     CoverageGrid,
@@ -32,7 +33,6 @@ from aircover.coverage import (
 )
 from aircover.geometry import (
     AgentState,
-    DegenerateTrio,
     build_graph,
     detect_holes_grid,
     fov_of,
@@ -76,6 +76,8 @@ class Scenario:
             raise ValueError("steps must be at least 1")
         if self.min_z <= 0 or self.min_lambda <= 0:
             raise ValueError("min_z and min_lambda must be positive")
+        if self.epsilon <= 0 or self.guard_threshold <= 0 or self.w_lambda <= 0:
+            raise ValueError("epsilon, guard_threshold and w_lambda must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.grid_resolution <= 0:
@@ -132,25 +134,6 @@ def initial_world(scenario: Scenario) -> WorldState:
     return WorldState(step=0, states=tuple(scenario.agents), trio_keys=None)
 
 
-def _min_ncbf(graph, states, epsilon):
-    """Per-agent minimum barrier value over incident trios (0.0 when none)."""
-    values = []
-    counts = []
-    for i in range(len(states)):
-        trios = graph.trios_of(i)
-        counts.append(len(trios))
-        best = None
-        for trio in trios:
-            try:
-                value = ncbf_value(trio, i, epsilon).value
-            except DegenerateTrio:
-                log.warning("agent %d: degenerate trio %s skipped in trace", i, trio.ids)
-                continue
-            best = value if best is None else min(best, value)
-        values.append(0.0 if best is None else best)
-    return tuple(values), tuple(counts)
-
-
 def step(world: WorldState, scenario: Scenario):
     """Advance one step; returns (next world state, TraceRecord)."""
     states = world.states
@@ -177,7 +160,10 @@ def step(world: WorldState, scenario: Scenario):
             nominal_input(i, states, params, scenario.density, grid, part) for i in range(n)
         ]
 
-    # 5. Safety filter against the snapshot (skipped in nominal_only mode).
+    # 5. One barrier evaluation per (trio, viewpoint), shared by the filter
+    #    and the trace; then the safety filter against the snapshot (skipped
+    #    in nominal_only mode).
+    views = [trio_views(i, graph.trios_of(i)) for i in range(n)]
     fallback = [False] * n
     if scenario.mode == "nominal_only":
         inputs = nominals
@@ -186,7 +172,7 @@ def step(world: WorldState, scenario: Scenario):
         inputs = []
         for i in range(n):
             try:
-                inputs.append(agent_control(i, states, graph, nominals[i], fp))
+                inputs.append(agent_control(i, views[i], nominals[i], fp))
             except (Infeasible, NumericalFailure) as exc:
                 log.warning("step %d agent %d: %s; zero-input fallback", world.step, i, exc)
                 inputs.append(np.zeros(4))
@@ -209,7 +195,10 @@ def step(world: WorldState, scenario: Scenario):
         next_states.append(AgentState(v[0], v[1], z, lam))
 
     # 8. Telemetry for the pre-integration snapshot.
-    min_ncbf, trio_counts = _min_ncbf(graph, states, scenario.epsilon)
+    min_ncbf = tuple(
+        min((ncbf_value(c.vals, scenario.epsilon).value for c in agent_views), default=0.0)
+        for agent_views in views
+    )
     if world.step % scenario.hole_check_every == 0:
         witnesses = len(
             detect_holes_grid(
@@ -224,7 +213,7 @@ def step(world: WorldState, scenario: Scenario):
             (s.x, s.y, s.z, s.lam, fov_of(s, params.r).radius) for s in states
         ),
         min_ncbf=min_ncbf,
-        trio_counts=trio_counts,
+        trio_counts=tuple(len(graph.trios_of(i)) for i in range(n)),
         H=report.H,
         H_M=report.H_M,
         H_O=report.H_O,

@@ -27,6 +27,7 @@ from aircover.controller import (
     build_constraints,
     qp_weights,
     solve_qp,
+    trio_views,
 )
 from aircover.coverage import DensityField, SensingParams
 from aircover.geometry import (
@@ -73,7 +74,7 @@ def test_criterion_1_gradient_suite(rng):
         trio = random_trio(rng)
         viewpoint = trio.ids[k % 3]
         for component in (1, 2, 3, 4):
-            grad = cbf_gradient(trio, viewpoint, component).as_array()
+            grad = cbf_gradient(cbf_components(trio, viewpoint), component)
             fd = fd_component_gradient(trio, viewpoint, component)
             rel = np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(grad)))
             worst = max(worst, rel)
@@ -117,7 +118,7 @@ def test_criterion_3_hole_oracle_equivalence(rng):
         if not graph.all_trios():
             continue
         checked += 1
-        value = ncbf_value(trio, trio.ids[0], 0.2).value
+        value = ncbf_value(cbf_components(trio, trio.ids[0]).vals, 0.2).value
         xs = [f.cx for f in trio.fovs]
         ys = [f.cy for f in trio.fovs]
         radius = max(f.radius for f in trio.fovs)
@@ -147,7 +148,10 @@ def test_criterion_4_trio_passage_replication():
     argmaxes = []
     for _ in range(scenario.steps):
         trios = build_graph(world.states, scenario.sensing.r).trios_of(0)
-        argmaxes.append(ncbf_value(trios[0], 0, scenario.epsilon).argmax if trios else None)
+        if trios:
+            argmaxes.append(ncbf_value(cbf_components(trios[0], 0).vals, scenario.epsilon).argmax)
+        else:
+            argmaxes.append(None)
         world, _ = step(world, scenario)
     swaps = sum(
         1 for a, b in zip(argmaxes, argmaxes[1:]) if a != b and {a, b} == {2, 4}
@@ -328,7 +332,7 @@ def test_criterion_8_distributed_implies_central(rng):
     while trios_done < 500:
         trio = random_trio(rng)
         trios_done += 1
-        value = ncbf_value(trio, trio.ids[0], epsilon)
+        value = ncbf_value(cbf_components(trio, trio.ids[0]).vals, epsilon)
         per_agent = {}
         solved = {}
         skip_components = set()
@@ -340,7 +344,7 @@ def test_criterion_8_distributed_implies_central(rng):
                 for glob in value.active_set:
                     if component_apex(trio, trio.ids[0], glob) == apex:
                         skip_components.add(glob)
-            rows = build_constraints(agent, [trio], epsilon, alpha, 1e4)
+            rows = build_constraints(trio_views(agent, [trio]), epsilon, alpha, 1e4)
             u_nom = rng.normal(size=4) * 2.0
             try:
                 solved[agent] = (
@@ -370,7 +374,7 @@ def test_criterion_8_distributed_implies_central(rng):
                 if local is None:
                     premise = False
                     break
-                grad = cbf_gradient(trio, agent, local).as_array()
+                grad = cbf_gradient(cbf_components(trio, agent), local)
                 if float(np.linalg.norm(grad)) < 1e-9:
                     degenerate = True
                     break

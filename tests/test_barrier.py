@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+import aircover.barrier
 from aircover.barrier import (
     CbfComponents,
     cbf_components,
     cbf_gradient,
-    compose_ncbf,
     component_apex,
     degenerate_guard,
     ncbf_value,
@@ -97,36 +97,36 @@ class TestComponents:
 
 class TestNcbfValue:
     def test_max_and_window_example(self):
-        out = compose_ncbf((-0.3, -0.2, -0.5, 0.4), epsilon=0.2)
+        out = ncbf_value((-0.3, -0.2, -0.5, 0.4), epsilon=0.2)
         assert out.value == pytest.approx(0.4)
         assert out.argmax == 4
         assert out.active_set == (4,)
 
     def test_two_active_example(self):
-        out = compose_ncbf((0.5, 0.45, -0.2, 0.1), epsilon=0.2)
+        out = ncbf_value((0.5, 0.45, -0.2, 0.1), epsilon=0.2)
         assert out.value == pytest.approx(0.5)
         assert out.argmax == 1
         assert out.active_set == (1, 2)
 
     def test_closed_window_keeps_boundary_component(self):
-        out = compose_ncbf((0.5, 0.3, -1.0, -1.0), epsilon=0.2)
+        out = ncbf_value((0.5, 0.3, -1.0, -1.0), epsilon=0.2)
         assert out.active_set == (1, 2)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
-            compose_ncbf((0.0, 0.0, 0.0, 0.0), epsilon=0.0)
+            ncbf_value((0.0, 0.0, 0.0, 0.0), epsilon=0.0)
 
     def test_viewpoints_agree(self, rng):
         for _ in range(100):
             trio = random_trio(rng)
-            vals = [ncbf_value(trio, a, 0.2).value for a in trio.ids]
+            vals = [ncbf_value(cbf_components(trio, a).vals, 0.2).value for a in trio.ids]
             assert max(vals) - min(vals) < 1e-12
 
     def test_theorem_equivalence_with_exact_oracle(self, rng):
         checked = 0
         for _ in range(300):
             trio = random_trio(rng, require_overlap=True)
-            h = ncbf_value(trio, trio.ids[0], 0.2).value
+            h = ncbf_value(cbf_components(trio, trio.ids[0]).vals, 0.2).value
             if abs(h) < 1e-12:
                 continue  # boundary of the safe set: either call is defensible
             checked += 1
@@ -144,18 +144,36 @@ class TestNcbfValue:
                 q = R @ np.array([s.x, s.y]) + shift
                 moved.append(AgentState(q[0], q[1], s.z, s.lam))
             trio2 = make_trio(list(trio.ids), moved, trio.r)
-            h1 = ncbf_value(trio, trio.ids[0], 0.2).value
-            h2 = ncbf_value(trio2, trio.ids[0], 0.2).value
+            h1 = ncbf_value(cbf_components(trio, trio.ids[0]).vals, 0.2).value
+            h2 = ncbf_value(cbf_components(trio2, trio.ids[0]).vals, 0.2).value
             assert h1 == pytest.approx(h2, abs=1e-10)
 
 
 class TestGradients:
+    def test_one_frame_per_evaluation(self, rng, monkeypatch):
+        # The working frame is built with the four values; gradients reuse it.
+        calls = []
+        original = aircover.barrier.sigma_d_frame
+
+        def counting(trio, viewpoint):
+            calls.append(viewpoint)
+            return original(trio, viewpoint)
+
+        monkeypatch.setattr(aircover.barrier, "sigma_d_frame", counting)
+        trio = random_trio(rng)
+        comps = cbf_components(trio, trio.ids[1])
+        grads = [cbf_gradient(comps, l) for l in (1, 2, 3, 4)]
+        assert calls == [trio.ids[1]]
+        frame = original(trio, trio.ids[1])
+        assert np.array_equal(comps.frame.rotation, frame.rotation)
+        assert all(g.shape == (4,) for g in grads)
+
     def test_matches_finite_differences(self, rng):
         for _ in range(100):
             trio = random_trio(rng)
             viewpoint = int(rng.choice(trio.ids))
             for component in (1, 2, 3, 4):
-                analytic = cbf_gradient(trio, viewpoint, component).as_array()
+                analytic = cbf_gradient(cbf_components(trio, viewpoint), component)
                 numeric = fd_gradient(trio, viewpoint, component)
                 scale = max(1.0, float(np.max(np.abs(analytic))))
                 assert np.max(np.abs(analytic - numeric)) < FD_RTOL * scale, (
@@ -175,12 +193,12 @@ class TestGradients:
             ]
             trio2 = make_trio(list(trio.ids), moved, trio.r)
             for component in (1, 2, 3, 4):
-                g1 = cbf_gradient(trio, trio.ids[0], component)
-                g2 = cbf_gradient(trio2, trio.ids[0], component)
-                rotated = R @ np.array([g1.d_x, g1.d_y])
-                assert np.allclose(rotated, [g2.d_x, g2.d_y], atol=1e-9)
-                assert g1.d_z == pytest.approx(g2.d_z, abs=1e-9)
-                assert g1.d_lambda == pytest.approx(g2.d_lambda, abs=1e-9)
+                g1 = cbf_gradient(cbf_components(trio, trio.ids[0]), component)
+                g2 = cbf_gradient(cbf_components(trio2, trio.ids[0]), component)
+                rotated = R @ g1[:2]
+                assert np.allclose(rotated, g2[:2], atol=1e-9)
+                assert g1[2] == pytest.approx(g2[2], abs=1e-9)
+                assert g1[3] == pytest.approx(g2[3], abs=1e-9)
 
     def test_footprint_gradient_vanishes_on_line_jk(self):
         # Radical center pushed onto line JK: the footprint component's
@@ -195,8 +213,8 @@ class TestGradients:
         trio = make_trio([0, 1, 2], states, r=1.0)
         frame = sigma_d_frame(trio, 0)
         assert abs(frame.to_frame(trio.radical_center)[1]) < 1e-12
-        grad = cbf_gradient(trio, 0, 4)
-        assert grad.norm() < 1e-9
+        grad = cbf_gradient(cbf_components(trio, 0), 4)
+        assert np.linalg.norm(grad) < 1e-9
 
     def test_side_gradient_vanishes_with_aligned_radical_axis(self):
         # x_i = x_j in the working frame and v on line JK: the −ratio_IJK
@@ -209,8 +227,8 @@ class TestGradients:
             AgentState(1.0, 0.0, R, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        grad = cbf_gradient(trio, 0, 1)
-        assert grad.norm() < 1e-9
+        grad = cbf_gradient(cbf_components(trio, 0), 1)
+        assert np.linalg.norm(grad) < 1e-9
 
     def test_height_ratio_gradient_never_zero(self, rng):
         # The vertical partial of the −ratio_JKI component is strictly
@@ -218,9 +236,9 @@ class TestGradients:
         for _ in range(100):
             trio = random_trio(rng)
             for a in trio.ids:
-                grad = cbf_gradient(trio, a, 2)
-                assert grad.d_z > 0.0
-                assert grad.norm() > 0.0
+                grad = cbf_gradient(cbf_components(trio, a), 2)
+                assert grad[2] > 0.0
+                assert np.linalg.norm(grad) > 0.0
 
 
 class TestDegenerateGuard:

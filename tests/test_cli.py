@@ -1,5 +1,7 @@
 """Tests for scenario parsing, serialization, and the run command."""
 
+import re
+
 import pytest
 
 from aircover.cli import (
@@ -26,6 +28,21 @@ mission = -3.5 -3.5 3.5 3.5
 1.0 0.0 0.0 1.5
 """
 
+# Filter knobs that must be positive, with nonpositive values for them.
+NONPOSITIVE_FILTER_KNOBS = [
+    ("epsilon", "0.0"),
+    ("epsilon", "-0.1"),
+    ("guard_threshold", "0.0"),
+    ("w_lambda", "-1.0"),
+]
+
+
+def trio_with(key, value):
+    """Bundled trio.cfg with one [controller] key set to value."""
+    text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", bundled_scenario("trio"), flags=re.M)
+    assert n == 1
+    return text
+
 
 class TestParseConfig:
     def test_minimal_config_gets_documented_defaults(self):
@@ -46,6 +63,11 @@ class TestParseConfig:
         text = MINIMAL + "\n[sim]\ndt = 0.0\n"
         with pytest.raises(ValidationError, match="dt must be positive"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key,value", NONPOSITIVE_FILTER_KNOBS)
+    def test_nonpositive_filter_knob_is_a_validation_error(self, key, value):
+        with pytest.raises(ValidationError, match="must be positive"):
+            parse_config(trio_with(key, value))
 
     def test_missing_mission_is_a_validation_error(self):
         text = "[agents]\n0 0 1 1\n"
@@ -207,6 +229,15 @@ class TestRunCommand:
         cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"))
         assert run_command(cfg) == 2
         assert "dt must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", NONPOSITIVE_FILTER_KNOBS)
+    def test_nonpositive_filter_knob_exits_before_running(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(trio_with(key, value))
+        cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
+        assert run_command(cfg) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_mode_override_uses_hyphenated_name(self, tmp_path):
         cfg = RunConfig(

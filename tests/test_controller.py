@@ -16,6 +16,7 @@ from aircover.controller import (
     build_constraints,
     qp_weights,
     solve_qp,
+    trio_views,
 )
 from aircover.geometry import AgentState, TrioContext, build_graph, fov_of, make_trio
 from conftest import random_trio
@@ -56,7 +57,7 @@ class TestClassK:
 
 class TestBuildConstraints:
     def test_empty_trios(self):
-        assert build_constraints(0, [], 0.2, ClassK(), 1e4) == []
+        assert build_constraints([], 0.2, ClassK(), 1e4) == []
 
     def test_single_active_footprint_constraint(self):
         # Mover approaching the gap between two hoverers: the footprint
@@ -68,12 +69,12 @@ class TestBuildConstraints:
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
         alpha = ClassK(gain=1.0, power=3)
-        rows = build_constraints(0, [trio], 0.2, alpha, 1e4)
+        rows = build_constraints(trio_views(0, [trio]), 0.2, alpha, 1e4)
         assert len(rows) == 1
         a, b = rows[0]
-        h = ncbf_value(trio, 0, 0.2)
+        h = ncbf_value(cbf_components(trio, 0).vals, 0.2)
         assert h.active_set == (4,)
-        assert np.allclose(a, cbf_gradient(trio, 0, 4).as_array())
+        assert np.allclose(a, cbf_gradient(cbf_components(trio, 0), 4))
         assert b == pytest.approx(-alpha(h.value) / 3.0)
 
     def test_row_count_matches_active_set(self, rng):
@@ -83,9 +84,9 @@ class TestBuildConstraints:
             for agent in trio.ids:
                 comps = cbf_components(trio, agent)
                 suppressed = set(degenerate_guard(comps, 1e4))
-                out = ncbf_value(trio, agent, 0.2)
+                out = ncbf_value(cbf_components(trio, agent).vals, 0.2)
                 expected = [l for l in out.active_set if l not in suppressed]
-                rows = build_constraints(agent, [trio], 0.2, alpha, 1e4)
+                rows = build_constraints(trio_views(agent, [trio]), 0.2, alpha, 1e4)
                 assert len(rows) == len(expected)
                 for _, b in rows:
                     assert b == pytest.approx(-alpha(out.value) / 3.0)
@@ -101,7 +102,7 @@ class TestBuildConstraints:
         trio = make_trio([0, 1, 2], states, r=1.0)
         comps = cbf_components(trio, 0)
         assert degenerate_guard(comps, 1e4)
-        rows = build_constraints(0, [trio], 0.2, ClassK(), 1e4)
+        rows = build_constraints(trio_views(0, [trio]), 0.2, ClassK(), 1e4)
         assert rows == []
 
     def test_below_tolerance_triangle_dropped_with_warning(self, caplog):
@@ -123,7 +124,7 @@ class TestBuildConstraints:
             r=1.0,
         )
         with caplog.at_level(logging.WARNING, logger="aircover.controller"):
-            rows = build_constraints(0, [trio], 0.2, ClassK(), 1e4)
+            rows = build_constraints(trio_views(0, [trio]), 0.2, ClassK(), 1e4)
         assert rows == []
         assert "degenerate, dropped" in caplog.text
 
@@ -131,12 +132,14 @@ class TestBuildConstraints:
         alpha = ClassK()
         for _ in range(20):
             trio = random_trio(rng)
-            rows = build_constraints(0, [trio], 0.2, alpha, 1e4, components=(4,))
+            rows = build_constraints(trio_views(0, [trio]), 0.2, alpha, 1e4, components=(4,))
             comps = cbf_components(trio, trio.ids[0])
             # exactly one row: the footprint gradient with its own decay budget
-            rows = build_constraints(trio.ids[0], [trio], 0.2, alpha, 1e4, components=(4,))
+            rows = build_constraints(
+                trio_views(trio.ids[0], [trio]), 0.2, alpha, 1e4, components=(4,)
+            )
             assert len(rows) == 1
-            assert np.allclose(rows[0][0], cbf_gradient(trio, trio.ids[0], 4).as_array())
+            assert np.allclose(rows[0][0], cbf_gradient(cbf_components(trio, trio.ids[0]), 4))
             assert rows[0][1] == pytest.approx(-alpha(comps[4]) / 3.0)
 
 
@@ -247,7 +250,7 @@ class TestAgentControl:
         states = [AgentState(0.0, 0.0, 1.0, 1.0), AgentState(10.0, 0.0, 1.0, 1.0)]
         graph = build_graph(states, r=1.0)
         u_nom = np.array([0.1, 0.2, 0.0, 0.0])
-        out = agent_control(0, states, graph, u_nom, self.make_params())
+        out = agent_control(0, trio_views(0, graph.trios_of(0)), u_nom, self.make_params())
         assert np.array_equal(out, u_nom)
 
     def test_safe_trio_zero_input_is_fixed(self):
@@ -260,9 +263,9 @@ class TestAgentControl:
         ]
         graph = build_graph(states, r=1.0)
         assert graph.trios_of(0)
-        h = ncbf_value(graph.trios_of(0)[0], 0, 0.2)
+        h = ncbf_value(cbf_components(graph.trios_of(0)[0], 0).vals, 0.2)
         assert h.value >= 0.0
-        out = agent_control(0, states, graph, np.zeros(4), self.make_params())
+        out = agent_control(0, trio_views(0, graph.trios_of(0)), np.zeros(4), self.make_params())
         assert np.array_equal(out, np.zeros(4))
 
     def test_filtered_input_meets_every_constraint(self):
@@ -277,8 +280,10 @@ class TestAgentControl:
         assert graph.trios_of(0)
         params = self.make_params(w_lambda=3.0e6)
         u_nom = np.array([0.0, 0.4, 0.0, 0.0])
-        u = agent_control(0, states, graph, u_nom, params)
-        rows = build_constraints(0, graph.trios_of(0), params.epsilon, params.alpha, params.guard_threshold)
+        u = agent_control(0, trio_views(0, graph.trios_of(0)), u_nom, params)
+        rows = build_constraints(
+            trio_views(0, graph.trios_of(0)), params.epsilon, params.alpha, params.guard_threshold
+        )
         assert rows
         for a, b in rows:
             assert float(a @ u - b) >= -1e-8
@@ -300,14 +305,15 @@ class TestAgentControl:
             for agent in trio.ids:
                 u_nom = rng.normal(size=4) * np.array([0.5, 0.5, 0.3, 1e-4])
                 try:
-                    inputs[agent] = agent_control(agent, states, graph, u_nom, params)
+                    views = trio_views(agent, graph.trios_of(agent))
+                    inputs[agent] = agent_control(agent, views, u_nom, params)
                 except (Infeasible, NumericalFailure):
                     ok = False
                     break
             if not ok:
                 continue
             checked += 1
-            out = ncbf_value(trio, trio.ids[0], params.epsilon)
+            out = ncbf_value(cbf_components(trio, trio.ids[0]).vals, params.epsilon)
             h = out.value
             comps = cbf_components(trio, trio.ids[0])
             suppressed = set(degenerate_guard(comps, params.guard_threshold))
@@ -324,7 +330,7 @@ class TestAgentControl:
                         la = next(
                             m for m in (1, 2, 3) if component_apex(trio, agent, m) == apex
                         )
-                    grad = cbf_gradient(trio, agent, la).as_array()
+                    grad = cbf_gradient(cbf_components(trio, agent), la)
                     if np.linalg.norm(grad) < 1e-9:
                         skip = True  # dropped rows carry no per-agent guarantee
                         break
@@ -332,6 +338,20 @@ class TestAgentControl:
                 if not skip:
                     assert total >= -alpha(h) - 1e-8
         assert checked >= 100
+
+    def test_views_from_another_viewpoint_rejected(self):
+        # Gradients are taken w.r.t. the evaluating agent's own state, so
+        # another agent's evaluations would constrain the wrong input.
+        states = [
+            AgentState(0.0, 1.0, 1.5, 1.0),
+            AgentState(-1.0, -0.6, 1.5, 1.0),
+            AgentState(1.0, -0.6, 1.5, 1.0),
+        ]
+        graph = build_graph(states, r=1.0)
+        views = trio_views(1, graph.trios_of(1))
+        assert views
+        with pytest.raises(ValueError, match="viewpoint"):
+            agent_control(0, views, np.zeros(4), self.make_params())
 
     def test_infeasible_propagates(self, monkeypatch):
         import aircover.controller as ctl
@@ -347,4 +367,6 @@ class TestAgentControl:
             ctl, "build_constraints", lambda *args, **kw: [(a, 1.0), (-a, 1.0)]
         )
         with pytest.raises(Infeasible):
-            ctl.agent_control(0, states, graph, np.zeros(4), self.make_params())
+            ctl.agent_control(
+                0, trio_views(0, graph.trios_of(0)), np.zeros(4), self.make_params()
+            )

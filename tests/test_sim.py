@@ -1,15 +1,19 @@
 """Tests for the discrete-time simulator."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aircover.cli import parse_config, serialize
+import aircover.barrier
+import aircover.controller
+import aircover.sim
+from aircover.cli import bundled_scenario, parse_config, serialize
 from aircover.controller import ClassK
 from aircover.coverage import DensityField, SensingParams
-from aircover.geometry import AgentState
-from aircover.sim import Scenario, TraceRecord, initial_world, run, step
+from aircover.geometry import AgentState, CommGraph, TrioContext, fov_of
+from aircover.sim import MODES, Scenario, TraceRecord, initial_world, run, step
 
 MISSION = (-3.5, -3.5, 3.5, 3.5)
 SENSING = SensingParams(r=1.0, kappa=4.0, sigma=1.0, M=1.6, w=0.2)
@@ -61,6 +65,9 @@ class TestScenarioValidation:
             trio_scenario(fixed_nominal=(ZERO,))
         with pytest.raises(ValueError):
             trio_scenario(grid_resolution=0.0)
+        for knob in ({"epsilon": 0.0}, {"guard_threshold": 0.0}, {"w_lambda": -1.0}):
+            with pytest.raises(ValueError, match="must be positive"):
+                trio_scenario(**knob)
 
     def test_mode_selects_barrier_components(self):
         assert trio_scenario(mode="ncbf").filter_params().components == (1, 2, 3, 4)
@@ -243,3 +250,56 @@ class TestCaching:
         scenario.grid()
         assert scenario == trio_scenario()
         assert parse_config(serialize(scenario)) == scenario
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_barrier_evaluation_per_trio_viewpoint(self, monkeypatch, mode):
+        # The filter and the trace share one evaluation per (trio, viewpoint):
+        # every incident trio of every agent is evaluated exactly once a step.
+        calls = []
+        original = aircover.barrier.cbf_components
+
+        def counting(trio, viewpoint):
+            calls.append(viewpoint)
+            return original(trio, viewpoint)
+
+        for module in (aircover.barrier, aircover.controller):
+            monkeypatch.setattr(module, "cbf_components", counting)
+        for scenario in (
+            trio_scenario(steps=4, mode=mode),
+            replace(parse_config(bundled_scenario("five_agents")), steps=3, mode=mode),
+        ):
+            calls.clear()
+            records, _ = run(scenario)
+            incident = sum(sum(r.trio_counts) for r in records)
+            assert incident > 0
+            assert len(calls) == incident
+
+    def test_degenerate_trio_warned_once_per_agent_step(self, monkeypatch, caplog):
+        # A below-tolerance trio (built by hand, as in the controller tests)
+        # is dropped by the one evaluation both the filter and the trace use.
+        states = (
+            AgentState(0.0, 0.0, 1.0, 1.0),
+            AgentState(1.0, 0.0, 1.0, 1.0),
+            AgentState(2.0, 1e-10, 1.0, 1.0),
+        )
+        fovs = tuple(fov_of(s, SENSING.r) for s in states)
+        trio = TrioContext(
+            ids=(0, 1, 2),
+            states=states,
+            fovs=fovs,
+            radical_center=np.array([1.0, 0.5]),
+            triangle=tuple(f.center for f in fovs),
+            r=SENSING.r,
+        )
+        graph = CommGraph(n=3, trios={i: [trio] for i in range(3)})
+        monkeypatch.setattr(aircover.sim, "build_graph", lambda states, r: graph)
+        scenario = trio_scenario(agents=states)
+        world = initial_world(scenario)
+        with caplog.at_level(logging.WARNING):
+            for _ in range(2):
+                world, record = step(world, scenario)
+        degenerate = [r for r in caplog.records if "degenerate" in r.getMessage()]
+        assert len(degenerate) == 2 * 3
+        assert record.trio_counts == (1, 1, 1)
+        assert record.min_ncbf == (0.0, 0.0, 0.0)
+        assert record.fallback == (False, False, False)
