@@ -30,20 +30,22 @@ print("\n".join(text.splitlines()[:12]))
 print("...")
 
 # Run it from the CLI entry point (same function the `aircover run`
-# subcommand calls), truncated to 300 steps for the demo.
-out = pathlib.Path(tempfile.mkdtemp()) / "trio_run"
-config_path = out.parent / "trio.cfg"
-config_path.write_text(bundled_scenario("trio"))
-code = run_command(RunConfig(scenario_path=str(config_path),
-                             out_dir=str(out), steps=300,
-                             emit=("trace", "summary", "plotdata")))
-print(f"\nrun_command exit code: {code}")
-for artifact in sorted(out.iterdir()):
-    print(f"  {artifact.name:>18}: {artifact.stat().st_size} bytes")
+# subcommand calls), truncated to 300 steps for the demo.  The artifacts go to
+# a temporary directory that is removed at the end.
+with tempfile.TemporaryDirectory() as tmp:
+    out = pathlib.Path(tmp) / "trio_run"
+    config_path = out.parent / "trio.cfg"
+    config_path.write_text(bundled_scenario("trio"))
+    code = run_command(RunConfig(scenario_path=str(config_path),
+                                 out_dir=str(out), steps=300,
+                                 emit=("trace", "summary", "plotdata")))
+    print(f"\nrun_command exit code: {code}")
+    for artifact in sorted(out.iterdir()):
+        print(f"  {artifact.name:>18}: {artifact.stat().st_size} bytes")
 
-print("\ntrace head:")
-for line in (out / "trace.csv").read_text().splitlines()[:4]:
-    print(" ", line[:100] + ("..." if len(line) > 100 else ""))
+    print("\ntrace head:")
+    for line in (out / "trace.csv").read_text().splitlines()[:4]:
+        print(" ", line[:100] + ("..." if len(line) > 100 else ""))
 
-print("\nsummary:")
-print((out / "summary.txt").read_text().rstrip())
+    print("\nsummary:")
+    print((out / "summary.txt").read_text().rstrip())

@@ -15,7 +15,8 @@ footprint centers.  The safety filter and the trace share that result:
 `ncbf_value` composes the values, and `cbf_gradient` reads the stored frame to
 give one component's analytic gradient, where the radical center has a closed
 form, rotated back to world coordinates; altitude and focal-length entries
-are frame-invariant.
+are frame-invariant.  Both run on plain floats (the frame stores its origin
+and x-axis); only the returned gradient is a numpy array.
 """
 
 from dataclasses import dataclass
@@ -74,17 +75,18 @@ def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
     """
     i, j, k = trio.roles(viewpoint)
     fi, fj, fk = (trio.fovs[trio.index_of(a)] for a in (i, j, k))
-    v = trio.radical_center
-    _, (r_ijk, r_jki, r_kij) = point_in_triangle(fi.center, fj.center, fk.center, v)
+    v = trio.radical_center.tolist()
+    _, (r_ijk, r_jki, r_kij) = point_in_triangle((fi.cx, fi.cy), (fj.cx, fj.cy), (fk.cx, fk.cy), v)
     h_f = -power_distance(fi, v)
     frame = sigma_d_frame(trio, viewpoint)
-    pi = frame.to_frame(fi.center)
+    ox, oy, ax, ay = frame.ox, frame.oy, frame.ax, frame.ay
+    dx, dy = fi.cx - ox, fi.cy - oy
     state = trio.states[trio.index_of(i)]
     coords = (
-        float(pi[0]),
-        float(pi[1]),
-        float(frame.to_frame(fj.center)[0]),
-        float(frame.to_frame(fk.center)[0]),
+        ax * dx + ay * dy,
+        -ay * dx + ax * dy,
+        ax * (fj.cx - ox) + ay * (fj.cy - oy),
+        ax * (fk.cx - ox) + ay * (fk.cy - oy),
         fi.radius**2,
         fj.radius**2,
         fk.radius**2,
@@ -99,7 +101,6 @@ def ncbf_value(vals, epsilon: float) -> NcbfValue:
     """Max-compose four component values and collect the almost-active set {ℓ : |h_ℓ − h| ≤ ε}."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    vals = tuple(float(v) for v in vals)
     value = max(vals)
     argmax = vals.index(value) + 1
     active = tuple(l + 1 for l, h in enumerate(vals) if abs(h - value) <= epsilon)
@@ -170,8 +171,8 @@ def cbf_gradient(components: CbfComponents, component: int) -> np.ndarray:
         d_z = -dh_dR2 * dR2_dz
         d_lam = -dh_dR2 * dR2_dlam
 
-    world_xy = components.frame.to_world_vector([gx, gy])
-    return np.array([world_xy[0], world_xy[1], d_z, d_lam])
+    ax, ay = components.frame.ax, components.frame.ay
+    return np.array([ax * gx - ay * gy, ay * gx + ax * gy, d_z, d_lam])
 
 
 def degenerate_guard(components: CbfComponents, threshold: float):

@@ -12,6 +12,7 @@ external solver.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,21 +111,22 @@ def build_constraints(
     rows = []
     for comps in views:
         viewpoint, ids = comps.viewpoint, comps.trio.ids
+        vals = comps.vals
         suppressed = degenerate_guard(comps, guard_threshold)
-        value = max(comps[l] for l in components)
+        value = max(vals[l - 1] for l in components)
         b = -alpha(value) / 3.0
         try:
             for l in components:
-                if abs(comps[l] - value) > epsilon:
+                if abs(vals[l - 1] - value) > epsilon:
                     continue
                 if l in suppressed:
                     log.debug(
                         "agent %d trio %s: component %d suppressed (|%.3g| > %.3g)",
-                        viewpoint, ids, l, comps[l], guard_threshold,
+                        viewpoint, ids, l, vals[l - 1], guard_threshold,
                     )
                     continue
                 a = cbf_gradient(comps, l)
-                norm = float(np.linalg.norm(a))
+                norm = math.sqrt(a @ a)  # np.linalg.norm's arithmetic, without its dispatch
                 if norm < GRADIENT_FLOOR:
                     log.warning(
                         "agent %d trio %s: component %d gradient vanished (%.3g); constraint dropped",
@@ -157,6 +159,9 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
         return u_nom.copy()
     A = np.array([a for a, _ in problem.constraints], dtype=float)
     b = np.array([bb for _, bb in problem.constraints], dtype=float)
+    if float((A @ u_nom - b).min()) >= -_FEAS_TOL:
+        # Every row already holds: the iteration below would stop here too.
+        return u_nom.copy()
     winv = 1.0 / w
     sqrt_winv = np.sqrt(winv)
 

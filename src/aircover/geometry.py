@@ -5,8 +5,16 @@ view).  The module provides the power distance to such disks, radical axes and
 radical centers, the communication graph whose triangles drive the barrier
 functions, the per-triangle working frame used by the analytic gradients, and
 two independent detectors for coverage holes.
+
+The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
+overhead costs more than the arithmetic.  A radical center solves the two
+radical-axis equations by Cramer's rule on the lifted heights |c|² − R² (the
+lifting view of power diagrams); the working frame stores its origin and
+x-axis.  `build_graph` runs the same solve on arrays over every candidate
+trio and tests all candidates against all footprints in one excess matrix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +25,6 @@ AREA_TOL = 1e-9
 CONCENTRIC_TOL = 1e-9
 # Closed-comparison slack for power-cell adjacency tests.
 ADJACENCY_TOL = 1e-9
-
-
-def cross2(a, b) -> float:
-    """z-component of the cross product of two planar vectors."""
-    return float(a[0] * b[1] - a[1] * b[0])
 
 
 class DegenerateTrio(Exception):
@@ -77,12 +80,23 @@ class Line2:
 class SigmaDFrame:
     """Per-triangle working frame: x-axis along segment JK, y-axis along the JK radical axis.
 
-    `rotation` maps world xy-vectors into frame coordinates; frame coordinates
-    of a point q are rotation @ (q − origin).
+    (ox, oy) is the origin and (ax, ay) the unit x-axis; the y-axis is
+    (−ay, ax).  `rotation` maps world xy-vectors into frame coordinates, so
+    frame coordinates of a point q are rotation @ (q − origin).
     """
 
-    origin: np.ndarray
-    rotation: np.ndarray
+    ox: float
+    oy: float
+    ax: float
+    ay: float
+
+    @property
+    def origin(self):
+        return np.array([self.ox, self.oy])
+
+    @property
+    def rotation(self):
+        return np.array([[self.ax, self.ay], [-self.ay, self.ax]])
 
     def to_frame(self, q):
         return self.rotation @ (np.asarray(q, dtype=float) - self.origin)
@@ -143,7 +157,6 @@ def power_distance(fov: Fov, q) -> float:
 
     Negative inside the disk, zero on its boundary, positive outside.
     """
-    q = np.asarray(q, dtype=float)
     return float((q[0] - fov.cx) ** 2 + (q[1] - fov.cy) ** 2 - fov.radius**2)
 
 
@@ -161,29 +174,31 @@ def radical_axis(fa: Fov, fb: Fov) -> Line2:
     return Line2(point, direction)
 
 
+def _lift(cx, cy, radius):
+    """Lifted height |c|² − R² of a footprint: its power distance at the origin."""
+    return cx * cx + cy * cy - radius * radius
+
+
+def _cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc):
+    """Solve 2q·(b − a) = p_b − p_a, 2q·(c − b) = p_c − p_b by Cramer's rule; floats or arrays."""
+    a00, a01 = 2.0 * (bx - ax), 2.0 * (by - ay)
+    a10, a11 = 2.0 * (cx - bx), 2.0 * (cy - by)
+    r0, r1 = pb - pa, pc - pb
+    det = a00 * a11 - a01 * a10
+    return (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
+
+
 def radical_center(fa: Fov, fb: Fov, fc: Fov) -> np.ndarray:
     """Common equal-power point of three disks (their pairwise radical axes meet there)."""
-    centers = [fa.center, fb.center, fc.center]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if np.linalg.norm(centers[a] - centers[b]) < CONCENTRIC_TOL:
-                raise DegenerateTrio("concentric footprint pair")
-    area = _signed_area(centers[0], centers[1], centers[2])
-    if abs(area) < AREA_TOL:
+    ax, ay, bx, by, cx, cy = fa.cx, fa.cy, fb.cx, fb.cy, fc.cx, fc.cy
+    tol2 = CONCENTRIC_TOL * CONCENTRIC_TOL
+    for dx, dy in ((bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by)):
+        if dx * dx + dy * dy < tol2:
+            raise DegenerateTrio("concentric footprint pair")
+    if abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))) < AREA_TOL:
         raise DegenerateTrio("collinear footprint centers")
-    # Two radical-axis equations: 2 q·(cb − ca) = (‖cb‖² − Rb²) − (‖ca‖² − Ra²), etc.
-    ca, cb, cc = centers
-    pa = ca @ ca - fa.radius**2
-    pb = cb @ cb - fb.radius**2
-    pc = cc @ cc - fc.radius**2
-    A = 2.0 * np.array([cb - ca, cc - cb])
-    rhs = np.array([pb - pa, pc - pb])
-    return np.linalg.solve(A, rhs)
-
-
-def _signed_area(I, J, K) -> float:
-    """Signed area of triangle IJK (positive when counter-clockwise)."""
-    return 0.5 * cross2(J - I, K - I)
+    pa, pb, pc = _lift(ax, ay, fa.radius), _lift(bx, by, fb.radius), _lift(cx, cy, fc.radius)
+    return np.array(_cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc))
 
 
 def point_in_triangle(I, J, K, v, area_tol: float = AREA_TOL):
@@ -193,27 +208,27 @@ def point_in_triangle(I, J, K, v, area_tol: float = AREA_TOL):
     signed area of the sub-triangle over the full signed area; they sum to 1
     and are all strictly positive exactly when v is strictly inside.
     """
-    I = np.asarray(I, dtype=float)
-    J = np.asarray(J, dtype=float)
-    K = np.asarray(K, dtype=float)
-    v = np.asarray(v, dtype=float)
-    denom = cross2(J - I, K - I)
+    (ix, iy), (jx, jy), (kx, ky), (vx, vy) = I, J, K, v
+    denom = (jx - ix) * (ky - iy) - (jy - iy) * (kx - ix)
     if abs(denom) < 2.0 * area_tol:
         raise DegenerateTrio("triangle area below tolerance")
-    r_ijk = cross2(J - I, v - I) / denom
-    r_jki = cross2(K - J, v - J) / denom
-    r_kij = cross2(I - K, v - K) / denom
+    r_ijk = ((jx - ix) * (vy - iy) - (jy - iy) * (vx - ix)) / denom
+    r_jki = ((kx - jx) * (vy - jy) - (ky - jy) * (vx - jx)) / denom
+    r_kij = ((ix - kx) * (vy - ky) - (iy - ky) * (vx - kx)) / denom
     inside = r_ijk > 0.0 and r_jki > 0.0 and r_kij > 0.0
     return inside, (r_ijk, r_jki, r_kij)
 
 
-def make_trio(ids, states, r: float) -> TrioContext:
-    """Build a TrioContext for three agents; raises DegenerateTrio on bad geometry."""
-    order = np.argsort(ids)
+def make_trio(ids, states, r: float, center=None) -> TrioContext:
+    """Build a TrioContext for three agents; raises DegenerateTrio on bad geometry.
+
+    center is the trio's radical center when the caller already has it.
+    """
+    order = sorted(range(3), key=lambda o: ids[o])
     ids = tuple(int(ids[o]) for o in order)
     states = tuple(states[o] for o in order)
     fovs = tuple(fov_of(s, r) for s in states)
-    v = radical_center(*fovs)
+    v = radical_center(*fovs) if center is None else np.asarray(center, dtype=float)
     triangle = tuple(f.center for f in fovs)
     return TrioContext(ids=ids, states=states, fovs=fovs, radical_center=v, triangle=triangle, r=r)
 
@@ -229,23 +244,21 @@ def sigma_d_frame(trio: TrioContext, distinguished: int) -> SigmaDFrame:
     i, j, k = trio.roles(distinguished)
     fj = trio.fovs[trio.index_of(j)]
     fk = trio.fovs[trio.index_of(k)]
-    cj, ck = fj.center, fk.center
-    d = ck - cj
-    nd = float(np.linalg.norm(d))
+    dx, dy = fk.cx - fj.cx, fk.cy - fj.cy
+    nd = math.sqrt(dx * dx + dy * dy)
     if nd < CONCENTRIC_TOL:
         raise DegenerateTrio("coincident J/K centers")
     # Origin: intersection of the radical axis with line JK.  Points q of the
     # axis satisfy q·d = c; substituting the line q = cj + s·d/‖d‖ gives s.
-    c = 0.5 * ((ck @ ck - fk.radius**2) - (cj @ cj - fj.radius**2))
-    s = (c - float(cj @ d)) / nd
-    origin = cj + s * d / nd
-    x_axis = d / nd
-    if float(x_axis @ (ck - origin)) < 0.0:
+    c = 0.5 * (_lift(fk.cx, fk.cy, fk.radius) - _lift(fj.cx, fj.cy, fj.radius))
+    s = (c - (fj.cx * dx + fj.cy * dy)) / nd
+    ox = fj.cx + s * dx / nd
+    oy = fj.cy + s * dy / nd
+    ax, ay = dx / nd, dy / nd
+    if ax * (fk.cx - ox) + ay * (fk.cy - oy) < 0.0:
         # Origin beyond K: flip so K keeps a positive frame x-coordinate.
-        x_axis = -x_axis
-    y_axis = np.array([-x_axis[1], x_axis[0]])  # right-handed
-    rotation = np.vstack([x_axis, y_axis])
-    return SigmaDFrame(origin=origin, rotation=rotation)
+        ax, ay = -ax, -ay
+    return SigmaDFrame(ox, oy, ax, ay)
 
 
 def hole_exists_exact(trio: TrioContext) -> bool:
@@ -310,7 +323,7 @@ def detect_holes_grid(states, r: float, mission, resolution: float, graph=None):
     inside_any = np.zeros(cx.shape, dtype=bool)
     for trio in trios:
         I, J, K = trio.triangle
-        denom = cross2(J - I, K - I)
+        denom = (J[0] - I[0]) * (K[1] - I[1]) - (J[1] - I[1]) * (K[0] - I[0])
         if abs(denom) < 2.0 * AREA_TOL:
             continue
         r1 = ((J[0] - I[0]) * (cy - I[1]) - (J[1] - I[1]) * (cx - I[0])) / denom
@@ -336,54 +349,75 @@ def build_graph(states, r: float) -> CommGraph:
     survives the overlap filter, each candidate's vertex test still sees all
     n footprints, and a live vertex is a point where the three power cells
     meet, so they are pairwise adjacent.  Cost: O(n²) center distances plus
-    O(t·n) vertex tests over the t overlap 3-cliques, instead of O(n⁴).
+    O(t·n) vertex tests over the t overlap 3-cliques, instead of O(n⁴).  The
+    t candidate centers are solved together and tested in one (t, n) excess
+    matrix, so no Python loop runs per candidate.
     """
     n = len(states)
     fovs = [fov_of(s, r) for s in states]
-    centers = np.array([f.center for f in fovs]).reshape(n, 2)
-    radii = np.array([f.radius for f in fovs])
-    radii2 = radii**2
+    centers = np.array([(f.cx, f.cy) for f in fovs], dtype=float).reshape(n, 2)
+    cx, cy = centers.T
+    radii = np.array([f.radius for f in fovs], dtype=float)
+    radii2 = radii * radii
     # Pairwise inner products through matmul round like np.linalg.norm's dot,
     # so tangent pairs are decided as a per-pair norm would decide them.
     diff = (centers[:, None, :] - centers[None, :, :])[..., None, :]
     dist = np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0]
     overlap = np.triu(dist <= radii[:, None] + radii[None, :], 1)
 
-    trio_triples = set()
+    # Every overlap 3-clique i < j < k, in lexicographic order.
+    pi, pj = np.nonzero(overlap)
+    pair, K = np.nonzero(overlap[pi] & overlap[pj])
+    I, J = pi[pair], pj[pair]
+    # Drop what radical_center rejects (a concentric pair, collinear centers)
+    # before solving, so no determinant near zero is divided by.
+    area = 0.5 * ((cx[J] - cx[I]) * (cy[K] - cy[I]) - (cy[J] - cy[I]) * (cx[K] - cx[I]))
+    concentric = np.minimum(np.minimum(dist[I, J], dist[I, K]), dist[J, K]) < CONCENTRIC_TOL
+    ok = ~(concentric | (np.abs(area) < AREA_TOL))
+    I, J, K = I[ok], J[ok], K[ok]
+    lift = _lift(cx, cy, radii)
+    vx, vy = _cramer_center(cx[I], cy[I], lift[I], cx[J], cy[J], lift[J], cx[K], cy[K], lift[K])
+
+    # Power distance of every footprint at each candidate vertex minus
+    # footprint i's, o·(o − 2w) − (R² − Rᵢ²) with o = c − cᵢ and w = v − cᵢ:
+    # exact for a footprint concentric with i, however far away v lies.
+    ox = cx - cx[I, None]
+    oy = cy - cy[I, None]
+    excess = (
+        ox * (ox - 2.0 * (vx - cx[I])[:, None])
+        + oy * (oy - 2.0 * (vy - cy[I])[:, None])
+        - (radii2 - radii2[I, None])
+    )
+    # j and k tie with i at v by construction; keep rounding out.
+    rows = np.arange(len(I))
+    excess[rows, J] = excess[rows, K] = 0.0
+    live = ~np.any(excess < -ADJACENCY_TOL, axis=1)
+    cofactor = excess <= ADJACENCY_TOL
+    size = cofactor.sum(axis=1)
+
+    # Triple -> radical center, or None where make_trio must solve it.
+    simple = live & (size == 3)
+    trio_triples = dict(zip(
+        zip(I[simple].tolist(), J[simple].tolist(), K[simple].tolist()),
+        zip(vx[simple].tolist(), vy[simple].tolist()),
+    ))
     handled_degenerate = set()
-    for i in range(n):
-        offsets = centers - centers[i]
-        radius_gap = radii2 - radii2[i]
-        for j in np.flatnonzero(overlap[i]).tolist():
-            for k in np.flatnonzero(overlap[i] & overlap[j]).tolist():
-                try:
-                    v = radical_center(fovs[i], fovs[j], fovs[k])
-                except DegenerateTrio:
-                    continue
-                # Power distance of every footprint at v minus footprint i's,
-                # o·(o − 2w) − (R² − Rᵢ²) with o = c − cᵢ and w = v − cᵢ: exact
-                # for a footprint concentric with i, however far away v lies.
-                excess = (offsets * (offsets - 2.0 * (v - centers[i]))).sum(axis=1) - radius_gap
-                # j and k tie with i at v by construction; keep rounding out.
-                excess[[j, k]] = 0.0
-                if np.any(excess < -ADJACENCY_TOL):
-                    continue
-                cofactor = tuple(np.flatnonzero(excess <= ADJACENCY_TOL).tolist())
-                if len(cofactor) == 3:
-                    trio_triples.add(cofactor)
-                elif cofactor not in handled_degenerate:
-                    # Split the degenerate vertex once, deterministically.
-                    handled_degenerate.add(cofactor)
-                    apex = cofactor[0]
-                    for a, b in zip(cofactor[1:], cofactor[2:]):
-                        if overlap[apex, a] and overlap[apex, b] and overlap[a, b]:
-                            trio_triples.add((apex, a, b))
+    for row in np.flatnonzero(live & (size > 3)).tolist():
+        members = tuple(np.flatnonzero(cofactor[row]).tolist())
+        if members in handled_degenerate:
+            continue
+        # Split the degenerate vertex once, deterministically.
+        handled_degenerate.add(members)
+        apex = members[0]
+        for a, b in zip(members[1:], members[2:]):
+            if overlap[apex, a] and overlap[apex, b] and overlap[a, b]:
+                trio_triples.setdefault((apex, a, b), None)
 
     trios = {i: [] for i in range(n)}
     for triple in sorted(trio_triples):
         a, b, c = triple
         try:
-            ctx = make_trio(triple, [states[a], states[b], states[c]], r)
+            ctx = make_trio(triple, [states[a], states[b], states[c]], r, trio_triples[triple])
         except DegenerateTrio:
             continue
         for agent in triple:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from aircover.geometry import AgentState, cross2, fov_of, make_trio, point_in_triangle
+from aircover.geometry import AgentState, fov_of, make_trio, point_in_triangle
+
+
+def cross2(a, b) -> float:
+    """z-component of the cross product of two planar vectors."""
+    return float(a[0] * b[1] - a[1] * b[0])
 
 
 def random_state(rng, box=4.0):

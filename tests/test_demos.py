@@ -21,7 +21,10 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    env["TMPDIR"] = str(tmp_path)  # demos that write artifacts do so under a temp dir
+    # Demos that write artifacts do so under a temp dir, and remove it.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env["TMPDIR"] = str(scratch)
     done = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -32,3 +35,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip()
+    assert not any(scratch.iterdir()), f"{demo.name} left {sorted(p.name for p in scratch.iterdir())}"

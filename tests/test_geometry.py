@@ -3,7 +3,6 @@ import pytest
 
 from aircover.geometry import (
     AgentState,
-    cross2,
     DegenerateTrio,
     Fov,
     build_graph,
@@ -17,7 +16,7 @@ from aircover.geometry import (
     radical_center,
     sigma_d_frame,
 )
-from conftest import random_trio
+from conftest import cross2, random_trio
 
 
 def equal_radius_states(centers, z=1.0, lam=1.0):
