@@ -10,7 +10,6 @@ from aircover.barrier import (
     NcbfValue,
     cbf_components,
     cbf_gradient,
-    component_apex,
     degenerate_guard,
     ncbf_value,
 )

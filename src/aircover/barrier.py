@@ -107,17 +107,6 @@ def ncbf_value(vals, epsilon: float) -> NcbfValue:
     return NcbfValue(value=value, argmax=argmax, active_set=active)
 
 
-def component_apex(trio: TrioContext, viewpoint: int, component: int):
-    """Agent id of the triangle vertex opposite the component's line, or None for component 4.
-
-    Components 1/2/3 certify v beyond lines IJ/JK/KI; their defining vertices
-    (apexes) are agents k/i/j respectively.  The mapping lets the same
-    geometric condition be identified across the three viewpoints.
-    """
-    i, j, k = trio.roles(viewpoint)
-    return {1: k, 2: i, 3: j, 4: None}[component]
-
-
 def cbf_gradient(components: CbfComponents, component: int) -> np.ndarray:
     """Analytic world-frame gradient (∂x, ∂y, ∂z, ∂λ) of one component w.r.t. the viewpoint agent's state.
 

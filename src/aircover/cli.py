@@ -6,14 +6,16 @@ Scenario grammar: named sections ``[agents]``, ``[sensing]``, ``[density]``,
 agent's nominal input; row widths must agree).  ``[density]`` holds a
 ``mission = xmin ymin xmax ymax`` key and one ``weight mx my scale`` row per
 mixture component.  The remaining sections hold ``key = value`` pairs.
-Numbers are decimal floats; ``#`` starts a comment; unknown sections and keys
-are errors.  Omitted keys fall back to documented defaults (sensing r=1,
-kappa=4, sigma=3, M=11, w=0.4; controller epsilon=0.2, alpha h^3,
-w_lambda=3e6, guard 1e4; sim dt=0.01, steps=1000, mode ncbf).
+Numbers are finite decimal floats (``nan`` and ``inf`` are errors); ``#``
+starts a comment; unknown sections and keys are errors.  Omitted keys fall
+back to documented defaults (sensing r=1, kappa=4, sigma=3, M=11, w=0.4;
+controller epsilon=0.2, alpha h^3, w_lambda=3e6, guard 1e4; sim dt=0.01,
+steps=1000, mode ncbf).
 """
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -78,9 +80,12 @@ def _tokens_with_columns(line):
 
 def _parse_float(token, col, lineno):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"expected a number, got '{token}'", lineno, col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got '{token}'", lineno, col)
+    return value
 
 
 def _parse_int(token, col, lineno):
@@ -91,7 +96,7 @@ def _parse_int(token, col, lineno):
 
 
 def _parse_row(line, lineno, widths, what):
-    tokens = _tokens_with_columns(line.strip())
+    tokens = _tokens_with_columns(line)
     if len(tokens) not in widths:
         allowed = " or ".join(str(w) for w in sorted(widths))
         raise ParseError(

@@ -11,12 +11,14 @@ The quadrature visits each agent only on its window: the grid cells under
 its footprint's bounding box, with a one-cell margin.  ``partition``
 evaluates the sensing model once per agent on that window and keeps the
 terms, so the objective and every nominal input reuse them; the density mass
-phi·cell_area is computed once per grid and density.
+phi·cell_area is computed once per grid and density.  A nominal input is one
+reduction per agent: the window's mass is signed (+1 on owned, −w on overlap
+points of the open footprint, 0 elsewhere) and dotted with per-point factors
+of the four partials.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -147,36 +149,11 @@ class Partition:
 
     owner[q] is the covering agent of maximal sensing quality (−1 when no
     footprint covers q); windows[i] agent i's sensing model under its
-    footprint.  The dense (n, N) views are built on first use: f[i, q] the
-    quality fields; covered closed-disk membership; strict open-disk
-    membership (where gradients are evaluated).
+    footprint.
     """
 
     owner: np.ndarray
     windows: tuple
-    grid: CoverageGrid
-
-    def _dense(self, name: str, fill) -> np.ndarray:
-        out = np.full((len(self.windows), len(self.owner)), fill)
-        for row, window in zip(out, self.windows):
-            self.grid.cells(row)[window.cells] = getattr(window, name)
-        return out
-
-    @cached_property
-    def f(self) -> np.ndarray:
-        return self._dense("f", 0.0)
-
-    @cached_property
-    def covered(self) -> np.ndarray:
-        return self._dense("covered", False)
-
-    @cached_property
-    def strict(self) -> np.ndarray:
-        return self._dense("strict", False)
-
-    def losers(self, i: int) -> np.ndarray:
-        """Points agent i covers but does not own (its overlap set)."""
-        return self.covered[i] & (self.owner != i)
 
 
 @dataclass(frozen=True)
@@ -277,7 +254,7 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
         best[cells][wins] = f[wins]
         owner_cells[cells][wins] = i
         windows.append(FieldWindow(cells, terms, f, covered, strict))
-    return Partition(owner=owner, windows=tuple(windows), grid=grid)
+    return Partition(owner=owner, windows=tuple(windows))
 
 
 def coverage_objective(
@@ -307,17 +284,46 @@ def nominal_input(
     grid: CoverageGrid,
     part: Partition = None,
 ) -> np.ndarray:
-    """Gradient-ascent input: owned-region pull minus w × overlap-region pull."""
+    """Gradient-ascent input: owned-region pull minus w × overlap-region pull.
+
+    One reduction over the agent's window with a signed mass: the density
+    mass where agent i owns an open-footprint point, −w times it where i
+    covers the point without owning it, zero elsewhere.  The partials of
+    `_gradient` are linear in the mass, so each is a dot product of that
+    mass with per-point factors; the (4, k) gradient is never formed.
+    """
     if part is None:
         part = partition(states, params, grid)
     window = part.windows[i]
-    mass = grid.cells(grid.mass(density))[window.cells]
-    owned = grid.cells(part.owner)[window.cells] == i
-
-    # Gather the terms before taking the gradient: columns selected from a
-    # window-wide gradient are not C-contiguous, and the product then rounds differently.
-    def pull(mask):
-        terms = tuple(t[mask] if np.ndim(t) else t for t in window.terms)
-        return _gradient(states[i], params, terms) @ mass[mask]
-
-    return pull(owned & window.strict) - params.w * pull(~owned & window.strict)
+    m = np.where(grid.cells(part.owner)[window.cells] == i, 1.0, -params.w)
+    m *= window.strict
+    m *= grid.cells(grid.mass(density))[window.cells]
+    dx, dy, d2, s, A, _, f_pers, f_res = window.terms
+    z, lam, sigma2 = states[i].z, states[i].lam, params.sigma**2
+    inv_s = 1.0 / s
+    m_res = m * f_res
+    m_both = m_res * f_pers
+    # Each partial sums m·(f_pers·∂f_res + f_res·∂f_pers).
+    # Resolution: ∂f_res/∂(x, y, z) = f_res·(M − s)/(σ²·s)·(dx, dy, z).
+    res = params.M - s
+    res *= inv_s
+    res *= m_both
+    # Perspective: ∂f_pers/∂(x, y, z) = A/((A − λ)·s³)·(−z·dx, −z·dy, d²).
+    pers = inv_s * inv_s
+    pers *= inv_s
+    pers *= m_res
+    planar = pers * (-sigma2 * A * z / (A - lam))
+    planar += res  # σ² × the coefficient of dx and of dy
+    # Focal length: ∂f_res/∂λ = f_res·κ·r²/(λ·A²); ∂f_pers/∂λ = r²·(z/s − 1)/(A·(A − λ)²).
+    tilt = z * inv_s
+    tilt -= 1.0
+    r2 = params.r**2
+    return np.array(
+        [
+            np.vdot(planar, dx) / sigma2,
+            np.vdot(planar, dy) / sigma2,
+            z * res.sum() / sigma2 + A / (A - lam) * np.vdot(pers, d2),
+            params.kappa * r2 / (lam * A * A) * m_both.sum()
+            + r2 / (A * (A - lam) ** 2) * np.vdot(m_res, tilt),
+        ]
+    )

@@ -64,6 +64,44 @@ def random_trio(rng, r=1.0, require_overlap=False, area_margin=0.1):
         return trio
 
 
+def component_apex(trio, viewpoint: int, component: int):
+    """Agent id of the triangle vertex opposite the component's line, or None for component 4.
+
+    Components 1/2/3 certify v beyond lines IJ/JK/KI; their defining vertices
+    (apexes) are agents k/i/j respectively.  The mapping lets the same
+    geometric condition be identified across the three viewpoints.
+    """
+    i, j, k = trio.roles(viewpoint)
+    return {1: k, 2: i, 3: j, 4: None}[component]
+
+
+class DensePartition:
+    """Dense (n, N) views of a Partition, rebuilt from its windows.
+
+    f[i, q] is agent i's quality field (zero off its window); covered its
+    closed-disk membership; strict its open-disk membership (where gradients
+    are evaluated).
+    """
+
+    def __init__(self, part, grid):
+        self.owner = part.owner
+        self.f, self.covered, self.strict = (
+            self._dense(part, grid, name, fill)
+            for name, fill in (("f", 0.0), ("covered", False), ("strict", False))
+        )
+
+    @staticmethod
+    def _dense(part, grid, name, fill):
+        out = np.full((len(part.windows), len(part.owner)), fill)
+        for row, window in zip(out, part.windows):
+            grid.cells(row)[window.cells] = getattr(window, name)
+        return out
+
+    def losers(self, i: int) -> np.ndarray:
+        """Points agent i covers but does not own (its overlap set)."""
+        return self.covered[i] & (self.owner != i)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

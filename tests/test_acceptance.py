@@ -15,7 +15,6 @@ import pytest
 from aircover.barrier import (
     cbf_components,
     cbf_gradient,
-    component_apex,
     degenerate_guard,
     ncbf_value,
 )
@@ -40,7 +39,7 @@ from aircover.geometry import (
     sigma_d_frame,
 )
 from aircover.sim import Scenario, initial_world, run, step
-from conftest import random_trio
+from conftest import component_apex, random_trio
 
 
 def report(n, name, ok, detail):

@@ -8,7 +8,6 @@ from aircover.barrier import (
     CbfComponents,
     cbf_components,
     cbf_gradient,
-    component_apex,
     degenerate_guard,
     ncbf_value,
 )
@@ -20,7 +19,7 @@ from aircover.geometry import (
     power_distance,
     sigma_d_frame,
 )
-from conftest import random_trio
+from conftest import component_apex, random_trio
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5

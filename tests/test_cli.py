@@ -36,6 +36,25 @@ NONPOSITIVE_FILTER_KNOBS = [
     ("w_lambda", "-1.0"),
 ]
 
+# A non-finite token in each place a float is read: (line of trio.cfg, same line edited, token).
+NON_FINITE = {
+    "agent_row": (" 0.0 -2.0 1.5 1.0   0.0 0.4 0.0 0.0", " 0.0 -2.0 nan 1.0   0.0 0.4 0.0 0.0", "nan"),
+    "sensing_key": ("kappa = 4.0", "kappa = nan", "nan"),
+    "density_row": ("1.0 0.0 0.0 1.5", "1.0 0.0 0.0 inf", "inf"),
+    "mission": ("mission = -3.5 -3.5 3.5 3.5", "mission = -3.5 -infinity 3.5 3.5", "-infinity"),
+    "sim_float": ("dt = 0.01", "dt = inf", "inf"),
+    "controller_float": ("w_lambda = 1.0e6", "w_lambda = -Infinity", "-Infinity"),
+}
+
+
+def trio_with_non_finite(case):
+    """Bundled trio.cfg with one line edited to hold a non-finite token, and that token's (line, column)."""
+    old, new, token = NON_FINITE[case]
+    lines = bundled_scenario("trio").splitlines()
+    lineno = lines.index(old) + 1
+    lines[lineno - 1] = new
+    return "\n".join(lines) + "\n", lineno, new.index(token) + 1
+
 
 def trio_with(key, value):
     """Bundled trio.cfg with one [controller] key set to value."""
@@ -95,6 +114,13 @@ class TestParseConfig:
             parse_config("[agents]\n0.0 oops 1.0 1.0\n")
         assert err.value.line == 2
         assert err.value.col == 5
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number_reports_position(self, case):
+        text, line, col = trio_with_non_finite(case)
+        with pytest.raises(ParseError, match="finite") as err:
+            parse_config(text)
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_wrong_agent_row_arity(self):
         with pytest.raises(ParseError, match="4 or 8"):
@@ -237,6 +263,15 @@ class TestRunCommand:
         cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
         assert run_command(cfg) == 2
         assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["sensing_key", "controller_float"])
+    def test_non_finite_number_exits_before_running(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.cfg"
+        path.write_text(trio_with_non_finite(case)[0])
+        cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
+        assert run_command(cfg) == 2
+        assert "expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_mode_override_uses_hyphenated_name(self, tmp_path):

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from aircover.barrier import cbf_gradient, component_apex, degenerate_guard, cbf_components, ncbf_value
+from aircover.barrier import cbf_gradient, degenerate_guard, cbf_components, ncbf_value
 from aircover.controller import (
     ClassK,
     FilterParams,
@@ -19,7 +19,7 @@ from aircover.controller import (
     trio_views,
 )
 from aircover.geometry import AgentState, TrioContext, build_graph, fov_of, make_trio
-from conftest import random_trio
+from conftest import component_apex, random_trio
 
 
 def w_distance(u, u_nom, w):

@@ -15,6 +15,7 @@ from aircover.coverage import (
     sensing_quality,
 )
 from aircover.geometry import AgentState, fov_of
+from conftest import DensePartition
 
 PARAMS = SensingParams(r=1.0, kappa=4.0, sigma=3.0, M=11.0, w=0.4)
 
@@ -194,14 +195,14 @@ class TestPartition:
     def test_single_agent_owns_its_footprint(self):
         grid = CoverageGrid((0, 0, 20, 20), 0.25)
         states = [AgentState(10.0, 10.0, 8.0, 1.0)]
-        part = partition(states, PARAMS, grid)
+        part = DensePartition(partition(states, PARAMS, grid), grid)
         np.testing.assert_array_equal(part.owner == 0, part.covered[0])
         assert np.all(part.owner[~part.covered[0]] == -1)
 
     def test_tie_goes_to_lower_index(self):
         grid = CoverageGrid((0, 0, 20, 20), 0.5)
         state = AgentState(10.0, 10.0, 8.0, 1.0)
-        part = partition([state, state], PARAMS, grid)
+        part = DensePartition(partition([state, state], PARAMS, grid), grid)
         covered = part.covered[0]
         assert covered.any()
         assert np.all(part.owner[covered] == 0)
@@ -213,7 +214,7 @@ class TestPartition:
             AgentState(rng.uniform(4, 16), rng.uniform(4, 16), rng.uniform(5, 10), rng.uniform(0.7, 1.4))
             for _ in range(4)
         ]
-        part = partition(states, PARAMS, grid)
+        part = DensePartition(partition(states, PARAMS, grid), grid)
         any_cov = part.covered.any(axis=0)
         np.testing.assert_array_equal(part.owner >= 0, any_cov)
         best = np.where(part.covered, part.f, -np.inf).max(axis=0)
@@ -226,7 +227,7 @@ class TestPartition:
             AgentState(rng.uniform(4, 16), rng.uniform(4, 16), rng.uniform(5, 10), rng.uniform(0.7, 1.4))
             for _ in range(5)
         ]
-        part = partition(states, PARAMS, grid)
+        part = DensePartition(partition(states, PARAMS, grid), grid)
         owned = [part.owner == i for i in range(5)]
         total = np.zeros(len(grid.points), dtype=int)
         for mask in owned:
@@ -274,6 +275,7 @@ class TestCoverageObjective:
         # masses equals integrating the pointwise best quality.
         part = partition(self.states, PARAMS, self.grid)
         report = coverage_objective(self.states, PARAMS, self.density, self.grid, part)
+        part = DensePartition(part, self.grid)
         best = np.where(part.covered, part.f, -np.inf).max(axis=0)
         best = np.where(part.covered.any(axis=0), best, 0.0)
         point_mass = self.density.phi(self.grid.points) * self.grid.cell_area

@@ -3,12 +3,17 @@
 The oracle evaluates every agent's sensing field on the whole grid, takes
 ownership from a dense argmax (the first maximum wins, so the lowest index
 wins ties), and recomputes the density mass and the gradients on each call.
+Its nominal input is the two-pull form: the full (4, k) gradient over the
+owned points minus w times the one over the overlap points.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aircover.cli import bundled_scenario, parse_config
 from aircover.coverage import (
     CoverageGrid,
     DensityField,
@@ -20,6 +25,8 @@ from aircover.coverage import (
     sensing_gradient,
 )
 from aircover.geometry import AgentState
+from aircover.sim import initial_world, step
+from conftest import DensePartition
 
 PARAMS = SensingParams(r=1.0, kappa=4.0, sigma=3.0, M=11.0, w=0.4)
 MISSION = (0.0, 0.0, 20.0, 12.0)
@@ -50,32 +57,43 @@ def oracle_objective(states, params, density, grid):
     return H_M - params.w * H_O
 
 
-def oracle_nominal(i, states, params, density, grid):
+def oracle_nominals(states, params, density, grid):
+    """Every agent's nominal input from one dense partition."""
     owner, _, covered, strict = oracle_partition(states, params, grid)
     point_mass = density.phi(grid.points) * grid.cell_area
-    own = (owner == i) & strict[i]
-    lose = covered[i] & (owner != i) & strict[i]
-    u = sensing_gradient(states[i], params, grid.points[own]) @ point_mass[own]
-    return u - params.w * (sensing_gradient(states[i], params, grid.points[lose]) @ point_mass[lose])
+    out = []
+    for i, state in enumerate(states):
+        own = (owner == i) & strict[i]
+        lose = covered[i] & (owner != i) & strict[i]
+        u = sensing_gradient(state, params, grid.points[own]) @ point_mass[own]
+        out.append(u - params.w * (sensing_gradient(state, params, grid.points[lose]) @ point_mass[lose]))
+    return out
 
 
-def assert_matches_oracle(states, grid, density=DENSITY):
-    part = partition(states, PARAMS, grid)
-    owner, f, covered, strict = oracle_partition(states, PARAMS, grid)
-    np.testing.assert_array_equal(part.owner, owner)
-    np.testing.assert_array_equal(part.f, f)
-    np.testing.assert_array_equal(part.covered, covered)
-    np.testing.assert_array_equal(part.strict, strict)
-    for i in range(len(states)):
-        np.testing.assert_array_equal(part.losers(i), covered[i] & (owner != i))
-
-    H = coverage_objective(states, PARAMS, density, grid, part).H
-    assert H == pytest.approx(oracle_objective(states, PARAMS, density, grid), rel=1e-12, abs=0)
-    for i in range(len(states)):
-        u = nominal_input(i, states, PARAMS, density, grid, part)
-        expected = oracle_nominal(i, states, PARAMS, density, grid)
+def assert_nominals_match_oracle(states, grid, density=DENSITY, params=PARAMS, part=None):
+    """nominal_input of every agent within 1e-12 of the oracle's largest partial."""
+    if part is None:
+        part = partition(states, params, grid)
+    for i, expected in enumerate(oracle_nominals(states, params, density, grid)):
+        u = nominal_input(i, states, params, density, grid, part)
         scale = float(np.abs(expected).max())
         np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+def assert_matches_oracle(states, grid, density=DENSITY, params=PARAMS):
+    part = partition(states, params, grid)
+    dense = DensePartition(part, grid)
+    owner, f, covered, strict = oracle_partition(states, params, grid)
+    np.testing.assert_array_equal(part.owner, owner)
+    np.testing.assert_array_equal(dense.f, f)
+    np.testing.assert_array_equal(dense.covered, covered)
+    np.testing.assert_array_equal(dense.strict, strict)
+    for i in range(len(states)):
+        np.testing.assert_array_equal(dense.losers(i), covered[i] & (owner != i))
+
+    H = coverage_objective(states, params, density, grid, part).H
+    assert H == pytest.approx(oracle_objective(states, params, density, grid), rel=1e-12, abs=0)
+    assert_nominals_match_oracle(states, grid, density, params, part)
 
 
 # Footprint radius is r·z/λ; z/λ picks its size.
@@ -86,6 +104,9 @@ CASES = {
     "smaller_than_a_cell": [AgentState(7.3, 4.1, 0.1, 1.0), AgentState(7.3, 4.1, 4.0, 1.0)],
     "identical_agents": [AgentState(10.0, 6.0, 5.0, 1.0)] * 3,
     "covers_the_mission": [AgentState(10.0, 6.0, 30.0, 1.0), AgentState(10.0, 6.0, 4.0, 1.0)],
+    # Centred on a 0.25 m cell midpoint with radius 2: four midpoints lie exactly
+    # on the circle, in the closed footprint but not the open one.
+    "points_on_the_rim": [AgentState(6.125, 5.125, 2.0, 1.0), AgentState(7.9, 5.6, 3.0, 1.0)],
 }
 
 
@@ -93,6 +114,38 @@ CASES = {
 @pytest.mark.parametrize("resolution", [0.25, 0.7])
 def test_cases_match_oracle(name, resolution):
     assert_matches_oracle(CASES[name], CoverageGrid(MISSION, resolution))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_zero_overlap_weight_matches_oracle(name):
+    assert_matches_oracle(CASES[name], CoverageGrid(MISSION, 0.25), params=replace(PARAMS, w=0.0))
+
+
+def test_rim_points_are_closed_but_not_open():
+    grid = CoverageGrid(MISSION, 0.25)
+    dense = DensePartition(partition(CASES["points_on_the_rim"], PARAMS, grid), grid)
+    assert np.count_nonzero(dense.covered[0] & ~dense.strict[0]) == 4
+
+
+@pytest.fixture(scope="module", params=["nine_agents", "five_agents"])
+def bundled(request):
+    """A bundled scenario and its team at steps 0, 20, 40 and 60 of a run."""
+    scenario = parse_config(bundled_scenario(request.param))
+    world = initial_world(scenario)
+    snapshots = [world.states]
+    for k in range(1, 61):
+        world, _ = step(world, scenario)
+        if k % 20 == 0:
+            snapshots.append(world.states)
+    return scenario, snapshots
+
+
+@pytest.mark.parametrize("w", [None, 0.0], ids=["scenario_w", "zero_w"])
+def test_bundled_snapshots_match_oracle(bundled, w):
+    scenario, snapshots = bundled
+    params = scenario.sensing if w is None else replace(scenario.sensing, w=w)
+    for states in snapshots:
+        assert_nominals_match_oracle(states, scenario.grid(), scenario.density, params)
 
 
 @st.composite
