@@ -2,29 +2,11 @@
 
 The package provides power-diagram geometry, nonsmooth barrier functions with
 analytic gradients, a per-agent QP safety filter, a gradient-ascent coverage
-controller, a discrete-time simulator, and a scenario-file CLI.
+controller, a discrete-time simulator, and a scenario-file CLI
+(`python -m aircover run ...`).
 """
 
-from aircover.barrier import (
-    CbfComponents,
-    NcbfValue,
-    cbf_components,
-    cbf_gradient,
-    degenerate_guard,
-    ncbf_value,
-)
-from aircover.cli import (
-    ParseError,
-    RunConfig,
-    ValidationError,
-    bundled_scenario,
-    emit_plotdata,
-    parse_config,
-    run_command,
-    serialize,
-    write_summary,
-    write_trace,
-)
+from aircover.barrier import cbf_components, cbf_gradient, ncbf_value
 from aircover.controller import (
     ClassK,
     FilterParams,
@@ -39,44 +21,40 @@ from aircover.controller import (
 )
 from aircover.coverage import (
     CoverageGrid,
-    CoverageReport,
     DensityField,
-    Partition,
     SensingParams,
     coverage_objective,
     nominal_input,
     partition,
-    sensing_field,
-    sensing_gradient,
     sensing_quality,
 )
 from aircover.geometry import (
     AgentState,
-    CommGraph,
     DegenerateTrio,
-    Fov,
-    Line2,
-    SigmaDFrame,
-    TrioContext,
     build_graph,
     detect_holes_grid,
     fov_of,
     hole_exists_exact,
     make_trio,
-    point_in_triangle,
     power_distance,
     radical_axis,
-    radical_center,
     sigma_d_frame,
 )
-from aircover.sim import (
-    MODES,
-    Scenario,
-    TraceRecord,
-    WorldState,
-    initial_world,
-    run,
-    step,
-)
+from aircover.sim import Scenario, initial_world, run, step
 
 __version__ = "0.1.0"
+
+# The CLI's names resolve on first use (PEP 562), so that `python -m
+# aircover.cli` does not find aircover.cli already imported by this package.
+_CLI_NAMES = (
+    "ParseError", "RunConfig", "ValidationError", "bundled_scenario", "parse_config",
+    "run_command", "serialize",
+)
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from aircover import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module 'aircover' has no attribute '{name}'")

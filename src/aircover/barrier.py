@@ -15,17 +15,17 @@ footprint centers.  The safety filter and the trace share that result:
 `ncbf_value` composes the values, and `cbf_gradient` reads the stored frame to
 give one component's analytic gradient, where the radical center has a closed
 form, rotated back to world coordinates; altitude and focal-length entries
-are frame-invariant.  Both run on plain floats (the frame stores its origin
-and x-axis); only the returned gradient is a numpy array.
+are frame-invariant.  Everything here runs on plain floats: the frame stores
+its origin and x-axis, the roles J and K are picked by position in the trio,
+a gradient is a 4-tuple, and the records are a slot class and a named tuple,
+because on four numbers numpy's per-call overhead costs more than the arithmetic.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from aircover.geometry import (
+    ROLE_POSITIONS,
     DegenerateTrio,
-    SigmaDFrame,
     TrioContext,
     point_in_triangle,
     power_distance,
@@ -33,7 +33,6 @@ from aircover.geometry import (
 )
 
 
-@dataclass(frozen=True)
 class CbfComponents:
     """One (trio, viewpoint) evaluation: the four condition values and what their gradients need.
 
@@ -45,19 +44,18 @@ class CbfComponents:
     composition and the guard; gradients need the rest.
     """
 
-    vals: tuple
-    trio: TrioContext = None
-    viewpoint: int = None
-    frame: SigmaDFrame = None
-    coords: tuple = None
+    __slots__ = ("vals", "trio", "viewpoint", "frame", "coords")
+
+    def __init__(self, vals, trio=None, viewpoint=None, frame=None, coords=None):
+        self.vals, self.trio, self.viewpoint = vals, trio, viewpoint
+        self.frame, self.coords = frame, coords
 
     def __getitem__(self, component: int) -> float:
         # 1-based component index.
         return self.vals[component - 1]
 
 
-@dataclass(frozen=True)
-class NcbfValue:
+class NcbfValue(NamedTuple):
     """Max-composed barrier value with its attaining component and almost-active set."""
 
     value: float
@@ -73,15 +71,16 @@ def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
     radical center to the viewpoint's footprint.  Raises DegenerateTrio when
     the triangle's area is below tolerance.
     """
-    i, j, k = trio.roles(viewpoint)
-    fi, fj, fk = (trio.fovs[trio.index_of(a)] for a in (i, j, k))
+    pi, pj, pk = ROLE_POSITIONS[trio.ids.index(viewpoint)]
+    fovs = trio.fovs
+    fi, fj, fk = fovs[pi], fovs[pj], fovs[pk]
     v = trio.radical_center.tolist()
     _, (r_ijk, r_jki, r_kij) = point_in_triangle((fi.cx, fi.cy), (fj.cx, fj.cy), (fk.cx, fk.cy), v)
     h_f = -power_distance(fi, v)
     frame = sigma_d_frame(trio, viewpoint)
     ox, oy, ax, ay = frame.ox, frame.oy, frame.ax, frame.ay
     dx, dy = fi.cx - ox, fi.cy - oy
-    state = trio.states[trio.index_of(i)]
+    state = trio.states[pi]
     coords = (
         ax * dx + ay * dy,
         -ay * dx + ax * dy,
@@ -104,10 +103,10 @@ def ncbf_value(vals, epsilon: float) -> NcbfValue:
     value = max(vals)
     argmax = vals.index(value) + 1
     active = tuple(l + 1 for l, h in enumerate(vals) if abs(h - value) <= epsilon)
-    return NcbfValue(value=value, argmax=argmax, active_set=active)
+    return NcbfValue(value, argmax, active)
 
 
-def cbf_gradient(components: CbfComponents, component: int) -> np.ndarray:
+def cbf_gradient(components: CbfComponents, component: int) -> tuple:
     """Analytic world-frame gradient (∂x, ∂y, ∂z, ∂λ) of one component w.r.t. the viewpoint agent's state.
 
     Derivatives are taken holding the other two agents fixed; the working
@@ -161,7 +160,7 @@ def cbf_gradient(components: CbfComponents, component: int) -> np.ndarray:
         d_lam = -dh_dR2 * dR2_dlam
 
     ax, ay = components.frame.ax, components.frame.ay
-    return np.array([ax * gx - ay * gy, ay * gx + ax * gy, d_z, d_lam])
+    return (ax * gx - ay * gy, ay * gx + ax * gy, d_z, d_lam)
 
 
 def degenerate_guard(components: CbfComponents, threshold: float):

@@ -7,8 +7,10 @@ the agent assembles one linear constraint per almost-active, non-suppressed
 barrier component, computing only those components' gradients, then minimally
 modifies its nominal input in the weighted least-squares sense subject to
 those constraints.  The QP is tiny (4 variables, a couple dozen constraints at
-most), so a deterministic dense active-set method is used rather than an
-external solver.
+most), so a deterministic dual active-set method is used rather than an
+external solver.  Rows are (4-tuple, float) pairs and the solver runs on
+Python floats: on 4-vectors numpy's per-call overhead costs more than the
+arithmetic.
 """
 
 import logging
@@ -103,10 +105,10 @@ def build_constraints(
 ):
     """One (a, b) halfspace per almost-active, non-suppressed component of each evaluated triangle.
 
-    a is the world-frame gradient of the component with respect to the agent's
-    own state; b = −α(h)/3 splits the decay budget evenly across the triangle's
-    three agents.  `components` restricts which conditions define the barrier
-    (all four normally; only the footprint condition in hf-only mode).
+    a is the world-frame gradient (a 4-tuple) of the component with respect to
+    the agent's own state; b = −α(h)/3 splits the decay budget evenly across the
+    triangle's three agents.  `components` restricts which conditions define the
+    barrier (all four normally; only the footprint condition in hf-only mode).
     """
     rows = []
     for comps in views:
@@ -126,7 +128,7 @@ def build_constraints(
                     )
                     continue
                 a = cbf_gradient(comps, l)
-                norm = math.sqrt(a @ a)  # np.linalg.norm's arithmetic, without its dispatch
+                norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
                 if norm < GRADIENT_FLOOR:
                     log.warning(
                         "agent %d trio %s: component %d gradient vanished (%.3g); constraint dropped",
@@ -137,6 +139,36 @@ def build_constraints(
         except DegenerateTrio as exc:
             log.warning("agent %d trio %s degenerate, dropped: %s", viewpoint, ids, exc)
     return rows
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _project(Q, v):
+    """Modified Gram–Schmidt: v's coefficients on the orthonormal Q, and what is left of v."""
+    coef = []
+    for q in Q:
+        c = _dot(q, v)
+        v = (v[0] - c * q[0], v[1] - c * q[1], v[2] - c * q[2], v[3] - c * q[3])
+        coef.append(c)
+    return coef, v
+
+
+def _solve_pivoted(G, rhs):
+    """Gauss–Jordan elimination with partial pivoting on a small system; None when singular."""
+    M = [list(row) + [y] for row, y in zip(G, rhs)]
+    m = len(M)
+    for c in range(m):
+        p = max(range(c, m), key=lambda i: abs(M[i][c]))
+        if M[p][c] == 0.0:
+            return None
+        M[c], M[p] = M[p], M[c]
+        for i in range(m):
+            if i != c:
+                f = M[i][c] / M[c][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return [M[i][m] / M[i][i] for i in range(m)]
 
 
 def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
@@ -150,77 +182,88 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     and a spanned normal with no positive combination coefficient is a Farkas
     certificate of infeasibility.  Ties break on the lowest index, so the
     solve is deterministic.
-    """
-    u_nom = np.asarray(problem.u_nom, dtype=float)
-    w = np.asarray(problem.weights, dtype=float)
-    if w.shape != u_nom.shape or np.any(w <= 0):
-        raise ValueError("weights must be positive and match u_nom")
-    if not problem.constraints:
-        return u_nom.copy()
-    A = np.array([a for a, _ in problem.constraints], dtype=float)
-    b = np.array([bb for _, bb in problem.constraints], dtype=float)
-    if float((A @ u_nom - b).min()) >= -_FEAS_TOL:
-        # Every row already holds: the iteration below would stop here too.
-        return u_nom.copy()
-    winv = 1.0 / w
-    sqrt_winv = np.sqrt(winv)
 
-    u = u_nom.copy()
-    S = []  # working constraint indices
-    mu = []  # their multipliers, kept aligned with S
+    A new normal is split by a modified Gram–Schmidt QR of the W^-½-scaled
+    working normals (at most four), not by normal equations, which at
+    w_lambda = 3e6 would square the conditioning.  The solve runs on Python
+    floats and returns a float64 array.
+    """
+    u_nom = tuple(map(float, problem.u_nom))
+    w = tuple(map(float, problem.weights))
+    if len(u_nom) != 4 or len(w) != 4 or min(w) <= 0.0:
+        raise ValueError("u_nom and weights must be 4-vectors, weights positive")
+    A = [tuple(map(float, a)) for a, _ in problem.constraints]
+    b = [float(bb) for _, bb in problem.constraints]
+    if not A or min(_dot(a, u_nom) - bb for a, bb in zip(A, b)) >= -_FEAS_TOL:
+        # No row, or every row already holds: the iteration below would stop here too.
+        return np.array(u_nom)
+    winv = tuple(1.0 / x for x in w)
+    sw = tuple(math.sqrt(x) for x in winv)
+    H = [(winv[0] * a[0], winv[1] * a[1], winv[2] * a[2], winv[3] * a[3]) for a in A]  # W⁻¹a
+    scaled = [(sw[0] * a[0], sw[1] * a[1], sw[2] * a[2], sw[3] * a[3]) for a in A]  # W^-½a
 
     def polish(u, S):
         # One-shot equality re-solve on the final working set: removes the
         # drift accumulated over the iteration's incremental steps.
         if not S:
             return u
-        As = A[S]
-        G = (As * winv) @ As.T
-        try:
-            mu_S = np.linalg.solve(G, b[S] - As @ u_nom)
-        except np.linalg.LinAlgError:
+        mu_S = _solve_pivoted(
+            [[_dot(A[i], H[k]) for k in S] for i in S], [b[j] - _dot(A[j], u_nom) for j in S]
+        )
+        if mu_S is None:
             return u
-        refined = u_nom + winv * (As.T @ mu_S)
-        if float(np.min(mu_S)) >= -1e-9 and float((A @ refined - b).min()) >= -_FEAS_TOL:
+        refined = tuple(u_nom[c] + sum(m * H[j][c] for m, j in zip(mu_S, S)) for c in range(4))
+        if min(mu_S) >= -1e-9 and min(_dot(a, refined) - bb for a, bb in zip(A, b)) >= -_FEAS_TOL:
             return refined
         return u
 
+    u = u_nom
+    S = []  # working constraint indices
+    mu = []  # their multipliers, kept aligned with S
     iters = 0
     while True:
-        resid = A @ u - b
-        p = int(np.argmin(resid))
-        if resid[p] >= -_FEAS_TOL:
-            return polish(u, S)
+        resid = [_dot(a, u) - bb for a, bb in zip(A, b)]
+        s_p = min(resid)
+        if s_p >= -_FEAS_TOL:
+            return np.array(polish(u, S))
+        p = resid.index(s_p)
         n_p = A[p]
+        hn_norm = math.sqrt(_dot(H[p], H[p]))
         mu_p = 0.0
         while True:
             iters += 1
             if iters > max_iter:
                 raise NumericalFailure(f"active-set iteration exceeded {max_iter} steps")
             # Split W⁻¹n_p into a component along the working normals (dual
-            # direction r) and one W-orthogonal to them (primal direction z).
-            hn = winv * n_p
-            if S:
-                M = sqrt_winv[:, None] * A[S].T
-                r, *_ = np.linalg.lstsq(M, sqrt_winv * n_p, rcond=None)
-                z = hn - winv * (A[S].T @ r)
+            # direction r, from R r = Qᵀ W^-½ n_p) and one W-orthogonal to
+            # them (primal direction z = W^-½ times what Q leaves of W^-½ n_p).
+            Q, R = [], []  # QR of the scaled working normals, by modified Gram–Schmidt
+            for j in S:
+                coef, rest = _project(Q, scaled[j])
+                norm = math.sqrt(_dot(rest, rest))
+                Q.append((rest[0] / norm, rest[1] / norm, rest[2] / norm, rest[3] / norm))
+                R.append(coef + [norm])  # column of the upper-triangular R
+            coef, rest = _project(Q, scaled[p])
+            r = [0.0] * len(S)
+            for i in range(len(S) - 1, -1, -1):
+                r[i] = (coef[i] - sum(R[k][i] * r[k] for k in range(i + 1, len(S)))) / R[i][i]
+            z = (sw[0] * rest[0], sw[1] * rest[1], sw[2] * rest[2], sw[3] * rest[3])
+            s_p = _dot(n_p, u) - b[p]
+            if math.sqrt(_dot(z, z)) > 1e-10 * (1.0 + hn_norm):
+                # Step that lands p on its boundary.  z·n_p equals |rest|²,
+                # which keeps its sign when rest is tiny; z·n_p itself may not.
+                t1 = -s_p / _dot(rest, rest)
             else:
-                r = np.zeros(0)
-                z = hn
-            s_p = float(n_p @ u - b[p])
-            if float(np.linalg.norm(z)) > 1e-10 * (1.0 + float(np.linalg.norm(hn))):
-                t1 = -s_p / float(z @ n_p)  # step that lands p on its boundary
-            else:
-                t1 = np.inf
-            t2, blocker = np.inf, -1
+                t1 = math.inf
+            t2, blocker = math.inf, -1
             for j in range(len(S)):
                 if r[j] > 1e-12 and mu[j] / r[j] < t2:
                     t2, blocker = mu[j] / r[j], j
-            if not np.isfinite(t1) and not np.isfinite(t2):
+            if t1 == math.inf and t2 == math.inf:
                 raise Infeasible("constraint polytope is empty")
             t = min(t1, t2)
-            if np.isfinite(t1):
-                u += t * z
+            if t1 != math.inf:
+                u = (u[0] + t * z[0], u[1] + t * z[1], u[2] + t * z[2], u[3] + t * z[3])
             for j in range(len(S)):
                 mu[j] -= t * r[j]
             mu_p += t

@@ -10,8 +10,10 @@ The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
 overhead costs more than the arithmetic.  A radical center solves the two
 radical-axis equations by Cramer's rule on the lifted heights |c|² − R² (the
 lifting view of power diagrams); the working frame stores its origin and
-x-axis.  `build_graph` runs the same solve on arrays over every candidate
-trio and tests all candidates against all footprints in one excess matrix.
+x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`); a
+trio keeps its triangle as float pairs.  `build_graph` runs the same solve on
+arrays over every candidate trio and tests the candidates against all
+footprints in fixed row blocks.
 """
 
 import math
@@ -25,6 +27,10 @@ AREA_TOL = 1e-9
 CONCENTRIC_TOL = 1e-9
 # Closed-comparison slack for power-cell adjacency tests.
 ADJACENCY_TOL = 1e-9
+# Positions in a trio of the roles (I, J, K) = (viewpoint, lower other, higher other).
+ROLE_POSITIONS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+# Candidate trios per block of `build_graph`'s vertex test (bounds its memory).
+GRAPH_BLOCK = 128
 
 
 class DegenerateTrio(Exception):
@@ -45,9 +51,6 @@ class AgentState:
         # floats so downstream repr-based serialization stays clean.
         for name in ("x", "y", "z", "lam"):
             object.__setattr__(self, name, float(getattr(self, name)))
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z, self.lam])
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ class Line2:
     direction: np.ndarray
 
 
-@dataclass(frozen=True)
 class SigmaDFrame:
     """Per-triangle working frame: x-axis along segment JK, y-axis along the JK radical axis.
 
@@ -85,10 +87,10 @@ class SigmaDFrame:
     frame coordinates of a point q are rotation @ (q − origin).
     """
 
-    ox: float
-    oy: float
-    ax: float
-    ay: float
+    __slots__ = ("ox", "oy", "ax", "ay")
+
+    def __init__(self, ox: float, oy: float, ax: float, ay: float):
+        self.ox, self.oy, self.ax, self.ay = ox, oy, ax, ay
 
     @property
     def origin(self):
@@ -101,17 +103,14 @@ class SigmaDFrame:
     def to_frame(self, q):
         return self.rotation @ (np.asarray(q, dtype=float) - self.origin)
 
-    def to_world_vector(self, v):
-        # For vectors (gradients) only the rotation applies.
-        return self.rotation.T @ np.asarray(v, dtype=float)
-
 
 @dataclass(frozen=True)
 class TrioContext:
     """One triangle {i, j, k} of the communication graph.
 
-    `triangle` holds the three FOV centers in id order; `radical_center` is
-    the common equal-power point of the three footprint disks.
+    `triangle` holds the three FOV centers in id order as (x, y) float
+    pairs; `radical_center` is the common equal-power point of the three
+    footprint disks.
     """
 
     ids: tuple
@@ -120,14 +119,6 @@ class TrioContext:
     radical_center: np.ndarray
     triangle: tuple
     r: float
-
-    def index_of(self, agent_id: int) -> int:
-        return self.ids.index(agent_id)
-
-    def roles(self, viewpoint: int):
-        """Return (i, j, k) id roles for a viewpoint: itself first, the others in id order."""
-        others = [a for a in self.ids if a != viewpoint]
-        return (viewpoint, others[0], others[1])
 
 
 @dataclass
@@ -229,7 +220,7 @@ def make_trio(ids, states, r: float, center=None) -> TrioContext:
     states = tuple(states[o] for o in order)
     fovs = tuple(fov_of(s, r) for s in states)
     v = radical_center(*fovs) if center is None else np.asarray(center, dtype=float)
-    triangle = tuple(f.center for f in fovs)
+    triangle = tuple((f.cx, f.cy) for f in fovs)
     return TrioContext(ids=ids, states=states, fovs=fovs, radical_center=v, triangle=triangle, r=r)
 
 
@@ -241,9 +232,8 @@ def sigma_d_frame(trio: TrioContext, distinguished: int) -> SigmaDFrame:
     radical axis, so the frame x-coordinates of J and K satisfy
     x_J² − R_J² = x_K² − R_K².
     """
-    i, j, k = trio.roles(distinguished)
-    fj = trio.fovs[trio.index_of(j)]
-    fk = trio.fovs[trio.index_of(k)]
+    _, pj, pk = ROLE_POSITIONS[trio.ids.index(distinguished)]
+    fj, fk = trio.fovs[pj], trio.fovs[pk]
     dx, dy = fk.cx - fj.cx, fk.cy - fj.cy
     nd = math.sqrt(dx * dx + dy * dy)
     if nd < CONCENTRIC_TOL:
@@ -350,8 +340,9 @@ def build_graph(states, r: float) -> CommGraph:
     n footprints, and a live vertex is a point where the three power cells
     meet, so they are pairwise adjacent.  Cost: O(n²) center distances plus
     O(t·n) vertex tests over the t overlap 3-cliques, instead of O(n⁴).  The
-    t candidate centers are solved together and tested in one (t, n) excess
-    matrix, so no Python loop runs per candidate.
+    t candidate centers are solved together and tested against all
+    footprints GRAPH_BLOCK rows at a time, so no Python loop runs per
+    candidate and the excess matrix stays small at large n.
     """
     n = len(states)
     fovs = [fov_of(s, r) for s in states]
@@ -381,29 +372,37 @@ def build_graph(states, r: float) -> CommGraph:
     # Power distance of every footprint at each candidate vertex minus
     # footprint i's, o·(o − 2w) − (R² − Rᵢ²) with o = c − cᵢ and w = v − cᵢ:
     # exact for a footprint concentric with i, however far away v lies.
-    ox = cx - cx[I, None]
-    oy = cy - cy[I, None]
-    excess = (
-        ox * (ox - 2.0 * (vx - cx[I])[:, None])
-        + oy * (oy - 2.0 * (vy - cy[I])[:, None])
-        - (radii2 - radii2[I, None])
-    )
-    # j and k tie with i at v by construction; keep rounding out.
-    rows = np.arange(len(I))
-    excess[rows, J] = excess[rows, K] = 0.0
-    live = ~np.any(excess < -ADJACENCY_TOL, axis=1)
-    cofactor = excess <= ADJACENCY_TOL
-    size = cofactor.sum(axis=1)
+    # Candidates go through in blocks of GRAPH_BLOCK rows; each row's test is
+    # elementwise, so the blocking does not change any decision.
+    simple = np.zeros(len(I), dtype=bool)
+    shared = []  # members of each live vertex shared by four or more footprints, in row order
+    for lo in range(0, len(I), GRAPH_BLOCK):
+        block = slice(lo, lo + GRAPH_BLOCK)
+        Ib = I[block]
+        ox = cx - cx[Ib, None]
+        oy = cy - cy[Ib, None]
+        excess = (
+            ox * (ox - 2.0 * (vx[block] - cx[Ib])[:, None])
+            + oy * (oy - 2.0 * (vy[block] - cy[Ib])[:, None])
+            - (radii2 - radii2[Ib, None])
+        )
+        # j and k tie with i at v by construction; keep rounding out.
+        rows = np.arange(len(Ib))
+        excess[rows, J[block]] = excess[rows, K[block]] = 0.0
+        live = ~np.any(excess < -ADJACENCY_TOL, axis=1)
+        cofactor = excess <= ADJACENCY_TOL
+        size = cofactor.sum(axis=1)
+        simple[block] = live & (size == 3)
+        shared += [tuple(np.flatnonzero(cofactor[row]).tolist())
+                   for row in np.flatnonzero(live & (size > 3)).tolist()]
 
     # Triple -> radical center, or None where make_trio must solve it.
-    simple = live & (size == 3)
     trio_triples = dict(zip(
         zip(I[simple].tolist(), J[simple].tolist(), K[simple].tolist()),
         zip(vx[simple].tolist(), vy[simple].tolist()),
     ))
     handled_degenerate = set()
-    for row in np.flatnonzero(live & (size > 3)).tolist():
-        members = tuple(np.flatnonzero(cofactor[row]).tolist())
+    for members in shared:
         if members in handled_degenerate:
             continue
         # Split the degenerate vertex once, deterministically.

@@ -178,23 +178,20 @@ def step(world: WorldState, scenario: Scenario):
                 inputs.append(np.zeros(4))
                 fallback[i] = True
 
-    # 6. Euler integration.
+    # 6. Euler integration on floats, with floor clamps on z and lambda.
     dt = scenario.dt
-    moved = [s.as_array() + dt * u for s, u in zip(states, inputs)]
-
-    # 7. Floor clamps on altitude and focal length.
     clamped = [False] * n
     next_states = []
-    for i, v in enumerate(moved):
-        z = v[2]
-        lam = v[3]
+    for i, (s, u) in enumerate(zip(states, inputs)):
+        ux, uy, uz, ul = map(float, u)
+        z, lam = s.z + dt * uz, s.lam + dt * ul
         if z < scenario.min_z or lam < scenario.min_lambda:
             clamped[i] = True
             z = max(z, scenario.min_z)
             lam = max(lam, scenario.min_lambda)
-        next_states.append(AgentState(v[0], v[1], z, lam))
+        next_states.append(AgentState(s.x + dt * ux, s.y + dt * uy, z, lam))
 
-    # 8. Telemetry for the pre-integration snapshot.
+    # 7. Telemetry for the pre-integration snapshot.
     min_ncbf = tuple(
         min((ncbf_value(c.vals, scenario.epsilon).value for c in agent_views), default=0.0)
         for agent_views in views

@@ -64,6 +64,12 @@ def random_trio(rng, r=1.0, require_overlap=False, area_margin=0.1):
         return trio
 
 
+def roles(trio, viewpoint: int):
+    """(i, j, k) id roles for a viewpoint: itself first, the others in id order."""
+    others = [a for a in trio.ids if a != viewpoint]
+    return (viewpoint, others[0], others[1])
+
+
 def component_apex(trio, viewpoint: int, component: int):
     """Agent id of the triangle vertex opposite the component's line, or None for component 4.
 
@@ -71,7 +77,7 @@ def component_apex(trio, viewpoint: int, component: int):
     (apexes) are agents k/i/j respectively.  The mapping lets the same
     geometric condition be identified across the three viewpoints.
     """
-    i, j, k = trio.roles(viewpoint)
+    i, j, k = roles(trio, viewpoint)
     return {1: k, 2: i, 3: j, 4: None}[component]
 
 

@@ -57,7 +57,7 @@ def _perturbed_trio(trio, agent_index, coord, h):
 
 
 def fd_component_gradient(trio, viewpoint, component, h=1e-6):
-    idx = trio.index_of(viewpoint)
+    idx = trio.ids.index(viewpoint)
     fd = np.zeros(4)
     for coord in range(4):
         plus = cbf_components(_perturbed_trio(trio, idx, coord, h), viewpoint)[component]

@@ -1,6 +1,10 @@
 """Tests for scenario parsing, serialization, and the run command."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +338,22 @@ class TestEmitPlotdata:
             assert len(lines) == 8
             width = len(lines[0].split(","))
             assert all(len(line.split(",")) == width for line in lines)
+
+
+@pytest.mark.parametrize("module", ["aircover", "aircover.cli"])
+def test_module_entry_points_run_without_warnings(module, tmp_path):
+    # Importing the package must not import aircover.cli: runpy warns when
+    # the module it is about to run is already in sys.modules.
+    src = Path(__file__).resolve().parents[1] / "src"
+    config = tmp_path / "trio.cfg"
+    config.write_text(bundled_scenario("trio"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "run",
+         "--config", str(config), "--out", str(tmp_path / "out"), "--steps", "5"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 2 + 5

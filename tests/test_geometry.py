@@ -16,7 +16,7 @@ from aircover.geometry import (
     radical_center,
     sigma_d_frame,
 )
-from conftest import cross2, random_trio
+from conftest import cross2, random_trio, roles
 
 
 def equal_radius_states(centers, z=1.0, lam=1.0):
@@ -140,10 +140,10 @@ class TestSigmaDFrame:
         for _ in range(100):
             trio = random_trio(rng)
             for viewpoint in trio.ids:
-                _, j, k = trio.roles(viewpoint)
+                _, j, k = roles(trio, viewpoint)
                 frame = sigma_d_frame(trio, viewpoint)
-                xk = frame.to_frame(trio.fovs[trio.index_of(k)].center)
-                xj = frame.to_frame(trio.fovs[trio.index_of(j)].center)
+                xk = frame.to_frame(trio.fovs[trio.ids.index(k)].center)
+                xj = frame.to_frame(trio.fovs[trio.ids.index(j)].center)
                 assert xk[0] > 0 or abs(xk[0]) < 1e-12
                 assert abs(xk[1]) < 1e-9 and abs(xj[1]) < 1e-9
                 assert np.linalg.det(frame.rotation) == pytest.approx(1.0, abs=1e-12)
@@ -153,9 +153,9 @@ class TestSigmaDFrame:
         # radical center's frame height.
         for _ in range(100):
             trio = random_trio(rng)
-            i, j, k = trio.roles(trio.ids[0])
+            i, j, k = roles(trio, trio.ids[0])
             frame = sigma_d_frame(trio, i)
-            axis = radical_axis(trio.fovs[trio.index_of(i)], trio.fovs[trio.index_of(j)])
+            axis = radical_axis(trio.fovs[trio.ids.index(i)], trio.fovs[trio.ids.index(j)])
             p = frame.to_frame(axis.point)
             d = frame.rotation @ axis.direction
             assert abs(d[0]) > 1e-12  # axis not parallel to the y-axis for sane trios

@@ -6,11 +6,13 @@ share a face (a 1-D feasibility test along each radical axis).
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aircover import geometry
 from aircover.geometry import (
     ADJACENCY_TOL,
     AgentState,
@@ -188,3 +190,35 @@ def test_nested_concentric_footprint_has_no_trio():
     ]
     assert graph_trio_keys(states, 1.0) == [(1, 2, 3)]
     assert oracle_trio_keys(states, 1.0) == [(1, 2, 3)]
+
+
+def trio_records(states):
+    return [(t.ids, t.radical_center.tolist()) for t in build_graph(states, 1.0).all_trios()]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_vertex_test_blocks_are_bit_identical(block, monkeypatch):
+    # A square lattice (four-way vertices split into fans) and a jittered one,
+    # each under one block of candidates and under many small ones.
+    for states in (lattice_states(6, 1.0), lattice_states(7, 1.2, jitter=0.1, seed=7)):
+        whole = trio_records(states)
+        monkeypatch.setattr(geometry, "GRAPH_BLOCK", block)
+        assert trio_records(states) == whole
+        monkeypatch.undo()
+
+
+def test_graph_memory_stays_bounded_at_400_agents():
+    # The benchmark lattice's proportions (spacing 1.25 R, jitter R/8) at
+    # 20 x 20: about 1,400 candidate trios.  One (candidates, n) excess
+    # matrix for all of them peaks at about 23 MB; row blocks keep one call
+    # under 10 MB.
+    states = lattice_states(20, 1.25, jitter=0.125, seed=0)
+    build_graph(states, 1.0)
+    tracemalloc.start()
+    try:
+        graph = build_graph(states, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.all_trios()) > 600
+    assert peak < 10e6, f"build_graph peaked at {peak / 1e6:.1f} MB"

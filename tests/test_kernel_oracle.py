@@ -27,7 +27,7 @@ from aircover.geometry import (
     radical_center,
     sigma_d_frame,
 )
-from conftest import cross2
+from conftest import cross2, roles
 
 RTOL = 1e-12
 
@@ -51,9 +51,9 @@ def oracle_radical_center(fa, fb, fc):
 
 def oracle_sigma_d_frame(trio, distinguished):
     """(origin, rotation) of the viewpoint's working frame."""
-    i, j, k = trio.roles(distinguished)
-    fj = trio.fovs[trio.index_of(j)]
-    fk = trio.fovs[trio.index_of(k)]
+    i, j, k = roles(trio, distinguished)
+    fj = trio.fovs[trio.ids.index(j)]
+    fk = trio.fovs[trio.ids.index(k)]
     cj, ck = fj.center, fk.center
     d = ck - cj
     nd = float(np.linalg.norm(d))
@@ -71,8 +71,8 @@ def oracle_sigma_d_frame(trio, distinguished):
 
 def oracle_cbf_components(trio, viewpoint):
     """(values, frame coordinates (x_i, y_i, x_j, x_k)) of one viewpoint."""
-    i, j, k = trio.roles(viewpoint)
-    fi, fj, fk = (trio.fovs[trio.index_of(a)] for a in (i, j, k))
+    i, j, k = roles(trio, viewpoint)
+    fi, fj, fk = (trio.fovs[trio.ids.index(a)] for a in (i, j, k))
     v = trio.radical_center
     I, J, K = fi.center, fj.center, fk.center
     denom = cross2(J - I, K - I)
