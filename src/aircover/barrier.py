@@ -17,11 +17,10 @@ give one component's analytic gradient, where the radical center has a closed
 form, rotated back to world coordinates; altitude and focal-length entries
 are frame-invariant.  Everything here runs on plain floats: the frame stores
 its origin and x-axis, the roles J and K are picked by position in the trio,
-a gradient is a 4-tuple, and the records are a slot class and a named tuple,
+a gradient is a 4-tuple, and the records are slot classes (the composed value
+works out its attaining component and almost-active set only when read),
 because on four numbers numpy's per-call overhead costs more than the arithmetic.
 """
-
-from typing import NamedTuple
 
 from aircover.geometry import (
     ROLE_POSITIONS,
@@ -55,12 +54,21 @@ class CbfComponents:
         return self.vals[component - 1]
 
 
-class NcbfValue(NamedTuple):
-    """Max-composed barrier value with its attaining component and almost-active set."""
+class NcbfValue:
+    """Max-composed barrier value; its attaining component and almost-active set are worked out when read."""
 
-    value: float
-    argmax: int
-    active_set: tuple
+    __slots__ = ("vals", "epsilon", "value")
+
+    def __init__(self, vals, epsilon: float):
+        self.vals, self.epsilon, self.value = vals, epsilon, max(vals)
+
+    @property
+    def argmax(self) -> int:
+        return self.vals.index(self.value) + 1
+
+    @property
+    def active_set(self) -> tuple:
+        return tuple(l + 1 for l, h in enumerate(self.vals) if abs(h - self.value) <= self.epsilon)
 
 
 def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
@@ -97,13 +105,10 @@ def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
 
 
 def ncbf_value(vals, epsilon: float) -> NcbfValue:
-    """Max-compose four component values and collect the almost-active set {ℓ : |h_ℓ − h| ≤ ε}."""
-    if epsilon <= 0:
+    """Max-compose four component values; the almost-active set {ℓ : |h_ℓ − h| ≤ ε} comes on demand."""
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    value = max(vals)
-    argmax = vals.index(value) + 1
-    active = tuple(l + 1 for l, h in enumerate(vals) if abs(h - value) <= epsilon)
-    return NcbfValue(value, argmax, active)
+    return NcbfValue(vals, epsilon)
 
 
 def cbf_gradient(components: CbfComponents, component: int) -> tuple:
@@ -169,6 +174,6 @@ def degenerate_guard(components: CbfComponents, threshold: float):
     Near-collinear triangles send the signed-area ratios to huge values; the
     returned indices are excluded from QP constraints for the step.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
-    return [l for l in (1, 2, 3) if abs(components[l]) > threshold]
+    return [l for l in (1, 2, 3) if abs(components.vals[l - 1]) > threshold]

@@ -142,17 +142,17 @@ def parse_config(text) -> Scenario:
                 raise ParseError(f"missing value for key '{key}'", lineno, col)
             if section == "agents":
                 raise ParseError("[agents] holds agent rows, not keys", lineno, col)
+            if section == "density" and key != "mission":
+                raise ParseError(f"unknown key '{key}' in [density]", lineno, col)
+            if (lineno_key := (section, key)) in seen:
+                raise ParseError(f"duplicate key '{key}' in [{section}]", lineno, col)
+            seen.add(lineno_key)
             if section == "density":
-                if key != "mission":
-                    raise ParseError(f"unknown key '{key}' in [density]", lineno, col)
                 parts = _tokens_with_columns(line)[2:]  # after 'mission' and '='
                 if len(parts) != 4:
                     raise ParseError("mission needs 4 numbers: xmin ymin xmax ymax", lineno, col)
                 mission = tuple(_parse_float(tok, c, lineno) for tok, c in parts)
                 continue
-            if (lineno_key := (section, key)) in seen:
-                raise ParseError(f"duplicate key '{key}' in [{section}]", lineno, col)
-            seen.add(lineno_key)
             value_col = line.index(value, line.index("=")) + 1
             if key in _FLOAT_KEYS.get(section, ()):
                 keys[section][key] = _parse_float(value, value_col, lineno)

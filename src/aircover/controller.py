@@ -49,7 +49,7 @@ class ClassK:
     power: int = 3
 
     def __post_init__(self):
-        if self.gain <= 0:
+        if not self.gain > 0:
             raise ValueError("gain must be positive")
         if self.power <= 0 or self.power % 2 == 0:
             raise ValueError("power must be a positive odd integer")
@@ -69,7 +69,7 @@ class QpProblem:
 
 def qp_weights(w_lambda: float) -> np.ndarray:
     """Diagonal input weight: unit on position/altitude rates, w_lambda on the focal rate."""
-    if w_lambda <= 0:
+    if not w_lambda > 0:
         raise ValueError("w_lambda must be positive")
     return np.array([1.0, 1.0, 1.0, float(w_lambda)])
 
@@ -190,7 +190,7 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     """
     u_nom = tuple(map(float, problem.u_nom))
     w = tuple(map(float, problem.weights))
-    if len(u_nom) != 4 or len(w) != 4 or min(w) <= 0.0:
+    if len(u_nom) != 4 or len(w) != 4 or not all(x > 0.0 for x in w):
         raise ValueError("u_nom and weights must be 4-vectors, weights positive")
     A = [tuple(map(float, a)) for a, _ in problem.constraints]
     b = [float(bb) for _, bb in problem.constraints]

@@ -10,11 +10,12 @@ objective, evaluated by midpoint quadrature with analytic partials.
 The quadrature visits each agent only on its window: the grid cells under
 its footprint's bounding box, with a one-cell margin.  ``partition``
 evaluates the sensing model once per agent on that window and keeps the
-terms, so the objective and every nominal input reuse them; the density mass
-phi·cell_area is computed once per grid and density.  A nominal input is one
-reduction per agent: the window's mass is signed (+1 on owned, −w on overlap
-points of the open footprint, 0 elsewhere) and dotted with per-point factors
-of the four partials.
+terms for the nominal inputs, with each point's running best quality and
+quality sum for the objective; the density mass phi·cell_area is computed
+once per grid and density.  A nominal input is one reduction per agent: the
+window's mass is signed (+1 on owned, −w on overlap points of the open
+footprint, 0 elsewhere) and dotted with per-point factors of the four
+partials.
 """
 
 import math
@@ -36,9 +37,9 @@ class SensingParams:
     w: float
 
     def __post_init__(self):
-        if self.r <= 0 or self.kappa <= 0 or self.sigma <= 0 or self.M <= 0:
+        if not (self.r > 0 and self.kappa > 0 and self.sigma > 0 and self.M > 0):
             raise ValueError("r, kappa, sigma, M must be positive")
-        if self.w < 0:
+        if not self.w >= 0:
             raise ValueError("w must be nonnegative")
 
 
@@ -51,12 +52,12 @@ class DensityField:
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.mission
-        if xmax <= xmin or ymax <= ymin:
+        if not (xmax > xmin and ymax > ymin):
             raise ValueError("mission rectangle is empty")
         for weight, _, scale in self.components:
-            if weight < 0:
+            if not weight >= 0:
                 raise ValueError("component weights must be nonnegative")
-            if scale <= 0:
+            if not scale > 0:
                 raise ValueError("component scales must be positive")
 
     def phi(self, points) -> np.ndarray:
@@ -84,10 +85,10 @@ class CoverageGrid:
     """
 
     def __init__(self, mission, resolution: float):
-        if resolution <= 0:
+        if not resolution > 0:
             raise ValueError("resolution must be positive")
         xmin, ymin, xmax, ymax = mission
-        if xmax <= xmin or ymax <= ymin:
+        if not (xmax > xmin and ymax > ymin):
             raise ValueError("mission rectangle is empty")
         nx = max(1, int(np.ceil((xmax - xmin) / resolution)))
         ny = max(1, int(np.ceil((ymax - ymin) / resolution)))
@@ -126,7 +127,7 @@ class CoverageGrid:
         return self._mass[1]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FieldWindow:
     """One agent's sensing model on its grid window.
 
@@ -148,11 +149,13 @@ class Partition:
     """Conic Voronoi assignment of grid points.
 
     owner[q] is the covering agent of maximal sensing quality (−1 when no
-    footprint covers q); windows[i] agent i's sensing model under its
-    footprint.
+    footprint covers q), best[q] its quality (−inf if none) and total[q] the
+    sum over covering agents; windows[i] is agent i's sensing model.
     """
 
     owner: np.ndarray
+    best: np.ndarray
+    total: np.ndarray
     windows: tuple
 
 
@@ -239,41 +242,54 @@ def sensing_gradient(state: AgentState, params: SensingParams, points) -> np.nda
 
 
 def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
-    """Assign each grid point to its best covering agent (lowest index on ties)."""
+    """Assign each grid point to its best covering agent (lowest index on ties).
+
+    Keeps each point's running best quality and quality sum beside its owner.
+    """
     points = grid.cells(grid.points)
-    owner = np.full(len(grid.points), -1)
-    owner_cells = grid.cells(owner)
-    best = grid.cells(np.full(len(grid.points), -np.inf))
+    n = len(grid.points)
+    owner, best, total = np.full(n, -1), np.full(n, -np.inf), np.zeros(n)
+    owner_cells, best_cells, total_cells = grid.cells(owner), grid.cells(best), grid.cells(total)
     windows = []
     for i, state in enumerate(states):
         cells = grid.window(state.x, state.y, params.r * state.z / state.lam)
         terms = _field_terms(state, params, points[cells])
         f, covered, strict = _masked_quality(terms)
         # Only a strictly better quality takes a point: ties stay with the lower index.
-        wins = covered & (f > best[cells])
-        best[cells][wins] = f[wins]
-        owner_cells[cells][wins] = i
+        best_w = best_cells[cells]
+        wins = covered & (f > best_w)
+        np.copyto(best_w, f, where=wins)
+        np.copyto(owner_cells[cells], i, where=wins)
+        total_w = total_cells[cells]
+        total_w += f  # f is zero off the footprint: a point covered once keeps total == best
         windows.append(FieldWindow(cells, terms, f, covered, strict))
-    return Partition(owner=owner, windows=tuple(windows))
+    return Partition(owner=owner, best=best, total=total, windows=tuple(windows))
 
 
 def coverage_objective(
     states, params: SensingParams, density: DensityField, grid: CoverageGrid, part: Partition = None
 ) -> CoverageReport:
-    """Midpoint-quadrature objective H = H_M − w·H_O and per-agent owned masses."""
+    """Midpoint-quadrature objective H = H_M − w·H_O and per-agent owned masses.
+
+    Reductions over the box spanned by all windows: H_M = Σ best·mass and
+    H_O = Σ (total − best)·mass over covered points (best is −inf elsewhere),
+    so a point covered once adds exactly 0 to H_O.
+    """
     if part is None:
         part = partition(states, params, grid)
-    mass = grid.cells(grid.mass(density))
-    owner = grid.cells(part.owner)
-    masses = []
-    H_O = 0.0
-    for i, window in enumerate(part.windows):
-        weighted = window.f * mass[window.cells]
-        owned = owner[window.cells] == i
-        masses.append(float(np.sum(weighted, where=owned)))
-        H_O += float(np.sum(weighted, where=window.covered & ~owned))
-    H_M = float(sum(masses))
-    return CoverageReport(H_M=H_M, H_O=H_O, H=H_M - params.w * H_O, cell_masses=tuple(masses))
+    spans = [w.cells for w in part.windows if w.f.size]
+    box = tuple(slice(min((c[a].start for c in spans), default=0),
+                      max((c[a].stop for c in spans), default=0)) for a in (0, 1))
+    mass, owner, best, total = (
+        grid.cells(v)[box] for v in (grid.mass(density), part.owner, part.best, part.total)
+    )
+    covered = owner >= 0
+    gain = np.multiply(best, mass, out=np.zeros(mass.shape), where=covered)
+    excess = np.subtract(total, best, out=np.zeros(mass.shape), where=covered)
+    excess *= mass
+    H_M, H_O = float(gain.sum()), float(excess.sum())
+    masses = np.bincount(owner[covered], weights=gain[covered], minlength=len(part.windows))
+    return CoverageReport(H_M=H_M, H_O=H_O, H=H_M - params.w * H_O, cell_masses=tuple(masses.tolist()))
 
 
 def nominal_input(

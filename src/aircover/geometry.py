@@ -104,7 +104,7 @@ class SigmaDFrame:
         return self.rotation @ (np.asarray(q, dtype=float) - self.origin)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrioContext:
     """One triangle {i, j, k} of the communication graph.
 
@@ -133,10 +133,7 @@ class CommGraph:
 
     def all_trios(self):
         """All distinct trios, sorted by id triple."""
-        seen = {}
-        for lst in self.trios.values():
-            for t in lst:
-                seen[t.ids] = t
+        seen = {t.ids: t for lst in self.trios.values() for t in lst}
         return [seen[k] for k in sorted(seen)]
 
     def trio_keys(self):
@@ -210,18 +207,19 @@ def point_in_triangle(I, J, K, v, area_tol: float = AREA_TOL):
     return inside, (r_ijk, r_jki, r_kij)
 
 
-def make_trio(ids, states, r: float, center=None) -> TrioContext:
+def make_trio(ids, states, r: float, center=None, fovs=None) -> TrioContext:
     """Build a TrioContext for three agents; raises DegenerateTrio on bad geometry.
 
-    center is the trio's radical center when the caller already has it.
+    center is the trio's radical center and fovs the agents' footprints, in
+    the order of ids, when the caller already has them.
     """
-    order = sorted(range(3), key=lambda o: ids[o])
-    ids = tuple(int(ids[o]) for o in order)
-    states = tuple(states[o] for o in order)
-    fovs = tuple(fov_of(s, r) for s in states)
-    v = radical_center(*fovs) if center is None else np.asarray(center, dtype=float)
+    a, b, c = sorted(range(3), key=ids.__getitem__)
+    ids = (int(ids[a]), int(ids[b]), int(ids[c]))
+    states = (states[a], states[b], states[c])
+    fovs = tuple(fov_of(s, r) for s in states) if fovs is None else (fovs[a], fovs[b], fovs[c])
+    v = radical_center(*fovs) if center is None else np.array(center, dtype=float)
     triangle = tuple((f.cx, f.cy) for f in fovs)
-    return TrioContext(ids=ids, states=states, fovs=fovs, radical_center=v, triangle=triangle, r=r)
+    return TrioContext(ids, states, fovs, v, triangle, r)
 
 
 def sigma_d_frame(trio: TrioContext, distinguished: int) -> SigmaDFrame:
@@ -273,7 +271,7 @@ def detect_holes_grid(states, r: float, mission, resolution: float, graph=None):
     the witness points as an (m, 2) array.  graph is the communication graph
     of these states, built here when not given.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
     xmin, ymin, xmax, ymax = mission
     nx = max(2, int(np.ceil((xmax - xmin) / resolution)))
@@ -300,18 +298,12 @@ def detect_holes_grid(states, r: float, mission, resolution: float, graph=None):
 
     if graph is None:
         graph = build_graph(states, r)
-    trios = graph.all_trios()
-    if not trios:
-        return np.empty((0, 2))
-
-    witness = np.zeros((nx, ny), dtype=bool)
     candidate = uncovered & ~touches_boundary[labels]
     if not candidate.any():
         return np.empty((0, 2))
-    cx = XX[candidate]
-    cy = YY[candidate]
+    cx, cy = XX[candidate], YY[candidate]
     inside_any = np.zeros(cx.shape, dtype=bool)
-    for trio in trios:
+    for trio in graph.all_trios():
         I, J, K = trio.triangle
         denom = (J[0] - I[0]) * (K[1] - I[1]) - (J[1] - I[1]) * (K[0] - I[0])
         if abs(denom) < 2.0 * AREA_TOL:
@@ -320,8 +312,7 @@ def detect_holes_grid(states, r: float, mission, resolution: float, graph=None):
         r2 = ((K[0] - J[0]) * (cy - J[1]) - (K[1] - J[1]) * (cx - J[0])) / denom
         r3 = ((I[0] - K[0]) * (cy - K[1]) - (I[1] - K[1]) * (cx - K[0])) / denom
         inside_any |= (r1 > 0) & (r2 > 0) & (r3 > 0)
-    witness[candidate] = inside_any
-    return np.column_stack([XX[witness], YY[witness]])
+    return np.column_stack([cx[inside_any], cy[inside_any]])
 
 
 def build_graph(states, r: float) -> CommGraph:
@@ -416,7 +407,8 @@ def build_graph(states, r: float) -> CommGraph:
     for triple in sorted(trio_triples):
         a, b, c = triple
         try:
-            ctx = make_trio(triple, [states[a], states[b], states[c]], r, trio_triples[triple])
+            ctx = make_trio(triple, [states[a], states[b], states[c]], r, trio_triples[triple],
+                            [fovs[a], fovs[b], fovs[c]])
         except DegenerateTrio:
             continue
         for agent in triple:

@@ -70,18 +70,18 @@ class Scenario:
     def __post_init__(self):
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # Each check fails on NaN.
+        for name in ("dt", "grid_resolution"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.min_z <= 0 or self.min_lambda <= 0:
+        if not (self.min_z > 0 and self.min_lambda > 0):
             raise ValueError("min_z and min_lambda must be positive")
-        if self.epsilon <= 0 or self.guard_threshold <= 0 or self.w_lambda <= 0:
+        if not (self.epsilon > 0 and self.guard_threshold > 0 and self.w_lambda > 0):
             raise ValueError("epsilon, guard_threshold and w_lambda must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.grid_resolution <= 0:
-            raise ValueError("grid_resolution must be positive")
         if self.hole_check_every < 1:
             raise ValueError("hole_check_every must be at least 1")
         if self.fixed_nominal is not None and len(self.fixed_nominal) != len(self.agents):

@@ -140,6 +140,12 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="duplicate key"):
             parse_config(text)
 
+    def test_duplicate_mission_reports_second_line(self):
+        text = MINIMAL + "  mission = 0 0 1 1\n"
+        with pytest.raises(ParseError, match="duplicate key 'mission' in \\[density\\]") as exc:
+            parse_config(text)
+        assert (exc.value.line, exc.value.col) == (len(text.splitlines()), 3)
+
     def test_key_in_agents_section(self):
         with pytest.raises(ParseError, match="agent rows"):
             parse_config("[agents]\ncount = 3\n")
@@ -319,6 +325,15 @@ class TestMain:
         assert code == 0
         for name in ("trace.csv", "summary.txt", "plot_positions.csv"):
             assert (tmp_path / "out" / name).exists()
+
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt_flag_exits_before_running(self, tmp_path, capsys, dt):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(bundled_scenario("trio"))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--dt", dt])
+        assert code == 2
+        assert "dt must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -47,6 +47,7 @@ def oracle_partition(states, params, grid):
 
 
 def oracle_objective(states, params, density, grid):
+    """(H_M, H_O): per-agent sums over owned and over covered-but-not-owned points."""
     owner, f, covered, _ = oracle_partition(states, params, grid)
     point_mass = density.phi(grid.points) * grid.cell_area
     H_M = sum(float(np.sum(f[i] * point_mass, where=owner == i)) for i in range(len(states)))
@@ -54,7 +55,7 @@ def oracle_objective(states, params, density, grid):
         float(np.sum(f[i] * point_mass, where=covered[i] & (owner != i)))
         for i in range(len(states))
     )
-    return H_M - params.w * H_O
+    return H_M, H_O
 
 
 def oracle_nominals(states, params, density, grid):
@@ -91,8 +92,15 @@ def assert_matches_oracle(states, grid, density=DENSITY, params=PARAMS):
     for i in range(len(states)):
         np.testing.assert_array_equal(dense.losers(i), covered[i] & (owner != i))
 
-    H = coverage_objective(states, params, density, grid, part).H
-    assert H == pytest.approx(oracle_objective(states, params, density, grid), rel=1e-12, abs=0)
+    report = coverage_objective(states, params, density, grid, part)
+    H_M, H_O = oracle_objective(states, params, density, grid)
+    assert report.H_M == pytest.approx(H_M, rel=1e-12, abs=0)
+    # H_O sums each point's quality sum minus its best, which rounds on the
+    # winner's scale: where every other quality is far below the winner's
+    # (covers_the_mission: about 1e-10 against 0.1) H_O keeps its accuracy
+    # against H_M, not against itself.
+    assert report.H_O == pytest.approx(H_O, rel=1e-12, abs=1e-15 * H_M)
+    assert report.H == pytest.approx(H_M - params.w * H_O, rel=1e-12, abs=0)
     assert_nominals_match_oracle(states, grid, density, params, part)
 
 
@@ -119,6 +127,20 @@ def test_cases_match_oracle(name, resolution):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_zero_overlap_weight_matches_oracle(name):
     assert_matches_oracle(CASES[name], CoverageGrid(MISSION, 0.25), params=replace(PARAMS, w=0.0))
+
+
+def test_disjoint_footprints_have_exactly_zero_overlap():
+    # Radii 3 and 3.5 at centre distance 6.7: the footprints are disjoint but
+    # the windows overlap, so each point of one footprint also gets the other
+    # agent's zero quality added to its sum.
+    grid = CoverageGrid(MISSION, 0.25)
+    states = [AgentState(5.0, 5.0, 3.0, 1.0), AgentState(11.0, 8.0, 3.5, 1.0)]
+    part = partition(states, PARAMS, grid)
+    assert all(a.start < b.stop and b.start < a.stop
+               for a, b in zip(part.windows[0].cells, part.windows[1].cells))
+    report = coverage_objective(states, PARAMS, DENSITY, grid, part)
+    assert report.H_O == 0.0
+    assert report.H == report.H_M > 0.0
 
 
 def test_rim_points_are_closed_but_not_open():

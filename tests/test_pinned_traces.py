@@ -1,4 +1,4 @@
-"""Bundled scenarios against traces pinned before the float kernels.
+"""Scenarios against pinned traces.
 
 `tests/data/<scenario>/` holds `trace.csv` and `summary.txt` of short ncbf
 runs (trio 300 steps, five_agents 200, nine_agents 60) made with the numpy
@@ -6,6 +6,12 @@ geometry and barrier kernels.  The float kernels round differently, so a
 replay must match every integer and boolean cell exactly (trio counts,
 switches, witnesses, fallbacks, clamps) and every float within 1e-9 relative
 plus 1e-12 absolute.
+
+`tests/data/lattice25_expand/` also holds its `scenario.cfg`: layout 0 of the
+benchmark's jittered 5×5 lattice (`perfbench/lattice.py --seed 0`), 41 steps,
+pinned with the float filter and the per-agent coverage objective.  Its QPs
+take steps with a nonempty working set, which the bundled runs rarely do, so
+a sign error in the solver's primal step, its QR or its polish changes it.
 """
 
 from pathlib import Path
@@ -15,7 +21,7 @@ import pytest
 from aircover import RunConfig, bundled_scenario, run_command
 
 DATA = Path(__file__).resolve().parent / "data"
-PINNED = {"trio": 300, "five_agents": 200, "nine_agents": 60}
+PINNED = {"trio": 300, "five_agents": 200, "nine_agents": 60, "lattice25_expand": 41}
 RTOL = 1e-9
 ATOL = 1e-12
 
@@ -52,8 +58,10 @@ def same_cell(pinned, got):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_replay_matches_pinned_trace(name, tmp_path):
-    config = tmp_path / f"{name}.cfg"
-    config.write_text(bundled_scenario(name))
+    config = DATA / name / "scenario.cfg"
+    if not config.exists():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(bundled_scenario(name))
     out = tmp_path / "out"
     code = run_command(
         RunConfig(scenario_path=str(config), out_dir=str(out), mode="ncbf", steps=PINNED[name])

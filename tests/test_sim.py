@@ -1,6 +1,7 @@
 """Tests for the discrete-time simulator."""
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,25 @@ class TestScenarioValidation:
         for knob in ({"epsilon": 0.0}, {"guard_threshold": 0.0}, {"w_lambda": -1.0}):
             with pytest.raises(ValueError, match="must be positive"):
                 trio_scenario(**knob)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [(name, math.nan) for name in
+         ("dt", "epsilon", "guard_threshold", "w_lambda", "grid_resolution", "min_z", "min_lambda")]
+        + [("dt", math.inf), ("grid_resolution", math.inf)],
+    )
+    def test_rejects_nan_and_infinite_values(self, field, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            trio_scenario(**{field: value})
+
+    @pytest.mark.parametrize("field", ["r", "kappa", "sigma", "M", "w"])
+    def test_sensing_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            replace(SENSING, **{field: math.nan})
+
+    def test_class_k_rejects_nan_gain(self):
+        with pytest.raises(ValueError, match="gain must be positive"):
+            ClassK(gain=math.nan)
 
     def test_mode_selects_barrier_components(self):
         assert trio_scenario(mode="ncbf").filter_params().components == (1, 2, 3, 4)
