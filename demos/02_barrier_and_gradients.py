@@ -13,6 +13,8 @@ import numpy as np
 
 from aircover import (
     AgentState,
+    CoverageGrid,
+    build_graph,
     cbf_components,
     cbf_gradient,
     detect_holes_grid,
@@ -22,6 +24,7 @@ from aircover import (
 )
 
 r = 1.0
+grid = CoverageGrid((-4, -4, 4, 4), 0.02)
 hoverers = [AgentState(-1.4, 0.0, 1.5, 1.0), AgentState(1.4, 0.0, 1.5, 1.0)]
 
 # Slide a third agent away from the pair and watch the barrier cross zero.
@@ -33,7 +36,8 @@ for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
     trio = make_trio((0, 1, 2), [mover, *hoverers], r)
     value = ncbf_value(cbf_components(trio, 0).vals, epsilon=0.2)
     holed = hole_exists_exact(trio)
-    witnesses = detect_holes_grid([mover, *hoverers], r, (-4, -4, 4, 4), 0.02)
+    agents = [mover, *hoverers]
+    witnesses = detect_holes_grid(agents, r, grid, build_graph(agents, r))
     print(f"{y:+7.1f}   {value.value:+11.4f}   comp {value.argmax}   "
           f"{'HOLE' if holed else 'safe':>12}   {len(witnesses):>5}")
 

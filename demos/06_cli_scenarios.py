@@ -5,7 +5,7 @@ Scenario files and the command-line runner
 Runs are described by small INI-style scenario files: agent rows, sensing
 parameters, a Gaussian-mixture density over a mission rectangle, integrator
 settings, and controller knobs.  The `aircover run` command executes one and
-writes deterministic CSV artifacts; same file + same seed = byte-identical
+writes deterministic CSV artifacts; the same file gives byte-identical
 traces.
 """
 

@@ -7,10 +7,12 @@ agent's nominal input; row widths must agree).  ``[density]`` holds a
 ``mission = xmin ymin xmax ymax`` key and one ``weight mx my scale`` row per
 mixture component.  The remaining sections hold ``key = value`` pairs.
 Numbers are finite decimal floats (``nan`` and ``inf`` are errors); ``#``
-starts a comment; unknown sections and keys are errors.  Omitted keys fall
-back to documented defaults (sensing r=1, kappa=4, sigma=3, M=11, w=0.4;
-controller epsilon=0.2, alpha h^3, w_lambda=3e6, guard 1e4; sim dt=0.01,
-steps=1000, mode ncbf).
+starts a comment; unknown sections and keys are errors.  Omitted keys take
+the dataclass defaults of ``Scenario`` and ``ClassK`` (sim dt=0.01,
+steps=1000, mode ncbf, grid_resolution=0.25, min_z=0.05, min_lambda=1e-4,
+hole_check_every=10; controller epsilon=0.2, alpha h^3, w_lambda=3e6,
+guard_threshold=1e4) and, in ``[sensing]``, r=1, kappa=4, sigma=3, M=11,
+w=0.4.
 """
 
 import argparse
@@ -18,8 +20,11 @@ import logging
 import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from aircover.controller import ClassK
@@ -32,14 +37,19 @@ log = logging.getLogger(__name__)
 LOG_ENV_VAR = "AIRCOVER_LOG"
 EMIT_CHOICES = ("trace", "summary", "plotdata")
 
-_SECTIONS = ("agents", "sensing", "density", "sim", "controller")
-_FLOAT_KEYS = {
-    "sensing": ("r", "kappa", "sigma", "M", "w"),
-    "sim": ("dt", "grid_resolution", "min_z", "min_lambda"),
-    "controller": ("epsilon", "alpha_gain", "w_lambda", "guard_threshold"),
+# The `key = value` sections, in serialization order.  [sensing] keys are
+# SensingParams fields, alpha_* keys ClassK fields, and every other key the
+# Scenario field of its name; an omitted key takes its dataclass default.
+_KEYS = {
+    "sensing": {"r": float, "kappa": float, "sigma": float, "M": float, "w": float},
+    "sim": {"dt": float, "steps": int, "mode": str, "grid_resolution": float,
+            "min_z": float, "min_lambda": float, "hole_check_every": int},
+    "controller": {"epsilon": float, "alpha_gain": float, "alpha_power": int,
+                   "w_lambda": float, "guard_threshold": float},
 }
-_INT_KEYS = {"sim": ("steps", "seed", "hole_check_every"), "controller": ("alpha_power",)}
-_STR_KEYS = {"sim": ("mode",)}
+_SECTIONS = ("agents", "density", *_KEYS)
+# SensingParams has no defaults of its own.
+_SENSING_DEFAULTS = {"r": 1.0, "kappa": 4.0, "sigma": 3.0, "M": 11.0, "w": 0.4}
 
 
 class ParseError(Exception):
@@ -64,7 +74,6 @@ class RunConfig:
     mode: str = None
     steps: int = None
     dt: float = None
-    seed: int = None
     emit: tuple = ("trace", "summary")
 
 
@@ -95,6 +104,9 @@ def _parse_int(token, col, lineno):
         raise ParseError(f"expected an integer, got '{token}'", lineno, col) from None
 
 
+_PARSERS = {float: _parse_float, int: _parse_int, str: lambda token, col, lineno: token}
+
+
 def _parse_row(line, lineno, widths, what):
     tokens = _tokens_with_columns(line)
     if len(tokens) not in widths:
@@ -110,7 +122,7 @@ def parse_config(text) -> Scenario:
     section = None
     agent_rows = []
     density_rows = []
-    keys = {"sensing": {}, "sim": {}, "controller": {}}
+    keys = {name: {} for name in _KEYS}
     mission = None
     seen = set()
 
@@ -153,15 +165,11 @@ def parse_config(text) -> Scenario:
                     raise ParseError("mission needs 4 numbers: xmin ymin xmax ymax", lineno, col)
                 mission = tuple(_parse_float(tok, c, lineno) for tok, c in parts)
                 continue
-            value_col = line.index(value, line.index("=")) + 1
-            if key in _FLOAT_KEYS.get(section, ()):
-                keys[section][key] = _parse_float(value, value_col, lineno)
-            elif key in _INT_KEYS.get(section, ()):
-                keys[section][key] = _parse_int(value, value_col, lineno)
-            elif key in _STR_KEYS.get(section, ()):
-                keys[section][key] = value
-            else:
+            kind = _KEYS[section].get(key)
+            if kind is None:
                 raise ParseError(f"unknown key '{key}' in [{section}]", lineno, col)
+            value_col = line.index(value, line.index("=")) + 1
+            keys[section][key] = _PARSERS[kind](value, value_col, lineno)
             continue
 
         # Bare row sections.
@@ -178,44 +186,20 @@ def parse_config(text) -> Scenario:
         raise ParseError("agent rows must all have 4 or all have 8 numbers", lineno, col)
 
     try:
-        sensing = SensingParams(
-            r=keys["sensing"].get("r", 1.0),
-            kappa=keys["sensing"].get("kappa", 4.0),
-            sigma=keys["sensing"].get("sigma", 3.0),
-            M=keys["sensing"].get("M", 11.0),
-            w=keys["sensing"].get("w", 0.4),
-        )
         if mission is None:
             raise ValidationError("density mission rectangle is required")
-        density = DensityField(
-            components=tuple((row[0], (row[1], row[2]), row[3]) for row in density_rows),
-            mission=mission,
-        )
-        agents = tuple(AgentState(*row[:4]) for row, _, _ in agent_rows)
-        fixed = None
-        if widths == {8}:
-            fixed = tuple(tuple(row[4:]) for row, _, _ in agent_rows)
-        alpha = ClassK(
-            gain=keys["controller"].get("alpha_gain", 1.0),
-            power=keys["controller"].get("alpha_power", 3),
-        )
+        fields = {**keys["sim"], **keys["controller"]}
+        alpha = {k.removeprefix("alpha_"): fields.pop(k) for k in list(fields) if k.startswith("alpha_")}
         return Scenario(
-            agents=agents,
-            sensing=sensing,
-            density=density,
-            dt=keys["sim"].get("dt", 1e-2),
-            steps=keys["sim"].get("steps", 1000),
-            epsilon=keys["controller"].get("epsilon", 0.2),
-            alpha=alpha,
-            w_lambda=keys["controller"].get("w_lambda", 3.0e6),
-            mode=keys["sim"].get("mode", "ncbf"),
-            guard_threshold=keys["controller"].get("guard_threshold", 1e4),
-            grid_resolution=keys["sim"].get("grid_resolution", 0.25),
-            min_z=keys["sim"].get("min_z", 0.05),
-            min_lambda=keys["sim"].get("min_lambda", 1e-4),
-            seed=keys["sim"].get("seed", 0),
-            hole_check_every=keys["sim"].get("hole_check_every", 10),
-            fixed_nominal=fixed,
+            agents=tuple(AgentState(*row[:4]) for row, _, _ in agent_rows),
+            sensing=SensingParams(**{**_SENSING_DEFAULTS, **keys["sensing"]}),
+            density=DensityField(
+                components=tuple((row[0], (row[1], row[2]), row[3]) for row in density_rows),
+                mission=mission,
+            ),
+            alpha=ClassK(**alpha),
+            fixed_nominal=tuple(tuple(row[4:]) for row, _, _ in agent_rows) if widths == {8} else None,
+            **fields,
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
@@ -223,25 +207,27 @@ def parse_config(text) -> Scenario:
 
 def serialize(scenario: Scenario) -> str:
     """Scenario back to config text; parse_config(serialize(s)) == s."""
+
+    def section(name):
+        lines = ["", f"[{name}]"]
+        for key, kind in _KEYS[name].items():
+            field = key.removeprefix("alpha_")
+            owner = scenario.sensing if name == "sensing" else scenario.alpha if field != key else scenario
+            value = getattr(owner, field)
+            lines.append(f"{key} = {value!r}" if kind is float else f"{key} = {value}")
+        return lines
+
     lines = ["[agents]"]
     for i, s in enumerate(scenario.agents):
         row = f"{s.x!r} {s.y!r} {s.z!r} {s.lam!r}"
         if scenario.fixed_nominal is not None:
             row += "  " + " ".join(repr(float(u)) for u in scenario.fixed_nominal[i])
         lines.append(row)
-    p = scenario.sensing
-    lines += ["", "[sensing]", f"r = {p.r!r}", f"kappa = {p.kappa!r}",
-              f"sigma = {p.sigma!r}", f"M = {p.M!r}", f"w = {p.w!r}"]
+    lines += section("sensing")
     lines += ["", "[density]", "mission = " + " ".join(repr(float(v)) for v in scenario.density.mission)]
     for weight, mean, scale in scenario.density.components:
         lines.append(f"{weight!r} {mean[0]!r} {mean[1]!r} {scale!r}")
-    lines += ["", "[sim]", f"dt = {scenario.dt!r}", f"steps = {scenario.steps}",
-              f"mode = {scenario.mode}", f"grid_resolution = {scenario.grid_resolution!r}",
-              f"min_z = {scenario.min_z!r}", f"min_lambda = {scenario.min_lambda!r}",
-              f"seed = {scenario.seed}", f"hole_check_every = {scenario.hole_check_every}"]
-    lines += ["", "[controller]", f"epsilon = {scenario.epsilon!r}",
-              f"alpha_gain = {scenario.alpha.gain!r}", f"alpha_power = {scenario.alpha.power}",
-              f"w_lambda = {scenario.w_lambda!r}", f"guard_threshold = {scenario.guard_threshold!r}"]
+    lines += section("sim") + section("controller")
     return "\n".join(lines) + "\n"
 
 
@@ -250,28 +236,32 @@ def bundled_scenario(name: str) -> str:
     return (resources.files("aircover") / "scenarios" / f"{name}.cfg").read_text()
 
 
-def _trace_header(n_agents):
-    cols = ["step", "switch", "hole_witnesses", "H", "H_M", "H_O"]
-    for i in range(n_agents):
-        cols += [f"x{i}", f"y{i}", f"z{i}", f"lambda{i}", f"R{i}",
-                 f"min_ncbf{i}", f"trios{i}", f"fallback{i}", f"clamped{i}"]
-    return cols
-
-
-def write_trace(records, path):
-    """Delimited trace table, one row per step, ordered by step."""
+def _trace_table(records):
+    """Header and text rows of the trace, one row per step in step order; rows are made lazily."""
     n = len(records[0].agents)
-    with open(path, "w") as fh:
-        fh.write("# per-step trace; positions/R in meters; min_ncbf per agent over its trios\n")
-        fh.write(",".join(_trace_header(n)) + "\n")
+    header = ["step", "switch", "hole_witnesses", "H", "H_M", "H_O"]
+    for i in range(n):
+        header += [f"{name}{i}" for name in
+                   ("x", "y", "z", "lambda", "R", "min_ncbf", "trios", "fallback", "clamped")]
+
+    def rows():
         for r in records:
             row = [str(r.step), str(int(r.switch)), str(r.hole_witnesses),
                    repr(r.H), repr(r.H_M), repr(r.H_O)]
             for i in range(n):
-                x, y, z, lam, radius = r.agents[i]
-                row += [repr(x), repr(y), repr(z), repr(lam), repr(radius),
-                        repr(r.min_ncbf[i]), str(r.trio_counts[i]),
+                row += [*map(repr, r.agents[i]), repr(r.min_ncbf[i]), str(r.trio_counts[i]),
                         str(int(r.fallback[i])), str(int(r.clamped[i]))]
+            yield row
+
+    return header, rows()
+
+
+def write_trace(records, path):
+    """Delimited trace table, one row per step, ordered by step."""
+    header, rows = _trace_table(records)
+    with open(path, "w") as fh:
+        fh.write("# per-step trace; positions/R in meters; min_ncbf per agent over its trios\n")
+        for row in chain([header], rows):
             fh.write(",".join(row) + "\n")
 
 
@@ -283,42 +273,24 @@ def write_summary(summary, path):
 
 
 def emit_plotdata(records, out_dir):
-    """Per-series-family delimited files for external plotting; returns paths."""
-    out_dir = Path(out_dir)
+    """Per-series-family files for plotting, each the step and some trace columns; returns paths."""
+    header, rows = _trace_table(records)
     n = len(records[0].agents)
-    paths = []
-
-    def family(name, header, rows):
-        path = out_dir / name
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        paths.append(str(path))
-
-    family(
-        "plot_positions.csv",
-        ["step"] + [f"{axis}{i}" for i in range(n) for axis in ("x", "y", "z", "lambda")],
-        ([str(r.step)] + [repr(v) for a in r.agents for v in a[:4]] for r in records),
-    )
-    family(
-        "plot_radius.csv",
-        ["step"] + [f"R{i}" for i in range(n)],
-        ([str(r.step)] + [repr(a[4]) for a in r.agents] for r in records),
-    )
-    family(
-        "plot_ncbf.csv",
-        ["step"] + [f"min_ncbf{i}" for i in range(n)],
-        ([str(r.step)] + [repr(v) for v in r.min_ncbf] for r in records),
-    )
-    family(
-        "plot_global.csv",
-        ["step", "H", "H_M", "H_O", "hole_witnesses"],
-        (
-            [str(r.step), repr(r.H), repr(r.H_M), repr(r.H_O), str(r.hole_witnesses)]
-            for r in records
-        ),
-    )
+    families = {
+        "plot_positions.csv": [f"{axis}{i}" for i in range(n) for axis in ("x", "y", "z", "lambda")],
+        "plot_radius.csv": [f"R{i}" for i in range(n)],
+        "plot_ncbf.csv": [f"min_ncbf{i}" for i in range(n)],
+        "plot_global.csv": ["H", "H_M", "H_O", "hole_witnesses"],
+    }
+    column = {name: j for j, name in enumerate(header)}
+    # Every family has at least two columns, so each pick returns a tuple.
+    picks = [itemgetter(*[column[c] for c in ["step", *columns]]) for columns in families.values()]
+    paths = [str(Path(out_dir) / name) for name in families]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w")) for path in paths]
+        for row in chain([header], rows):
+            for fh, pick in zip(files, picks):
+                fh.write(",".join(pick(row)) + "\n")
     return paths
 
 
@@ -331,18 +303,9 @@ def run_command(config: RunConfig) -> int:
         print(f"error: cannot read scenario '{path}': {exc}", file=sys.stderr)
         return 2
     try:
-        scenario = parse_config(text)
-        overrides = {}
-        if config.mode is not None:
-            overrides["mode"] = config.mode.replace("-", "_")
-        if config.steps is not None:
-            overrides["steps"] = config.steps
-        if config.dt is not None:
-            overrides["dt"] = config.dt
-        if config.seed is not None:
-            overrides["seed"] = config.seed
-        if overrides:
-            scenario = replace(scenario, **overrides)
+        mode = config.mode and config.mode.replace("-", "_")
+        overrides = {"mode": mode, "steps": config.steps, "dt": config.dt}
+        scenario = replace(parse_config(text), **{k: v for k, v in overrides.items() if v is not None})
     except (ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -380,7 +343,6 @@ def main(argv=None) -> int:
     runp.add_argument("--mode", choices=("ncbf", "hf-only", "nominal-only"))
     runp.add_argument("--steps", type=int)
     runp.add_argument("--dt", type=float)
-    runp.add_argument("--seed", type=int)
     runp.add_argument(
         "--emit",
         action="append",
@@ -396,7 +358,6 @@ def main(argv=None) -> int:
             mode=args.mode,
             steps=args.steps,
             dt=args.dt,
-            seed=args.seed,
             emit=tuple(s.strip() for arg in emit_args for s in arg.split(",") if s.strip()),
         )
     )

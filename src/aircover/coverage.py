@@ -161,12 +161,11 @@ class Partition:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Objective decomposition: H = H_M − w·H_O with per-agent owned masses."""
+    """Objective decomposition: H = H_M − w·H_O."""
 
     H_M: float
     H_O: float
     H: float
-    cell_masses: tuple
 
 
 def _field_terms(state: AgentState, params: SensingParams, points):
@@ -269,7 +268,7 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
 def coverage_objective(
     states, params: SensingParams, density: DensityField, grid: CoverageGrid, part: Partition = None
 ) -> CoverageReport:
-    """Midpoint-quadrature objective H = H_M − w·H_O and per-agent owned masses.
+    """Midpoint-quadrature objective H = H_M − w·H_O.
 
     Reductions over the box spanned by all windows: H_M = Σ best·mass and
     H_O = Σ (total − best)·mass over covered points (best is −inf elsewhere),
@@ -288,8 +287,7 @@ def coverage_objective(
     excess = np.subtract(total, best, out=np.zeros(mass.shape), where=covered)
     excess *= mass
     H_M, H_O = float(gain.sum()), float(excess.sum())
-    masses = np.bincount(owner[covered], weights=gain[covered], minlength=len(part.windows))
-    return CoverageReport(H_M=H_M, H_O=H_O, H=H_M - params.w * H_O, cell_masses=tuple(masses.tolist()))
+    return CoverageReport(H_M=H_M, H_O=H_O, H=H_M - params.w * H_O)
 
 
 def nominal_input(

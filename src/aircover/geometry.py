@@ -189,7 +189,7 @@ def radical_center(fa: Fov, fb: Fov, fc: Fov) -> np.ndarray:
     return np.array(_cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc))
 
 
-def point_in_triangle(I, J, K, v, area_tol: float = AREA_TOL):
+def point_in_triangle(I, J, K, v):
     """Signed-area ratios of v against triangle IJK and the strict-interior test.
 
     Returns (inside, (ratio_IJK, ratio_JKI, ratio_KIJ)): each ratio is the
@@ -198,7 +198,7 @@ def point_in_triangle(I, J, K, v, area_tol: float = AREA_TOL):
     """
     (ix, iy), (jx, jy), (kx, ky), (vx, vy) = I, J, K, v
     denom = (jx - ix) * (ky - iy) - (jy - iy) * (kx - ix)
-    if abs(denom) < 2.0 * area_tol:
+    if abs(denom) < 2.0 * AREA_TOL:
         raise DegenerateTrio("triangle area below tolerance")
     r_ijk = ((jx - ix) * (vy - iy) - (jy - iy) * (vx - ix)) / denom
     r_jki = ((kx - jx) * (vy - jy) - (ky - jy) * (vx - jx)) / denom
@@ -262,28 +262,22 @@ def hole_exists_exact(trio: TrioContext) -> bool:
     return power_distance(trio.fovs[0], trio.radical_center) > 0.0
 
 
-def detect_holes_grid(states, r: float, mission, resolution: float, graph=None):
+def detect_holes_grid(states, r: float, grid, graph):
     """Independent grid oracle for holes.
 
-    Samples the mission rectangle at cell centers; a witness is an uncovered
-    cell lying strictly inside some trio triangle whose uncovered connected
+    Samples the mission rectangle at the cell centres of grid (a
+    CoverageGrid), painting each footprint on its window of cells; a witness
+    is an uncovered cell lying strictly inside some trio triangle of graph,
+    the communication graph of these states, whose uncovered connected
     component (4-connectivity) does not touch the mission boundary.  Returns
-    the witness points as an (m, 2) array.  graph is the communication graph
-    of these states, built here when not given.
+    the witness points as an (m, 2) array.
     """
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
-    xmin, ymin, xmax, ymax = mission
-    nx = max(2, int(np.ceil((xmax - xmin) / resolution)))
-    ny = max(2, int(np.ceil((ymax - ymin) / resolution)))
-    xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
-    ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-
-    covered = np.zeros((nx, ny), dtype=bool)
+    XX, YY = grid.cells(grid.points[:, 0]), grid.cells(grid.points[:, 1])
+    covered = np.zeros(grid.shape, dtype=bool)
     for s in states:
         f = fov_of(s, r)
-        covered |= (XX - f.cx) ** 2 + (YY - f.cy) ** 2 <= f.radius**2
+        cells = grid.window(f.cx, f.cy, f.radius)
+        covered[cells] |= (XX[cells] - f.cx) ** 2 + (YY[cells] - f.cy) ** 2 <= f.radius**2
     uncovered = ~covered
     labels, nlab = ndimage.label(uncovered)
     if nlab == 0:
@@ -296,8 +290,6 @@ def detect_holes_grid(states, r: float, mission, resolution: float, graph=None):
     touches_boundary = np.zeros(nlab + 1, dtype=bool)
     touches_boundary[edge_labels] = True
 
-    if graph is None:
-        graph = build_graph(states, r)
     candidate = uncovered & ~touches_boundary[labels]
     if not candidate.any():
         return np.empty((0, 2))

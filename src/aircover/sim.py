@@ -63,7 +63,6 @@ class Scenario:
     grid_resolution: float = 0.25
     min_z: float = 0.05
     min_lambda: float = 1e-4
-    seed: int = 0
     hole_check_every: int = 10
     fixed_nominal: tuple = None  # per-agent 4-vectors; None means coverage control
 
@@ -71,6 +70,8 @@ class Scenario:
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
         # Each check fails on NaN.
+        if not all(s.z > 0 and s.lam > 0 for s in self.agents):
+            raise ValueError("every agent needs a positive altitude z and focal length lambda")
         for name in ("dt", "grid_resolution"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -197,11 +198,7 @@ def step(world: WorldState, scenario: Scenario):
         for agent_views in views
     )
     if world.step % scenario.hole_check_every == 0:
-        witnesses = len(
-            detect_holes_grid(
-                states, params.r, scenario.density.mission, scenario.grid_resolution, graph
-            )
-        )
+        witnesses = len(detect_holes_grid(states, params.r, grid, graph))
     else:
         witnesses = -1
     record = TraceRecord(
@@ -244,7 +241,6 @@ def run(scenario: Scenario):
         "mode": scenario.mode,
         "steps": scenario.steps,
         "dt": scenario.dt,
-        "seed": scenario.seed,
         "final_H": final_report.H,
         "final_H_M": final_report.H_M,
         "final_H_O": final_report.H_O,

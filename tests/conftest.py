@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from aircover.geometry import AgentState, fov_of, make_trio, point_in_triangle
+from aircover.coverage import CoverageGrid
+from aircover.geometry import (
+    AgentState,
+    build_graph,
+    detect_holes_grid,
+    fov_of,
+    make_trio,
+    point_in_triangle,
+)
+
+
+def grid_witnesses(states, mission, resolution, r=1.0):
+    """Grid-oracle witnesses of states on a fresh grid, with the states' own graph."""
+    return detect_holes_grid(states, r, CoverageGrid(mission, resolution), build_graph(states, r))
 
 
 def cross2(a, b) -> float:

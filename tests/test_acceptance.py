@@ -28,7 +28,7 @@ from aircover.controller import (
     solve_qp,
     trio_views,
 )
-from aircover.coverage import DensityField, SensingParams
+from aircover.coverage import CoverageGrid, DensityField, SensingParams
 from aircover.geometry import (
     AgentState,
     build_graph,
@@ -124,7 +124,7 @@ def test_criterion_3_hole_oracle_equivalence(rng):
         mission = (min(xs) - radius - 1.0, min(ys) - radius - 1.0,
                    max(xs) + radius + 1.0, max(ys) + radius + 1.0)
         size = max(mission[2] - mission[0], mission[3] - mission[1])
-        witnesses = detect_holes_grid(trio.states, trio.r, mission, size / 260)
+        witnesses = detect_holes_grid(trio.states, trio.r, CoverageGrid(mission, size / 260), graph)
         if (value >= 0.0) != (len(witnesses) == 0):
             mismatches += 1
     elapsed = time.monotonic() - t0

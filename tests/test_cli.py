@@ -4,9 +4,11 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aircover.cli import (
     ParseError,
@@ -19,7 +21,10 @@ from aircover.cli import (
     run_command,
     serialize,
 )
-from aircover.sim import run
+from aircover.controller import ClassK
+from aircover.coverage import DensityField, SensingParams
+from aircover.geometry import AgentState
+from aircover.sim import MODES, Scenario, run
 
 MINIMAL = """
 [agents]
@@ -60,6 +65,12 @@ def trio_with_non_finite(case):
     return "\n".join(lines) + "\n", lineno, new.index(token) + 1
 
 
+# MINIMAL's first agent row, and rows that replace it with z or lambda not positive
+# (a zero or negative footprint radius, or a division by zero).
+FIRST_AGENT = "0.0 -2.0 1.5 1.0"
+BAD_AGENT_ROWS = ["0 0 0 1", "0 0 -1 1", "0 0 1 0", "0 0 1 -1"]
+
+
 def trio_with(key, value):
     """Bundled trio.cfg with one [controller] key set to value."""
     text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", bundled_scenario("trio"), flags=re.M)
@@ -91,6 +102,11 @@ class TestParseConfig:
     def test_nonpositive_filter_knob_is_a_validation_error(self, key, value):
         with pytest.raises(ValidationError, match="must be positive"):
             parse_config(trio_with(key, value))
+
+    @pytest.mark.parametrize("row", BAD_AGENT_ROWS)
+    def test_nonpositive_altitude_or_focal_length_is_a_validation_error(self, row):
+        with pytest.raises(ValidationError, match="positive altitude z and focal length lambda"):
+            parse_config(MINIMAL.replace(FIRST_AGENT, row))
 
     def test_missing_mission_is_a_validation_error(self):
         text = "[agents]\n0 0 1 1\n"
@@ -170,6 +186,44 @@ class TestParseConfig:
         assert scenario.fixed_nominal == ((0.0, 0.4, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Scenario fields that are not `key = value` settings.
+NOT_SETTINGS = ("agents", "sensing", "density", "alpha", "fixed_nominal")
+
+
+def off_default(cls, default, skip=()):
+    """Keyword arguments for every field of cls but skip, each drawn unequal to its value in default."""
+    special = {"mode": st.sampled_from(MODES), "power": st.integers(0, 50).map(lambda k: 2 * k + 1)}
+    by_type = {float: POSITIVE, int: st.integers(1, 10**9)}
+    return st.fixed_dictionaries({
+        f.name: special.get(f.name, by_type.get(f.type)).filter(
+            lambda v, d=getattr(default, f.name): v != d)
+        for f in fields(cls) if f.name not in skip
+    })
+
+
+@st.composite
+def scenarios_off_default(draw):
+    defaults = parse_config(MINIMAL)
+    n = draw(st.integers(1, 4))
+    agents = tuple(AgentState(draw(FINITE), draw(FINITE), draw(POSITIVE), draw(POSITIVE))
+                   for _ in range(n))
+    fixed = draw(st.none() | st.tuples(*[st.tuples(FINITE, FINITE, FINITE, FINITE)] * n))
+    xmin, ymin = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    mission = (xmin, ymin, xmin + draw(st.floats(1e-3, 1e6)), ymin + draw(st.floats(1e-3, 1e6)))
+    components = tuple(draw(st.lists(
+        st.tuples(st.floats(0.0, 1e6), st.tuples(FINITE, FINITE), POSITIVE), max_size=3)))
+    return Scenario(
+        agents=agents,
+        sensing=SensingParams(**draw(off_default(SensingParams, defaults.sensing))),
+        density=DensityField(components=components, mission=mission),
+        alpha=ClassK(**draw(off_default(ClassK, defaults.alpha))),
+        fixed_nominal=fixed,
+        **draw(off_default(Scenario, defaults, skip=NOT_SETTINGS)),
+    )
+
+
 class TestSerialize:
     @pytest.mark.parametrize("name", ["trio", "nine_agents", "five_agents"])
     def test_bundled_round_trip(self, name):
@@ -179,6 +233,16 @@ class TestSerialize:
     def test_serialize_is_idempotent(self):
         scenario = parse_config(MINIMAL)
         text = serialize(scenario)
+        assert serialize(parse_config(text)) == text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scenarios_off_default())
+    def test_round_trip_with_every_setting_off_its_default(self, scenario):
+        # Every field of Scenario, SensingParams and ClassK is drawn away from
+        # the value an omitted key gets, so a key the parser or the serializer
+        # forgets comes back at its default and fails the equality.
+        text = serialize(scenario)
+        assert parse_config(text) == scenario
         assert serialize(parse_config(text)) == text
 
 
@@ -273,6 +337,15 @@ class TestRunCommand:
         cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
         assert run_command(cfg) == 2
         assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row", BAD_AGENT_ROWS)
+    def test_nonpositive_altitude_or_focal_length_exits_before_running(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL.replace(FIRST_AGENT, row))
+        cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
+        assert run_command(cfg) == 2
+        assert "positive altitude z and focal length lambda" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["sensing_key", "controller_float"])

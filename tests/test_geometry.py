@@ -16,7 +16,8 @@ from aircover.geometry import (
     radical_center,
     sigma_d_frame,
 )
-from conftest import cross2, random_trio, roles
+from aircover.coverage import CoverageGrid
+from conftest import cross2, grid_witnesses, random_trio, roles
 
 
 def equal_radius_states(centers, z=1.0, lam=1.0):
@@ -253,26 +254,24 @@ class TestHoleOracles:
 
     def test_grid_oracle_empty_when_triangle_covered(self):
         states = self.shrinkable_trio(2.0)
-        witnesses = detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.05)
+        witnesses = grid_witnesses(states, (-4, -4, 7, 7), 0.05)
         assert len(witnesses) == 0
 
     def test_grid_oracle_witnesses_cluster_at_radical_center(self):
         states = self.shrinkable_trio(1.6)
         trio = make_trio((0, 1, 2), states, r=1.0)
-        witnesses = detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.02)
+        witnesses = grid_witnesses(states, (-4, -4, 7, 7), 0.02)
         assert len(witnesses) > 0
         dists = np.linalg.norm(witnesses - trio.radical_center, axis=1)
         assert dists.max() < 1.0
 
     def test_grid_oracle_uses_a_given_graph(self):
         states = self.shrinkable_trio(1.6)
-        built = detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.05)
-        given = detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.05, build_graph(states, 1.0))
-        assert len(built) > 0
-        np.testing.assert_array_equal(given, built)
+        grid = CoverageGrid((-4, -4, 7, 7), 0.05)
+        assert len(detect_holes_grid(states, 1.0, grid, build_graph(states, 1.0))) > 0
         # The oracle trusts the graph it is given: with no trios there is no witness.
         alone = build_graph(states[:1], 1.0)
-        assert len(detect_holes_grid(states, 1.0, (-4, -4, 7, 7), 0.05, alone)) == 0
+        assert len(detect_holes_grid(states, 1.0, grid, alone)) == 0
 
     def test_oracles_agree_on_random_trios(self, rng):
         mismatches = 0
@@ -287,8 +286,8 @@ class TestHoleOracles:
                 np.ptp(np.vstack([centers + rmax, centers - rmax]), axis=0)
             )
             res = 0.01 * np.linalg.norm(np.ptp(centers, axis=0))
-            witnesses = detect_holes_grid(
-                trio.states, trio.r, (lo[0], lo[1], hi[0], hi[1]), max(res, diam / 400)
+            witnesses = grid_witnesses(
+                trio.states, (lo[0], lo[1], hi[0], hi[1]), max(res, diam / 400), trio.r
             )
             if hole_exists_exact(trio) != (len(witnesses) > 0):
                 mismatches += 1

@@ -80,6 +80,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="must be positive"):
             trio_scenario(**{field: value})
 
+    @pytest.mark.parametrize("field", ["z", "lam"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_rejects_agent_without_a_positive_altitude_or_focal_length(self, field, value):
+        agents = (replace(TRIO_AGENTS[0], **{field: value}), *TRIO_AGENTS[1:])
+        with pytest.raises(ValueError, match="positive altitude z and focal length lambda"):
+            trio_scenario(agents=agents)
+
     @pytest.mark.parametrize("field", ["r", "kappa", "sigma", "M", "w"])
     def test_sensing_rejects_nan(self, field):
         with pytest.raises(ValueError):
