@@ -155,22 +155,6 @@ def _project(Q, v):
     return coef, v
 
 
-def _solve_pivoted(G, rhs):
-    """Gauss–Jordan elimination with partial pivoting on a small system; None when singular."""
-    M = [list(row) + [y] for row, y in zip(G, rhs)]
-    m = len(M)
-    for c in range(m):
-        p = max(range(c, m), key=lambda i: abs(M[i][c]))
-        if M[p][c] == 0.0:
-            return None
-        M[c], M[p] = M[p], M[c]
-        for i in range(m):
-            if i != c:
-                f = M[i][c] / M[c][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [M[i][m] / M[i][i] for i in range(m)]
-
-
 def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     """Dual active-set solve (Goldfarb–Idnani) of the weighted least-distance QP.
 
@@ -181,7 +165,8 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     blocking constraints leave the set when their multiplier reaches zero,
     and a spanned normal with no positive combination coefficient is a Farkas
     certificate of infeasibility.  Ties break on the lowest index, so the
-    solve is deterministic.
+    solve is deterministic.  The answer is the first iterate at which every
+    row holds within _FEAS_TOL.
 
     A new normal is split by a modified Gram–Schmidt QR of the W^-½-scaled
     working normals (at most four), not by normal equations, which at
@@ -192,6 +177,8 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     w = tuple(map(float, problem.weights))
     if len(u_nom) != 4 or len(w) != 4 or not all(x > 0.0 for x in w):
         raise ValueError("u_nom and weights must be 4-vectors, weights positive")
+    if not all(map(math.isfinite, u_nom)):
+        raise ValueError("u_nom must be finite")
     A = [tuple(map(float, a)) for a, _ in problem.constraints]
     b = [float(bb) for _, bb in problem.constraints]
     if not A or min(_dot(a, u_nom) - bb for a, bb in zip(A, b)) >= -_FEAS_TOL:
@@ -199,23 +186,7 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
         return np.array(u_nom)
     winv = tuple(1.0 / x for x in w)
     sw = tuple(math.sqrt(x) for x in winv)
-    H = [(winv[0] * a[0], winv[1] * a[1], winv[2] * a[2], winv[3] * a[3]) for a in A]  # W⁻¹a
     scaled = [(sw[0] * a[0], sw[1] * a[1], sw[2] * a[2], sw[3] * a[3]) for a in A]  # W^-½a
-
-    def polish(u, S):
-        # One-shot equality re-solve on the final working set: removes the
-        # drift accumulated over the iteration's incremental steps.
-        if not S:
-            return u
-        mu_S = _solve_pivoted(
-            [[_dot(A[i], H[k]) for k in S] for i in S], [b[j] - _dot(A[j], u_nom) for j in S]
-        )
-        if mu_S is None:
-            return u
-        refined = tuple(u_nom[c] + sum(m * H[j][c] for m, j in zip(mu_S, S)) for c in range(4))
-        if min(mu_S) >= -1e-9 and min(_dot(a, refined) - bb for a, bb in zip(A, b)) >= -_FEAS_TOL:
-            return refined
-        return u
 
     u = u_nom
     S = []  # working constraint indices
@@ -225,10 +196,11 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
         resid = [_dot(a, u) - bb for a, bb in zip(A, b)]
         s_p = min(resid)
         if s_p >= -_FEAS_TOL:
-            return np.array(polish(u, S))
+            return np.array(u)
         p = resid.index(s_p)
         n_p = A[p]
-        hn_norm = math.sqrt(_dot(H[p], H[p]))
+        hn = (winv[0] * n_p[0], winv[1] * n_p[1], winv[2] * n_p[2], winv[3] * n_p[3])  # W⁻¹n_p
+        hn_norm = math.sqrt(_dot(hn, hn))
         mu_p = 0.0
         while True:
             iters += 1

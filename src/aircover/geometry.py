@@ -194,7 +194,8 @@ def point_in_triangle(I, J, K, v):
 
     Returns (inside, (ratio_IJK, ratio_JKI, ratio_KIJ)): each ratio is the
     signed area of the sub-triangle over the full signed area; they sum to 1
-    and are all strictly positive exactly when v is strictly inside.
+    and are all strictly positive exactly when v is strictly inside.  v may
+    be a pair of coordinate arrays; inside and the ratios are then arrays.
     """
     (ix, iy), (jx, jy), (kx, ky), (vx, vy) = I, J, K, v
     denom = (jx - ix) * (ky - iy) - (jy - iy) * (kx - ix)
@@ -203,7 +204,7 @@ def point_in_triangle(I, J, K, v):
     r_ijk = ((jx - ix) * (vy - iy) - (jy - iy) * (vx - ix)) / denom
     r_jki = ((kx - jx) * (vy - jy) - (ky - jy) * (vx - jx)) / denom
     r_kij = ((ix - kx) * (vy - ky) - (iy - ky) * (vx - kx)) / denom
-    inside = r_ijk > 0.0 and r_jki > 0.0 and r_kij > 0.0
+    inside = (r_ijk > 0.0) & (r_jki > 0.0) & (r_kij > 0.0)
     return inside, (r_ijk, r_jki, r_kij)
 
 
@@ -296,14 +297,10 @@ def detect_holes_grid(states, r: float, grid, graph):
     cx, cy = XX[candidate], YY[candidate]
     inside_any = np.zeros(cx.shape, dtype=bool)
     for trio in graph.all_trios():
-        I, J, K = trio.triangle
-        denom = (J[0] - I[0]) * (K[1] - I[1]) - (J[1] - I[1]) * (K[0] - I[0])
-        if abs(denom) < 2.0 * AREA_TOL:
-            continue
-        r1 = ((J[0] - I[0]) * (cy - I[1]) - (J[1] - I[1]) * (cx - I[0])) / denom
-        r2 = ((K[0] - J[0]) * (cy - J[1]) - (K[1] - J[1]) * (cx - J[0])) / denom
-        r3 = ((I[0] - K[0]) * (cy - K[1]) - (I[1] - K[1]) * (cx - K[0])) / denom
-        inside_any |= (r1 > 0) & (r2 > 0) & (r3 > 0)
+        try:
+            inside_any |= point_in_triangle(*trio.triangle, (cx, cy))[0]
+        except DegenerateTrio:
+            pass  # no interior
     return np.column_stack([cx[inside_any], cy[inside_any]])
 
 

@@ -85,8 +85,11 @@ class Scenario:
             raise ValueError(f"mode must be one of {MODES}")
         if self.hole_check_every < 1:
             raise ValueError("hole_check_every must be at least 1")
-        if self.fixed_nominal is not None and len(self.fixed_nominal) != len(self.agents):
-            raise ValueError("fixed_nominal needs one input per agent")
+        if self.fixed_nominal is not None:
+            if len(self.fixed_nominal) != len(self.agents):
+                raise ValueError("fixed_nominal needs one input per agent")
+            if not all(np.shape(u) == (4,) and np.isfinite(u).all() for u in self.fixed_nominal):
+                raise ValueError("every fixed_nominal input must be four finite numbers")
 
     def filter_params(self) -> FilterParams:
         return FilterParams(

@@ -232,6 +232,14 @@ class TestSolveQp:
         assert out[2] == pytest.approx(1.0, rel=1e-5)
         assert abs(out[3]) < 2e-6
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_rejects_non_finite_nominal(self, value, rows):
+        cons = [(np.array([1.0, 0.0, 0.0, 0.0]), 1.0)][:rows]
+        u_nom = np.array([0.0, value, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            solve_qp(QpProblem(u_nom=u_nom, weights=np.ones(4), constraints=cons))
+
     def test_iteration_cap_raises_numerical_failure(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(NumericalFailure):

@@ -11,7 +11,7 @@ plus 1e-12 absolute.
 benchmark's jittered 5×5 lattice (`perfbench/lattice.py --seed 0`), 41 steps,
 pinned with the float filter and the per-agent coverage objective.  Its QPs
 take steps with a nonempty working set, which the bundled runs rarely do, so
-a sign error in the solver's primal step, its QR or its polish changes it.
+a sign error in the solver's primal step, its QR or its dual step changes it.
 """
 
 from pathlib import Path

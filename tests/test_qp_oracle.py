@@ -1,13 +1,14 @@
 """The float `solve_qp` against the numpy solver it replaced.
 
 The oracle is the earlier numpy Goldfarb–Idnani solve: the same iteration,
-with one `np.linalg.lstsq` per active-set step to split the new normal and
-`np.linalg.solve` for the final polish.  Both must reach the same outcome
+with one `np.linalg.lstsq` per active-set step to split the new normal, and
+a final polish that the float solver does not have: `np.linalg.solve` on the
+final working set's normal equations.  Both must reach the same outcome
 (a solution, `Infeasible` or `NumericalFailure`) and, on a solution, the same
 u within 1e-9·(1 + |u|).  The inputs cover what the float solver's QR and
-elimination must get right: weights up to 3e6, near-parallel rows, dual
-steps that drop a blocking constraint, normals spanned by the working set,
-contradictory pairs, the iteration cap, and every QP of one
+its primal and dual steps must get right: weights up to 3e6, near-parallel
+rows, dual steps that drop a blocking constraint, normals spanned by the
+working set, contradictory pairs, the iteration cap, and every QP of one
 `lattice25_expand` benchmark run.
 """
 
@@ -145,8 +146,8 @@ def kkt_holds(problem, u):
 def assert_matches_oracle(problem, max_iter=200, stats=None):
     """Same outcome, and on a solution u within 1e-9·(1 + |u|), unless the oracle is wrong.
 
-    Both solvers polish with the normal equations of the final working set,
-    so each is accurate to about eps·κ(G) only: the bound grows to
+    The oracle polishes with the normal equations of the final working set,
+    so it is accurate to about eps·κ(G) only: the bound grows to
     1e-14·κ(G)·(1 + |u|) past κ(G) = 1e5.  Rows a hair from parallel in the
     W^-½ scaling defeat the oracle: its primal step divides by z·n_p, which
     rounding can give the wrong sign when z is tiny, so it may stop far from
@@ -276,20 +277,20 @@ def exact_kkt_point(problem, active):
 
 
 def test_vertex_problems_match_exact_solution():
-    # With four active rows the solution is a vertex, and the polish's normal
-    # equations G = A_S W⁻¹ A_Sᵀ cost both solvers about eps·κ(G): on these
-    # problems they disagree by up to ~1e-7.  Each is checked here against
-    # the exact KKT point instead, within 1e-14·κ(G)·(1 + |u|).
+    # Solutions with one to four active rows (four: a vertex), each checked
+    # against the exact KKT point within 1e-14·κ(G)·(1 + |u|), where G =
+    # A_S W⁻¹ A_Sᵀ: at a vertex both the float solver's active-set iterate
+    # and the oracle's polished answer are accurate to about eps·κ(G) only.
     rng = np.random.default_rng(12)
-    checked = 0
-    for _ in range(300):
-        problem = random_feasible_problem(rng, int(rng.integers(4, 10)))
+    checked = dict.fromkeys(range(1, 5), 0)
+    for _ in range(600):
+        problem = random_feasible_problem(rng, int(rng.integers(1, 10)))
         expect = oracle_solve_qp(problem)
         got = solve_qp(problem)
         A = np.array([a for a, _ in problem.constraints])
         b = np.array([bb for _, bb in problem.constraints])
         active = np.flatnonzero(A @ expect - b < 1e-6).tolist()
-        if len(active) != 4:
+        if len(active) not in checked:
             continue
         u, mu = exact_kkt_point(problem, active)
         # Exact KKT point: feasible, nonnegative multipliers, so the optimum.
@@ -301,8 +302,8 @@ def test_vertex_problems_match_exact_solution():
         bound = 1e-14 * np.linalg.cond(G) * (1.0 + np.abs(u).max())
         assert np.abs(got - u).max() <= bound
         assert np.abs(expect - u).max() <= bound
-        checked += 1
-    assert checked >= 50
+        checked[len(active)] += 1
+    assert min(checked.values()) >= 50
 
 
 def load_lattice():
@@ -335,9 +336,12 @@ def lattice_qps():
 def test_lattice_run_qps_match_oracle(lattice_qps):
     assert len(lattice_qps) == 25 * 41
     iterating = 0
+    stats = {}
     for problem in lattice_qps:
-        assert assert_matches_oracle(problem) == "ok"
+        assert assert_matches_oracle(problem, stats=stats) == "ok"
         A = np.array([a for a, _ in problem.constraints])
         b = np.array([bb for _, bb in problem.constraints])
         iterating += float((A @ problem.u_nom - b).min()) < -_FEAS_TOL
     assert iterating >= 100
+    # Dual steps that drop a blocker: a sign error in the multiplier update shows here.
+    assert stats["drops"] >= 20

@@ -80,6 +80,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="must be positive"):
             trio_scenario(**{field: value})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.0, 0.4, 0.0), (0.0, 0.4, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0)],
+    )
+    def test_rejects_fixed_nominal_that_is_not_four_finite_numbers(self, bad):
+        with pytest.raises(ValueError, match="four finite numbers"):
+            trio_scenario(fixed_nominal=(ZERO, bad, ZERO))
+
     @pytest.mark.parametrize("field", ["z", "lam"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_rejects_agent_without_a_positive_altitude_or_focal_length(self, field, value):
