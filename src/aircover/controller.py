@@ -16,6 +16,7 @@ arithmetic.
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from aircover.geometry import DegenerateTrio
 
 log = logging.getLogger(__name__)
 
-# Constraints whose gradient is shorter than this are dropped (degenerate
-# configurations where the analytic gradient genuinely vanishes).
+# Constraints whose gradient is shorter than this (degenerate configurations
+# where the analytic gradient genuinely vanishes) or whose row is not finite are dropped.
 GRADIENT_FLOOR = 1e-9
 ALL_COMPONENTS = (1, 2, 3, 4)
 
@@ -129,10 +130,10 @@ def build_constraints(
                     continue
                 a = cbf_gradient(comps, l)
                 norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
-                if norm < GRADIENT_FLOOR:
+                if not (GRADIENT_FLOOR <= norm < math.inf and math.isfinite(b)):
                     log.warning(
-                        "agent %d trio %s: component %d gradient vanished (%.3g); constraint dropped",
-                        viewpoint, ids, l, norm,
+                        "agent %d trio %s: component %d gradient vanished or row non-finite "
+                        "(|a| = %.3g, b = %.3g); constraint dropped", viewpoint, ids, l, norm, b,
                     )
                     continue
                 rows.append((a, b))
@@ -177,10 +178,10 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     w = tuple(map(float, problem.weights))
     if len(u_nom) != 4 or len(w) != 4 or not all(x > 0.0 for x in w):
         raise ValueError("u_nom and weights must be 4-vectors, weights positive")
-    if not all(map(math.isfinite, u_nom)):
-        raise ValueError("u_nom must be finite")
     A = [tuple(map(float, a)) for a, _ in problem.constraints]
     b = [float(bb) for _, bb in problem.constraints]
+    if not all(map(math.isfinite, chain(u_nom, b, *A))):
+        raise ValueError("u_nom and every constraint row must be finite")
     if not A or min(_dot(a, u_nom) - bb for a, bb in zip(A, b)) >= -_FEAS_TOL:
         # No row, or every row already holds: the iteration below would stop here too.
         return np.array(u_nom)

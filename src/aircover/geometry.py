@@ -4,7 +4,8 @@ Each agent carries a camera whose ground footprint is a disk (its field of
 view).  The module provides the power distance to such disks, radical axes and
 radical centers, the communication graph whose triangles drive the barrier
 functions, the per-triangle working frame used by the analytic gradients, and
-two independent detectors for coverage holes.
+two independent detectors for coverage holes; the grid one labels uncovered
+cells by runs (`enclosed_cells`), so the module needs only numpy.
 
 The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
 overhead costs more than the arithmetic.  A radical center solves the two
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 # Geometric degeneracy tolerances (meters² for areas, meters for distances).
 AREA_TOL = 1e-9
@@ -47,10 +47,11 @@ class AgentState:
     lam: float
 
     def __post_init__(self):
-        # Normalize numpy scalars (e.g. from integrator arithmetic) to plain
-        # floats so downstream repr-based serialization stays clean.
-        for name in ("x", "y", "z", "lam"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        # Normalize numpy scalars (e.g. from integrator arithmetic) to plain floats so
+        # downstream repr-based serialization stays clean; plain floats pass one test.
+        if not (type(self.x) is type(self.y) is type(self.z) is type(self.lam) is float):
+            for name in ("x", "y", "z", "lam"):
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,44 @@ def hole_exists_exact(trio: TrioContext) -> bool:
     return power_distance(trio.fovs[0], trio.radical_center) > 0.0
 
 
+def enclosed_cells(mask):
+    """The True cells of a 2-D boolean grid whose 4-connected component touches no grid edge.
+
+    Run-length labelling (Rosenfeld & Pfaltz 1966; He, Chao & Suzuki 2008):
+    a run, a row's maximal stretch of True cells, is held as the flat indices,
+    in the (rows, columns + 1) grid, of its first cell and of the cell after
+    its last.  Runs overlapping in consecutive rows are linked; each link hooks
+    the larger root onto the smaller until pointer jumping leaves every tree a
+    star.  Components with no run on the grid edge are painted back by a
+    cumulative sum of ±1 marks.
+    """
+    h, w = mask.shape
+    k = w + 1
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    bounds = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    start, end = bounds[0::2], bounds[1::2]
+    edge = (start < k) | (end >= (h - 1) * k) | (start % k == 0) | (end % k == w)
+    marks = np.zeros(h * k, dtype=np.int8)
+    if not edge.all():
+        # Run i meets count[i] runs of the next row from lo[i], the first to end past its start.
+        lo = np.searchsorted(end, start + k, side="right")
+        count = np.searchsorted(start, end + k) - lo
+        a = np.repeat(np.arange(len(start)), count)
+        b = np.arange(len(a)) + np.repeat(lo - np.cumsum(count) + count, count)
+        root = np.arange(len(start))
+        while not np.array_equal(ra := root[a], rb := root[b]):
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+        inner = np.bincount(root[edge], minlength=len(start))[root] == 0
+        if inner.any():
+            marks[start[inner]] = 1
+            marks[end[inner]] = -1
+            np.cumsum(marks, dtype=np.int8, out=marks)
+    return marks.reshape(h, k)[:, :w].view(bool)
+
+
 def detect_holes_grid(states, r: float, grid, graph):
     """Independent grid oracle for holes.
 
@@ -270,8 +309,9 @@ def detect_holes_grid(states, r: float, grid, graph):
     CoverageGrid), painting each footprint on its window of cells; a witness
     is an uncovered cell lying strictly inside some trio triangle of graph,
     the communication graph of these states, whose uncovered connected
-    component (4-connectivity) does not touch the mission boundary.  Returns
-    the witness points as an (m, 2) array.
+    component (4-connectivity) does not touch the mission boundary.  Those
+    components come from `enclosed_cells`, a run-length labelling of the
+    uncovered mask.  Returns the witness points as an (m, 2) array.
     """
     XX, YY = grid.cells(grid.points[:, 0]), grid.cells(grid.points[:, 1])
     covered = np.zeros(grid.shape, dtype=bool)
@@ -279,19 +319,7 @@ def detect_holes_grid(states, r: float, grid, graph):
         f = fov_of(s, r)
         cells = grid.window(f.cx, f.cy, f.radius)
         covered[cells] |= (XX[cells] - f.cx) ** 2 + (YY[cells] - f.cy) ** 2 <= f.radius**2
-    uncovered = ~covered
-    labels, nlab = ndimage.label(uncovered)
-    if nlab == 0:
-        return np.empty((0, 2))
-
-    # Components touching the grid edge touch the mission boundary: not holes.
-    edge_labels = np.unique(
-        np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-    )
-    touches_boundary = np.zeros(nlab + 1, dtype=bool)
-    touches_boundary[edge_labels] = True
-
-    candidate = uncovered & ~touches_boundary[labels]
+    candidate = enclosed_cells(~covered)
     if not candidate.any():
         return np.empty((0, 2))
     cx, cy = XX[candidate], YY[candidate]

@@ -445,3 +445,27 @@ def test_module_entry_points_run_without_warnings(module, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 2 + 5
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # The package runs on numpy alone; scipy is only the tests' oracle.  The
+    # five steps include one hole-oracle call (step 0).
+    src = Path(__file__).resolve().parents[1] / "src"
+    config = tmp_path / "trio.cfg"
+    config.write_text(bundled_scenario("trio"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import aircover, aircover.cli, aircover.sim\n"
+        "aircover.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--steps', '5',\n"
+        "                   '--emit', 'trace,summary,plotdata'])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 2 + 5

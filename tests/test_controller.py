@@ -1,6 +1,7 @@
 """Tests for the per-agent QP safety filter and constraint assembly."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,35 @@ class TestBuildConstraints:
         assert rows == []
         assert "degenerate, dropped" in caplog.text
 
+    @pytest.mark.parametrize(
+        "gradient, alpha",
+        [
+            ((math.nan, 0.0, 0.0, 1.0), ClassK()),
+            ((math.inf, 0.0, 0.0, 1.0), ClassK()),
+            (None, lambda h: math.nan),
+            (None, lambda h: -math.inf),
+        ],
+        ids=["nan-gradient", "inf-gradient", "nan-offset", "inf-offset"],
+    )
+    def test_non_finite_row_dropped_with_warning(self, monkeypatch, caplog, gradient, alpha):
+        # The one-row trio of test_single_active_footprint_constraint, with its
+        # gradient or its offset made non-finite: the row never reaches the QP.
+        import aircover.controller as ctl
+
+        states = [
+            AgentState(0.0, -2.0, 1.5, 1.0),
+            AgentState(-1.4, 0.0, 1.5, 1.0),
+            AgentState(1.4, 0.0, 1.5, 1.0),
+        ]
+        trio = make_trio([0, 1, 2], states, r=1.0)
+        assert len(build_constraints(trio_views(0, [trio]), 0.2, ClassK(), 1e4)) == 1
+        if gradient is not None:
+            monkeypatch.setattr(ctl, "cbf_gradient", lambda comps, l: gradient)
+        with caplog.at_level(logging.WARNING, logger="aircover.controller"):
+            rows = build_constraints(trio_views(0, [trio]), 0.2, alpha, 1e4)
+        assert rows == []
+        assert "constraint dropped" in caplog.text
+
     def test_footprint_only_mode(self, rng):
         alpha = ClassK()
         for _ in range(20):
@@ -239,6 +269,18 @@ class TestSolveQp:
         u_nom = np.array([0.0, value, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             solve_qp(QpProblem(u_nom=u_nom, weights=np.ones(4), constraints=cons))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["offset", "normal"])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_non_finite_row(self, value, where, first):
+        # A NaN offset used to raise IndexError when its row came first and be
+        # ignored when it came after a finite one.
+        bad = ((1.0, 0.0, 0.0, 0.0), value) if where == "offset" else ((1.0, value, 0.0, 0.0), 1.0)
+        good = ((1.0, 0.0, 0.0, 0.0), 1.0)
+        cons = [bad, good] if first else [good, bad]
+        with pytest.raises(ValueError, match="finite"):
+            solve_qp(QpProblem(u_nom=np.zeros(4), weights=np.ones(4), constraints=cons))
 
     def test_iteration_cap_raises_numerical_failure(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])

@@ -24,6 +24,25 @@ def equal_radius_states(centers, z=1.0, lam=1.0):
     return [AgentState(x=c[0], y=c[1], z=z, lam=lam) for c in centers]
 
 
+class TestAgentState:
+    def test_numpy_scalars_become_plain_floats(self):
+        s = AgentState(np.float64(1.5), np.float32(2.0), np.int64(3), 4)
+        assert all(type(v) is float for v in (s.x, s.y, s.z, s.lam))
+        assert repr(s) == "AgentState(x=1.5, y=2.0, z=3.0, lam=4.0)"
+
+    def test_one_numpy_field_among_floats_is_normalized(self):
+        s = AgentState(1.5, 2.0, np.float64(3.25), 4.0)
+        assert type(s.z) is float
+        assert repr(s) == "AgentState(x=1.5, y=2.0, z=3.25, lam=4.0)"
+
+    def test_plain_floats_kept(self):
+        x = 0.1 + 0.2
+        s = AgentState(x, -0.0, 1e-300, 7.0)
+        assert s.x is x
+        assert repr(s) == "AgentState(x=0.30000000000000004, y=-0.0, z=1e-300, lam=7.0)"
+        assert s == AgentState(np.float64(x), np.float64(-0.0), np.float64(1e-300), np.float64(7.0))
+
+
 class TestPowerDistance:
     def test_center_gives_minus_radius_squared(self):
         assert power_distance(Fov(0, 0, 2), (0, 0)) == -4
