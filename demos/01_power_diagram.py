@@ -5,7 +5,8 @@ Power diagrams of camera footprints
 Three downward-facing cameras project disks onto the ground plane.  The power
 diagram carves the plane into the regions where each disk "wins" the weighted
 distance d_P(p, q) = |q - c|^2 - R^2, and the three pairwise boundaries (the
-radical axes) meet in a single equal-power point: the radical center.
+radical axes) meet in a single equal-power point: the radical center.  Each
+agent's working frame carries one of those axes as its y-axis.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from aircover import (
     fov_of,
     make_trio,
     power_distance,
-    radical_axis,
     sigma_d_frame,
 )
 
@@ -42,20 +42,16 @@ print(f"\nradical center v = ({v[0]:+.4f}, {v[1]:+.4f})")
 powers = [power_distance(f, v) for f in trio.fovs]
 print("power distances at v:", np.round(powers, 12))
 
-# Each pairwise radical axis is perpendicular to the line joining the two
-# centers, and v lies on all three axes.
-for a, b in ((0, 1), (0, 2), (1, 2)):
-    axis = radical_axis(trio.fovs[a], trio.fovs[b])
-    centers = trio.fovs[b].center - trio.fovs[a].center
-    to_v = v - axis.point
-    offset = axis.direction[0] * to_v[1] - axis.direction[1] * to_v[0]
-    print(f"axis {a}-{b}: |direction . centers| = "
-          f"{abs(float(axis.direction @ centers)):.2e}, "
-          f"distance of v from axis = {abs(offset):.2e}")
-
-# The per-agent working frame puts its y-axis along the radical axis of the
-# other two agents, so v always sits on the frame's y-axis (x-coordinate 0).
+# Each agent's working frame (ox, oy, ax, ay) has its origin on the line
+# through the other two centers, and its y-axis, direction (-ay, ax), is the
+# radical axis of those two.  The axis is perpendicular to the line of
+# centers, and v lies on it: v's frame x-coordinate is 0.
 for agent in trio.ids:
-    frame = sigma_d_frame(trio, agent)
-    print(f"agent {agent} frame coordinates of v:",
-          np.round(frame.to_frame(v), 12))
+    j, k = (b for b in trio.ids if b != agent)
+    ox, oy, ax, ay = sigma_d_frame(trio, agent)
+    direction = np.array([-ay, ax])
+    centers = trio.fovs[k].center - trio.fovs[j].center
+    to_v = v - (ox, oy)
+    print(f"agent {agent}, axis {j}-{k}: |direction . centers| = "
+          f"{abs(float(direction @ centers)):.2e}, frame coordinates of v = "
+          f"({ax * to_v[0] + ay * to_v[1]:+.2e}, {-ay * to_v[0] + ax * to_v[1]:+.4f})")

@@ -18,10 +18,11 @@ from aircover import (
     cbf_components,
     cbf_gradient,
     detect_holes_grid,
-    hole_exists_exact,
     make_trio,
     ncbf_value,
+    power_distance,
 )
+from aircover.geometry import point_in_triangle
 
 r = 1.0
 grid = CoverageGrid((-4, -4, 4, 4), 0.02)
@@ -35,7 +36,10 @@ for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
     mover = AgentState(0.0, y, 1.5, 1.0)
     trio = make_trio((0, 1, 2), [mover, *hoverers], r)
     value = ncbf_value(cbf_components(trio, 0).vals, epsilon=0.2)
-    holed = hole_exists_exact(trio)
+    # The exact test: v strictly inside the triangle and outside the footprints
+    # (one footprint decides for all three, as v has equal power to each).
+    inside, _ = point_in_triangle(*((f.cx, f.cy) for f in trio.fovs), trio.radical_center)
+    holed = inside and power_distance(trio.fovs[0], trio.radical_center) > 0.0
     agents = [mover, *hoverers]
     witnesses = detect_holes_grid(agents, r, grid, build_graph(agents, r))
     print(f"{y:+7.1f}   {value.value:+11.4f}   comp {value.argmax}   "

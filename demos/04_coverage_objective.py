@@ -21,8 +21,8 @@ from aircover import (
     nominal_input,
     partition,
     run,
-    sensing_quality,
 )
+from aircover.coverage import sensing_field
 
 sensing = SensingParams(r=1.0, kappa=4.0, sigma=3.0, M=11.0, w=0.4)
 agent = AgentState(x=10.0, y=10.0, z=8.0, lam=1.0)
@@ -31,7 +31,7 @@ agent = AgentState(x=10.0, y=10.0, z=8.0, lam=1.0)
 # perspective factor, 0 exactly at the footprint rim.
 print("ground distance   sensing quality")
 for d in (0.0, 2.0, 4.0, 6.0, 7.9, 8.0):
-    q = sensing_quality(agent, np.array([agent.x + d, agent.y]), sensing)
+    q = sensing_field(agent, sensing, np.array([[agent.x + d, agent.y]]))[0][0]
     print(f"{d:>13.1f}   {q:.6f}")
 
 # Two-camera partition over a density with two hotspots.

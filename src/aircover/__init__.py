@@ -26,7 +26,6 @@ from aircover.coverage import (
     coverage_objective,
     nominal_input,
     partition,
-    sensing_quality,
 )
 from aircover.geometry import (
     AgentState,
@@ -34,10 +33,8 @@ from aircover.geometry import (
     build_graph,
     detect_holes_grid,
     fov_of,
-    hole_exists_exact,
     make_trio,
     power_distance,
-    radical_axis,
     sigma_d_frame,
 )
 from aircover.sim import Scenario, initial_world, run, step

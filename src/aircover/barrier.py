@@ -15,11 +15,16 @@ footprint centers.  The safety filter and the trace share that result:
 `ncbf_value` composes the values, and `cbf_gradient` reads the stored frame to
 give one component's analytic gradient, where the radical center has a closed
 form, rotated back to world coordinates; altitude and focal-length entries
-are frame-invariant.  Everything here runs on plain floats: the frame stores
-its origin and x-axis, the roles J and K are picked by position in the trio,
-a gradient is a 4-tuple, and the records are slot classes (the composed value
-works out its attaining component and almost-active set only when read),
-because on four numbers numpy's per-call overhead costs more than the arithmetic.
+are frame-invariant.  The barrier's sign is a per-trio certificate, not a
+detector: the package's one hole detector is the grid oracle
+`geometry.detect_holes_grid`.
+
+Everything here runs on plain floats: the frame is the 4-tuple
+(ox, oy, ax, ay) of its origin and x-axis, the roles J and K are picked by
+position in the trio, a gradient is a 4-tuple, and the records are slot
+classes (the composed value works out its attaining component and
+almost-active set only when read), because on four numbers numpy's per-call
+overhead costs more than the arithmetic.
 """
 
 from aircover.geometry import (
@@ -36,7 +41,7 @@ class CbfComponents:
     """One (trio, viewpoint) evaluation: the four condition values and what their gradients need.
 
     `vals` is ordered (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint).
-    `frame` is the viewpoint's working frame and `coords` holds
+    `frame` is the viewpoint's working frame (ox, oy, ax, ay) and `coords` holds
     (x_i, y_i, x_j, x_k, R_i², R_j², R_k², z, λ, r): the frame coordinates of
     the three footprint centers, the squared radii, the viewpoint's altitude
     and focal length, and the sensing constant.  Values alone suffice for
@@ -86,7 +91,7 @@ def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
     _, (r_ijk, r_jki, r_kij) = point_in_triangle((fi.cx, fi.cy), (fj.cx, fj.cy), (fk.cx, fk.cy), v)
     h_f = -power_distance(fi, v)
     frame = sigma_d_frame(trio, viewpoint)
-    ox, oy, ax, ay = frame.ox, frame.oy, frame.ax, frame.ay
+    ox, oy, ax, ay = frame
     dx, dy = fi.cx - ox, fi.cy - oy
     state = trio.states[pi]
     coords = (
@@ -164,7 +169,7 @@ def cbf_gradient(components: CbfComponents, component: int) -> tuple:
         d_z = -dh_dR2 * dR2_dz
         d_lam = -dh_dR2 * dR2_dlam
 
-    ax, ay = components.frame.ax, components.frame.ay
+    _, _, ax, ay = components.frame
     return (ax * gx - ay * gy, ay * gx + ax * gy, d_z, d_lam)
 
 

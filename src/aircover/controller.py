@@ -50,8 +50,8 @@ class ClassK:
     power: int = 3
 
     def __post_init__(self):
-        if not self.gain > 0:
-            raise ValueError("gain must be positive")
+        if not 0 < self.gain < math.inf:
+            raise ValueError("gain must be positive and finite")
         if self.power <= 0 or self.power % 2 == 0:
             raise ValueError("power must be a positive odd integer")
 

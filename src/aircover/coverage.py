@@ -37,10 +37,10 @@ class SensingParams:
     w: float
 
     def __post_init__(self):
-        if not (self.r > 0 and self.kappa > 0 and self.sigma > 0 and self.M > 0):
-            raise ValueError("r, kappa, sigma, M must be positive")
-        if not self.w >= 0:
-            raise ValueError("w must be nonnegative")
+        if not all(0 < v < math.inf for v in (self.r, self.kappa, self.sigma, self.M)):
+            raise ValueError("r, kappa, sigma, M must be positive and finite")
+        if not 0 <= self.w < math.inf:
+            raise ValueError("w must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,13 @@ class DensityField:
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.mission
-        if not (xmax > xmin and ymax > ymin):
-            raise ValueError("mission rectangle is empty")
-        for weight, _, scale in self.components:
-            if not weight >= 0:
-                raise ValueError("component weights must be nonnegative")
-            if not scale > 0:
-                raise ValueError("component scales must be positive")
+        if not (all(map(math.isfinite, self.mission)) and xmax > xmin and ymax > ymin):
+            raise ValueError("mission rectangle must be finite and nonempty")
+        for weight, mean, scale in self.components:
+            if not (0 <= weight < math.inf and all(map(math.isfinite, mean))):
+                raise ValueError("component weights must be nonnegative and means finite")
+            if not 0 < scale < math.inf:
+                raise ValueError("component scales must be positive and finite")
 
     def phi(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -219,12 +219,6 @@ def _gradient(state: AgentState, params: SensingParams, terms) -> np.ndarray:
             f_pers * dr_lam + f_res * dp_lam,
         ]
     )
-
-
-def sensing_quality(state: AgentState, q, params: SensingParams) -> float:
-    """Perspective × resolution quality of a ground point; zero outside the footprint."""
-    points = np.atleast_2d(np.asarray(q, dtype=float))
-    return float(sensing_field(state, params, points)[0][0])
 
 
 def sensing_field(state: AgentState, params: SensingParams, points):

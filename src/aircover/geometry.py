@@ -1,20 +1,20 @@
 """Power-diagram geometry for downward-camera agent teams.
 
 Each agent carries a camera whose ground footprint is a disk (its field of
-view).  The module provides the power distance to such disks, radical axes and
-radical centers, the communication graph whose triangles drive the barrier
-functions, the per-triangle working frame used by the analytic gradients, and
-two independent detectors for coverage holes; the grid one labels uncovered
-cells by runs (`enclosed_cells`), so the module needs only numpy.
+view).  The module provides the power distance to such disks, radical
+centers, the communication graph whose triangles drive the barrier functions,
+the per-triangle working frame used by the analytic gradients, and one
+detector for coverage holes: a grid oracle that labels uncovered cells by
+runs (`enclosed_cells`), so the module needs only numpy.
 
 The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
 overhead costs more than the arithmetic.  A radical center solves the two
 radical-axis equations by Cramer's rule on the lifted heights |c|² − R² (the
-lifting view of power diagrams); the working frame stores its origin and
-x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`); a
-trio keeps its triangle as float pairs.  `build_graph` runs the same solve on
-arrays over every candidate trio and tests the candidates against all
-footprints in fixed row blocks.
+lifting view of power diagrams); the working frame is the 4-tuple
+(ox, oy, ax, ay) of its origin and x-axis, and both pick a trio's roles by
+position (`ROLE_POSITIONS`); a trio's triangle is the centers of its
+footprints.  `build_graph` runs the same solve on arrays over every candidate
+trio and tests the candidates against all footprints in fixed row blocks.
 """
 
 import math
@@ -72,53 +72,19 @@ def fov_of(state: AgentState, r: float) -> Fov:
     return Fov(state.x, state.y, r * state.z / state.lam)
 
 
-@dataclass(frozen=True)
-class Line2:
-    """Line in the plane through `point` along unit `direction`."""
-
-    point: np.ndarray
-    direction: np.ndarray
-
-
-class SigmaDFrame:
-    """Per-triangle working frame: x-axis along segment JK, y-axis along the JK radical axis.
-
-    (ox, oy) is the origin and (ax, ay) the unit x-axis; the y-axis is
-    (−ay, ax).  `rotation` maps world xy-vectors into frame coordinates, so
-    frame coordinates of a point q are rotation @ (q − origin).
-    """
-
-    __slots__ = ("ox", "oy", "ax", "ay")
-
-    def __init__(self, ox: float, oy: float, ax: float, ay: float):
-        self.ox, self.oy, self.ax, self.ay = ox, oy, ax, ay
-
-    @property
-    def origin(self):
-        return np.array([self.ox, self.oy])
-
-    @property
-    def rotation(self):
-        return np.array([[self.ax, self.ay], [-self.ay, self.ax]])
-
-    def to_frame(self, q):
-        return self.rotation @ (np.asarray(q, dtype=float) - self.origin)
-
-
 @dataclass(slots=True)
 class TrioContext:
     """One triangle {i, j, k} of the communication graph.
 
-    `triangle` holds the three FOV centers in id order as (x, y) float
-    pairs; `radical_center` is the common equal-power point of the three
-    footprint disks.
+    `fovs` holds the three footprints in id order, so their centers are the
+    triangle's vertices; `radical_center` is the common equal-power point of
+    the three footprint disks.
     """
 
     ids: tuple
     states: tuple
     fovs: tuple
     radical_center: np.ndarray
-    triangle: tuple
     r: float
 
 
@@ -147,20 +113,6 @@ def power_distance(fov: Fov, q) -> float:
     Negative inside the disk, zero on its boundary, positive outside.
     """
     return float((q[0] - fov.cx) ** 2 + (q[1] - fov.cy) ** 2 - fov.radius**2)
-
-
-def radical_axis(fa: Fov, fb: Fov) -> Line2:
-    """Locus of equal power distance to two disks; perpendicular to their center line."""
-    ca, cb = fa.center, fb.center
-    d = cb - ca
-    nd2 = float(d @ d)
-    if nd2 < CONCENTRIC_TOL**2:
-        raise DegenerateTrio("concentric footprints admit no radical axis")
-    # Points q with 2 q·d = (‖cb‖² − Rb²) − (‖ca‖² − Ra²).
-    c = 0.5 * ((cb @ cb - fb.radius**2) - (ca @ ca - fa.radius**2))
-    point = d * (c / nd2)
-    direction = np.array([-d[1], d[0]]) / np.sqrt(nd2)
-    return Line2(point, direction)
 
 
 def _lift(cx, cy, radius):
@@ -220,16 +172,16 @@ def make_trio(ids, states, r: float, center=None, fovs=None) -> TrioContext:
     states = (states[a], states[b], states[c])
     fovs = tuple(fov_of(s, r) for s in states) if fovs is None else (fovs[a], fovs[b], fovs[c])
     v = radical_center(*fovs) if center is None else np.array(center, dtype=float)
-    triangle = tuple((f.cx, f.cy) for f in fovs)
-    return TrioContext(ids, states, fovs, v, triangle, r)
+    return TrioContext(ids, states, fovs, v, r)
 
 
-def sigma_d_frame(trio: TrioContext, distinguished: int) -> SigmaDFrame:
+def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
     """Working frame for one viewpoint: x-axis on segment JK (K side positive), y-axis on the JK radical axis.
 
-    J, K are the two non-distinguished agents in id order.  The frame is
-    right-handed and its origin is the intersection of line JK with the JK
-    radical axis, so the frame x-coordinates of J and K satisfy
+    Returns (ox, oy, ax, ay): the origin and the unit x-axis; the y-axis is
+    (−ay, ax).  J, K are the two non-distinguished agents in id order.  The
+    frame is right-handed and its origin is the intersection of line JK with
+    the JK radical axis, so the frame x-coordinates of J and K satisfy
     x_J² − R_J² = x_K² − R_K².
     """
     _, pj, pk = ROLE_POSITIONS[trio.ids.index(distinguished)]
@@ -245,23 +197,12 @@ def sigma_d_frame(trio: TrioContext, distinguished: int) -> SigmaDFrame:
     ox = fj.cx + s * dx / nd
     oy = fj.cy + s * dy / nd
     ax, ay = dx / nd, dy / nd
-    if ax * (fk.cx - ox) + ay * (fk.cy - oy) < 0.0:
-        # Origin beyond K: flip so K keeps a positive frame x-coordinate.
+    if fj.radius**2 - fk.radius**2 > dx * dx + dy * dy:
+        # Origin beyond K (s > ‖d‖, so R_J² − R_K² > ‖d‖²): flip so K keeps a
+        # positive frame x-coordinate.  Decided from the radii, not the rounded
+        # origin, whose error can exceed ‖d‖ when J and K nearly coincide.
         ax, ay = -ax, -ay
-    return SigmaDFrame(ox, oy, ax, ay)
-
-
-def hole_exists_exact(trio: TrioContext) -> bool:
-    """True exactly when the radical center is strictly inside the triangle and outside every footprint.
-
-    Membership in one footprint decides all three (equal power distance), and
-    a boundary contact counts as covered (closed convention).
-    """
-    I, J, K = trio.triangle
-    inside, _ = point_in_triangle(I, J, K, trio.radical_center)
-    if not inside:
-        return False
-    return power_distance(trio.fovs[0], trio.radical_center) > 0.0
+    return ox, oy, ax, ay
 
 
 def enclosed_cells(mask):
@@ -326,7 +267,7 @@ def detect_holes_grid(states, r: float, grid, graph):
     inside_any = np.zeros(cx.shape, dtype=bool)
     for trio in graph.all_trios():
         try:
-            inside_any |= point_in_triangle(*trio.triangle, (cx, cy))[0]
+            inside_any |= point_in_triangle(*((f.cx, f.cy) for f in trio.fovs), (cx, cy))[0]
         except DegenerateTrio:
             pass  # no interior
     return np.column_stack([cx[inside_any], cy[inside_any]])

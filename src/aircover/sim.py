@@ -9,6 +9,7 @@ itself uses no randomness, so a scenario replays bit-identically.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,17 +71,16 @@ class Scenario:
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
         # Each check fails on NaN.
-        if not all(s.z > 0 and s.lam > 0 for s in self.agents):
-            raise ValueError("every agent needs a positive altitude z and focal length lambda")
-        for name in ("dt", "grid_resolution"):
+        finite = all(math.isfinite(v) for s in self.agents for v in (s.x, s.y, s.z, s.lam))
+        if not (finite and all(s.z > 0 and s.lam > 0 for s in self.agents)):
+            raise ValueError(
+                "every agent needs finite coordinates and a positive altitude z and focal length lambda")
+        for name in ("dt", "grid_resolution", "min_z", "min_lambda",
+                     "epsilon", "guard_threshold", "w_lambda"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if not (self.min_z > 0 and self.min_lambda > 0):
-            raise ValueError("min_z and min_lambda must be positive")
-        if not (self.epsilon > 0 and self.guard_threshold > 0 and self.w_lambda > 0):
-            raise ValueError("epsilon, guard_threshold and w_lambda must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.hole_check_every < 1:

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from aircover.coverage import CoverageGrid
+from aircover.controller import ClassK
+from aircover.coverage import CoverageGrid, DensityField, SensingParams, sensing_field
 from aircover.geometry import (
+    CONCENTRIC_TOL,
     AgentState,
+    DegenerateTrio,
     build_graph,
     detect_holes_grid,
     fov_of,
     make_trio,
     point_in_triangle,
+    power_distance,
 )
+from aircover.sim import Scenario
 
 
 def grid_witnesses(states, mission, resolution, r=1.0):
@@ -20,6 +25,52 @@ def grid_witnesses(states, mission, resolution, r=1.0):
 def cross2(a, b) -> float:
     """z-component of the cross product of two planar vectors."""
     return float(a[0] * b[1] - a[1] * b[0])
+
+
+def triangle(trio):
+    """A trio's triangle: its three footprint centers as (x, y) float pairs, in id order."""
+    return tuple((f.cx, f.cy) for f in trio.fovs)
+
+
+def hole_exists_exact(trio) -> bool:
+    """Exact hole oracle: the radical center is strictly inside the triangle and outside every footprint.
+
+    Membership in one footprint decides all three (equal power distance), and
+    a boundary contact counts as covered (closed convention).
+    """
+    inside, _ = point_in_triangle(*triangle(trio), trio.radical_center)
+    if not inside:
+        return False
+    return power_distance(trio.fovs[0], trio.radical_center) > 0.0
+
+
+def radical_axis(fa, fb):
+    """Locus of equal power distance to two disks as (point, unit direction); perpendicular to their center line."""
+    ca, cb = fa.center, fb.center
+    d = cb - ca
+    nd2 = float(d @ d)
+    if nd2 < CONCENTRIC_TOL**2:
+        raise DegenerateTrio("concentric footprints admit no radical axis")
+    # Points q with 2 q·d = (‖cb‖² − Rb²) − (‖ca‖² − Ra²).
+    c = 0.5 * ((cb @ cb - fb.radius**2) - (ca @ ca - fa.radius**2))
+    return d * (c / nd2), np.array([-d[1], d[0]]) / np.sqrt(nd2)
+
+
+def frame_rotation(frame):
+    """Matrix that maps world xy-vectors into a working frame (ox, oy, ax, ay)."""
+    _, _, ax, ay = frame
+    return np.array([[ax, ay], [-ay, ax]])
+
+
+def to_frame(frame, q):
+    """Frame coordinates of a point q: rotation @ (q − origin)."""
+    ox, oy, _, _ = frame
+    return frame_rotation(frame) @ (np.asarray(q, dtype=float) - np.array([ox, oy]))
+
+
+def sensing_quality(state, q, params) -> float:
+    """Perspective × resolution quality of one ground point; zero outside the footprint."""
+    return float(sensing_field(state, params, np.atleast_2d(np.asarray(q, dtype=float)))[0][0])
 
 
 def random_state(rng, box=4.0):
@@ -60,7 +111,7 @@ def random_trio(rng, r=1.0, require_overlap=False, area_margin=0.1):
         if np.linalg.norm(trio.radical_center) > 50.0:
             continue
         try:
-            _, ratios = point_in_triangle(*trio.triangle, trio.radical_center)
+            _, ratios = point_in_triangle(*triangle(trio), trio.radical_center)
         except Exception:
             continue
         if max(abs(x) for x in ratios) > 25.0:
@@ -92,6 +143,37 @@ def component_apex(trio, viewpoint: int, component: int):
     """
     i, j, k = roles(trio, viewpoint)
     return {1: k, 2: i, 3: j, 4: None}[component]
+
+
+def fuzz_scenarios(runs: int):
+    """The first `runs` scenarios of the seeded forward-invariance fuzz, as (index, Scenario).
+
+    One `default_rng(7)` stream: per run n ~ integers(3, 8) agents, each
+    drawing x, y ~ U(0.6, 2.4), z ~ U(0.4, 0.8) and λ ~ U(0.8, 1.2) in that
+    order; even runs then draw fixed nominals N(0, 0.5)·(1, 1, 0.2, 0.01)
+    per agent, odd runs use coverage control.  Every run shares a 3 m square
+    mission with one Gaussian at its centre, r = 1, κ = 4, σ = 1, M = 0.7,
+    w = 0.2, dt = 0.01, α(h) = 20h³, w_λ = 1e6, a 0.05 m grid, the hole
+    oracle every step and 150 steps.
+    """
+    rng = np.random.default_rng(7)
+    density = DensityField(components=((1.0, (1.5, 1.5), 0.8),), mission=(0.0, 0.0, 3.0, 3.0))
+    sensing = SensingParams(r=1.0, kappa=4.0, sigma=1.0, M=0.7, w=0.2)
+    for index in range(runs):
+        n = int(rng.integers(3, 8))
+        agents = tuple(
+            AgentState(*(float(rng.uniform(lo, hi)) for lo, hi in ((0.6, 2.4), (0.6, 2.4), (0.4, 0.8), (0.8, 1.2))))
+            for _ in range(n)
+        )
+        nominal = None
+        if index % 2 == 0:
+            scale = np.array([1.0, 1.0, 0.2, 0.01])
+            nominal = tuple(tuple((rng.normal(0.0, 0.5, 4) * scale).tolist()) for _ in range(n))
+        yield index, Scenario(
+            agents=agents, sensing=sensing, density=density, dt=0.01, steps=150,
+            alpha=ClassK(gain=20.0, power=3), w_lambda=1e6, grid_resolution=0.05,
+            hole_check_every=1, fixed_nominal=nominal,
+        )
 
 
 class DensePartition:

@@ -35,11 +35,10 @@ from aircover.geometry import (
     detect_holes_grid,
     make_trio,
     power_distance,
-    radical_axis,
     sigma_d_frame,
 )
 from aircover.sim import Scenario, initial_world, run, step
-from conftest import component_apex, random_trio
+from conftest import component_apex, radical_axis, random_trio, to_frame
 
 
 def report(n, name, ok, detail):
@@ -93,13 +92,13 @@ def test_criterion_2_power_diagram_suite(rng):
         worst_power = max(worst_power, max(powers) - min(powers))
         for a in range(3):
             for b in range(a + 1, 3):
-                axis = radical_axis(trio.fovs[a], trio.fovs[b])
+                _, direction = radical_axis(trio.fovs[a], trio.fovs[b])
                 line = trio.fovs[b].center - trio.fovs[a].center
-                cosang = abs(float(axis.direction @ line)) / np.linalg.norm(line)
+                cosang = abs(float(direction @ line)) / np.linalg.norm(line)
                 worst_perp = max(worst_perp, cosang)
         for agent in trio.ids:
             frame = sigma_d_frame(trio, agent)
-            worst_frame_x = max(worst_frame_x, abs(float(frame.to_frame(v)[0])))
+            worst_frame_x = max(worst_frame_x, abs(float(to_frame(frame, v)[0])))
     elapsed = time.monotonic() - t0
     ok = worst_power < 1e-9 and worst_perp < 1e-9 and worst_frame_x < 1e-9 and elapsed < 2.0
     report(2, "power-diagram identities", ok,

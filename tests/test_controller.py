@@ -121,7 +121,6 @@ class TestBuildConstraints:
             states=states,
             fovs=fovs,
             radical_center=np.array([1.0, 0.5]),
-            triangle=tuple(f.center for f in fovs),
             r=1.0,
         )
         with caplog.at_level(logging.WARNING, logger="aircover.controller"):

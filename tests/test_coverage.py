@@ -12,10 +12,9 @@ from aircover.coverage import (
     partition,
     sensing_field,
     sensing_gradient,
-    sensing_quality,
 )
 from aircover.geometry import AgentState, fov_of
-from conftest import DensePartition
+from conftest import DensePartition, sensing_quality
 
 PARAMS = SensingParams(r=1.0, kappa=4.0, sigma=3.0, M=11.0, w=0.4)
 

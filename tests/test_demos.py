@@ -25,8 +25,10 @@ def test_demo_runs(demo, tmp_path):
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     env["TMPDIR"] = str(scratch)
+    # A numpy overflow or divide by zero fails the demo, as pyproject.toml's
+    # filterwarnings makes it fail a test.
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -21,9 +21,9 @@ from aircover.geometry import (
     fov_of,
     make_trio,
     power_distance,
-    radical_axis,
     radical_center,
 )
+from conftest import radical_axis
 
 
 def _fovs_overlap(fa, fb):
@@ -39,10 +39,9 @@ def _cells_adjacent(fovs, i, j):
     nonempty (closed, with tolerance).
     """
     try:
-        axis = radical_axis(fovs[i], fovs[j])
+        q0, u = radical_axis(fovs[i], fovs[j])
     except DegenerateTrio:
         return False
-    q0, u = axis.point, axis.direction
     lo, hi = -np.inf, np.inf
     for l in range(len(fovs)):
         if l in (i, j):

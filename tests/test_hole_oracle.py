@@ -26,6 +26,7 @@ from aircover.geometry import (
     fov_of,
 )
 from aircover.sim import run
+from conftest import triangle
 
 
 def ndimage_enclosed(mask):
@@ -55,7 +56,7 @@ def full_grid_witnesses(states, r, mission, resolution, graph):
     cx, cy = XX[candidate], YY[candidate]
     inside_any = np.zeros(cx.shape, dtype=bool)
     for trio in graph.all_trios():
-        I, J, K = trio.triangle
+        I, J, K = triangle(trio)
         denom = (J[0] - I[0]) * (K[1] - I[1]) - (J[1] - I[1]) * (K[0] - I[0])
         if abs(denom) < 2.0 * AREA_TOL:
             continue

@@ -27,7 +27,7 @@ from aircover.geometry import (
     radical_center,
     sigma_d_frame,
 )
-from conftest import cross2, roles
+from conftest import cross2, frame_rotation, roles
 
 RTOL = 1e-12
 
@@ -63,7 +63,8 @@ def oracle_sigma_d_frame(trio, distinguished):
     s = (c - float(cj @ d)) / nd
     origin = cj + s * d / nd
     x_axis = d / nd
-    if float(x_axis @ (ck - origin)) < 0.0:
+    # Origin beyond K (t > 1 in origin = cj + t·d) exactly when R_J² − R_K² > ‖d‖².
+    if fj.radius**2 - fk.radius**2 > float(d @ d):
         x_axis = -x_axis
     y_axis = np.array([-x_axis[1], x_axis[0]])
     return origin, np.vstack([x_axis, y_axis])
@@ -173,9 +174,9 @@ def test_frame_and_components_match_numpy(fovs):
         if frame is None:
             continue
         origin, rotation = expect
-        assert np.abs(frame.origin - origin).max() <= RTOL * scale
+        assert np.abs(np.array(frame[:2]) - origin).max() <= RTOL * scale
         # Same orientation: the axes agree to rounding, not up to a sign.
-        assert np.abs(frame.rotation - rotation).max() <= RTOL
+        assert np.abs(frame_rotation(frame) - rotation).max() <= RTOL
 
         expect = outcome(oracle_cbf_components, trio, viewpoint)
         comps = outcome(cbf_components, trio, viewpoint)

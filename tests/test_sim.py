@@ -29,6 +29,32 @@ TRIO_AGENTS = (
 ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
+def with_first_agent(scenario, **change):
+    return replace(scenario, agents=(replace(scenario.agents[0], **change), *scenario.agents[1:]))
+
+
+def with_first_component(scenario, weight=1.0, mean=(0.0, 0.0), scale=1.5):
+    return replace(scenario, density=replace(scenario.density, components=((weight, mean, scale),)))
+
+
+# A non-finite value in each float of a scenario's agents, sensing, density and
+# class-K function, applied to the bundled trio.cfg; the scalar knobs are in
+# test_rejects_nan_and_infinite_values.
+NON_FINITE_SCENARIOS = {
+    "agent_x_nan": lambda s: with_first_agent(s, x=math.nan),
+    "agent_y_inf": lambda s: with_first_agent(s, y=math.inf),
+    "agent_z_inf": lambda s: with_first_agent(s, z=math.inf),
+    "agent_lam_inf": lambda s: with_first_agent(s, lam=math.inf),
+    **{f"sensing_{name}_inf": (lambda s, name=name: replace(s.sensing, **{name: math.inf}))
+       for name in ("r", "kappa", "sigma", "M", "w")},
+    "mission_inf": lambda s: replace(s.density, mission=(*s.density.mission[:3], math.inf)),
+    "density_weight_inf": lambda s: with_first_component(s, weight=math.inf),
+    "density_mean_nan": lambda s: with_first_component(s, mean=(math.nan, 0.0)),
+    "density_scale_inf": lambda s: with_first_component(s, scale=math.inf),
+    "alpha_gain_inf": lambda s: replace(s.alpha, gain=math.inf),
+}
+
+
 def trio_scenario(**overrides):
     base = dict(
         agents=TRIO_AGENTS,
@@ -72,9 +98,8 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [(name, math.nan) for name in
-         ("dt", "epsilon", "guard_threshold", "w_lambda", "grid_resolution", "min_z", "min_lambda")]
-        + [("dt", math.inf), ("grid_resolution", math.inf)],
+        [(name, value) for value in (math.nan, math.inf) for name in
+         ("dt", "epsilon", "guard_threshold", "w_lambda", "grid_resolution", "min_z", "min_lambda")],
     )
     def test_rejects_nan_and_infinite_values(self, field, value):
         with pytest.raises(ValueError, match="must be positive"):
@@ -103,6 +128,14 @@ class TestScenarioValidation:
     def test_class_k_rejects_nan_gain(self):
         with pytest.raises(ValueError, match="gain must be positive"):
             ClassK(gain=math.nan)
+
+    @pytest.mark.parametrize("case", NON_FINITE_SCENARIOS)
+    def test_rejects_non_finite_values_at_construction(self, case):
+        # Accepted, such a value fails only inside a step (a float-to-int
+        # conversion in the grid window, or a non-finite trace value).
+        scenario = parse_config(bundled_scenario("trio"))
+        with pytest.raises(ValueError, match="finite"):
+            NON_FINITE_SCENARIOS[case](scenario)
 
     def test_mode_selects_barrier_components(self):
         assert trio_scenario(mode="ncbf").filter_params().components == (1, 2, 3, 4)
@@ -323,7 +356,6 @@ class TestCaching:
             states=states,
             fovs=fovs,
             radical_center=np.array([1.0, 0.5]),
-            triangle=tuple(f.center for f in fovs),
             r=SENSING.r,
         )
         graph = CommGraph(n=3, trios={i: [trio] for i in range(3)})
