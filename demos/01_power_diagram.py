@@ -13,33 +13,34 @@ import numpy as np
 
 from aircover import (
     AgentState,
-    fov_of,
+    footprint_rows,
     make_trio,
     power_distance,
     sigma_d_frame,
 )
 
-# Three agents at different altitudes and zoom levels.  The footprint radius
-# is r * z / lambda, so the high zoomed-out agent casts the biggest disk.
-states = [
+# Three agents at different altitudes and zoom levels: the team's state is
+# one (n, 4) array with columns x, y, z, lambda.  Each footprint is centered
+# under its agent with radius r * z / lambda, so the high zoomed-out agent
+# casts the biggest disk.
+states = np.array([
     AgentState(x=0.0, y=-2.0, z=1.5, lam=1.0),
     AgentState(x=-1.4, y=0.0, z=1.2, lam=0.8),
     AgentState(x=1.4, y=0.0, z=2.0, lam=1.1),
-]
+])
 r = 1.0
-for s in states:
-    fov = fov_of(s, r)
-    print(f"agent at ({s.x:+.1f}, {s.y:+.1f}): footprint center "
-          f"({fov.cx:+.1f}, {fov.cy:+.1f}), radius {fov.radius:.3f}")
+for x, y, z, lam, R in footprint_rows(states, r):
+    print(f"agent at ({x:+.1f}, {y:+.1f}), z = {z:.1f}, lambda = {lam:.1f}: "
+          f"footprint radius {R:.3f}")
 
-# The trio context bundles the footprints, the triangle of centers, and the
-# radical center v.
+# The trio context holds the three agents' rows (x, y, z, lambda, R), whose
+# centers are the triangle, and the radical center v.
 trio = make_trio((0, 1, 2), states, r)
 v = trio.radical_center
 print(f"\nradical center v = ({v[0]:+.4f}, {v[1]:+.4f})")
 
 # v has the same power distance to all three disks -- that is its definition.
-powers = [power_distance(f, v) for f in trio.fovs]
+powers = [power_distance((x, y, R), v) for x, y, _, _, R in trio.rows]
 print("power distances at v:", np.round(powers, 12))
 
 # Each agent's working frame (ox, oy, ax, ay) has its origin on the line
@@ -50,7 +51,7 @@ for agent in trio.ids:
     j, k = (b for b in trio.ids if b != agent)
     ox, oy, ax, ay = sigma_d_frame(trio, agent)
     direction = np.array([-ay, ax])
-    centers = trio.fovs[k].center - trio.fovs[j].center
+    centers = np.subtract(trio.rows[k][:2], trio.rows[j][:2])
     to_v = v - (ox, oy)
     print(f"agent {agent}, axis {j}-{k}: |direction . centers| = "
           f"{abs(float(direction @ centers)):.2e}, frame coordinates of v = "

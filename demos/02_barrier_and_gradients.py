@@ -38,8 +38,9 @@ for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
     value = ncbf_value(cbf_components(trio, 0).vals, epsilon=0.2)
     # The exact test: v strictly inside the triangle and outside the footprints
     # (one footprint decides for all three, as v has equal power to each).
-    inside, _ = point_in_triangle(*((f.cx, f.cy) for f in trio.fovs), trio.radical_center)
-    holed = inside and power_distance(trio.fovs[0], trio.radical_center) > 0.0
+    inside, _ = point_in_triangle(*(row[:2] for row in trio.rows), trio.radical_center)
+    x, y, _, _, R = trio.rows[0]
+    holed = inside and power_distance((x, y, R), trio.radical_center) > 0.0
     agents = [mover, *hoverers]
     witnesses = detect_holes_grid(agents, r, grid, build_graph(agents, r))
     print(f"{y:+7.1f}   {value.value:+11.4f}   comp {value.argmax}   "

@@ -21,6 +21,7 @@ print(f"{len(scenario.agents)} agents, dt = {scenario.dt}, "
 print("mover nominal input:", scenario.fixed_nominal[0])
 
 # Walk the simulation manually to watch the certificate (argmax component).
+# The team's state is one read-only (n, 4) array with columns x, y, z, lambda.
 world = initial_world(scenario)
 last_argmax = None
 print("\nstep    mover y    barrier h   certificate")
@@ -29,13 +30,13 @@ for k in range(scenario.steps):
     if trios:
         value = ncbf_value(cbf_components(trios[0], 0).vals, scenario.epsilon)
         if value.argmax != last_argmax or k % 400 == 0:
-            print(f"{k:>4}   {world.states[0].y:+8.3f}   {value.value:+9.4f}"
+            print(f"{k:>4}   {world.states[0, 1]:+8.3f}   {value.value:+9.4f}"
                   f"   component {value.argmax}"
                   + ("   <- switch" if last_argmax not in (None, value.argmax)
                      else ""))
             last_argmax = value.argmax
     world, _ = step(world, scenario)
-print(f"final mover position: y = {world.states[0].y:+.3f}")
+print(f"final mover position: y = {world.states[0, 1]:+.3f}")
 
 # The same scenario without the filter: the mover never brakes, and on the
 # exit leg its footprint lets go of the radical center while the triangle

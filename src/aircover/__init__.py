@@ -32,7 +32,7 @@ from aircover.geometry import (
     DegenerateTrio,
     build_graph,
     detect_holes_grid,
-    fov_of,
+    footprint_rows,
     make_trio,
     power_distance,
     sigma_d_frame,

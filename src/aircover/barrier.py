@@ -85,25 +85,25 @@ def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
     the triangle's area is below tolerance.
     """
     pi, pj, pk = ROLE_POSITIONS[trio.ids.index(viewpoint)]
-    fovs = trio.fovs
-    fi, fj, fk = fovs[pi], fovs[pj], fovs[pk]
+    xi, yi, z, lam, Ri = trio.rows[pi]
+    xj, yj, _, _, Rj = trio.rows[pj]
+    xk, yk, _, _, Rk = trio.rows[pk]
     v = trio.radical_center.tolist()
-    _, (r_ijk, r_jki, r_kij) = point_in_triangle((fi.cx, fi.cy), (fj.cx, fj.cy), (fk.cx, fk.cy), v)
-    h_f = -power_distance(fi, v)
+    _, (r_ijk, r_jki, r_kij) = point_in_triangle((xi, yi), (xj, yj), (xk, yk), v)
+    h_f = -power_distance((xi, yi, Ri), v)
     frame = sigma_d_frame(trio, viewpoint)
     ox, oy, ax, ay = frame
-    dx, dy = fi.cx - ox, fi.cy - oy
-    state = trio.states[pi]
+    dx, dy = xi - ox, yi - oy
     coords = (
         ax * dx + ay * dy,
         -ay * dx + ax * dy,
-        ax * (fj.cx - ox) + ay * (fj.cy - oy),
-        ax * (fk.cx - ox) + ay * (fk.cy - oy),
-        fi.radius**2,
-        fj.radius**2,
-        fk.radius**2,
-        state.z,
-        state.lam,
+        ax * (xj - ox) + ay * (yj - oy),
+        ax * (xk - ox) + ay * (yk - oy),
+        Ri**2,
+        Rj**2,
+        Rk**2,
+        z,
+        lam,
         trio.r,
     )
     return CbfComponents((-r_ijk, -r_jki, -r_kij, h_f), trio, viewpoint, frame, coords)

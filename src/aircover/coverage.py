@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aircover.geometry import AgentState
+from aircover.geometry import footprint_rows
 
 
 @dataclass(frozen=True)
@@ -168,16 +168,17 @@ class CoverageReport:
     H: float
 
 
-def _field_terms(state: AgentState, params: SensingParams, points):
-    """Vectorized pieces of the sensing model at ground points (..., 2)."""
-    dx = state.x - points[..., 0]
-    dy = state.y - points[..., 1]
+def _field_terms(state, params: SensingParams, points):
+    """Vectorized pieces of the sensing model of one state row (x, y, z, λ) at ground points (..., 2)."""
+    x, y, z, lam = state
+    dx = x - points[..., 0]
+    dy = y - points[..., 1]
     d2 = dx * dx + dy * dy
-    s = np.sqrt(d2 + state.z**2)
-    A = np.sqrt(state.lam**2 + params.r**2)
-    radius = params.r * state.z / state.lam
-    f_pers = (A * state.z / s - state.lam) / (A - state.lam)
-    f_res = (state.lam / A) ** params.kappa * np.exp(
+    s = np.sqrt(d2 + z**2)
+    A = np.sqrt(lam**2 + params.r**2)
+    radius = params.r * z / lam
+    f_pers = (A * z / s - lam) / (A - lam)
+    f_res = (lam / A) ** params.kappa * np.exp(
         -((s - params.M) ** 2) / (2.0 * params.sigma**2)
     )
     return dx, dy, d2, s, A, radius, f_pers, f_res
@@ -191,10 +192,10 @@ def _masked_quality(terms):
     return np.where(covered, f_pers * f_res, 0.0), covered, strict
 
 
-def _gradient(state: AgentState, params: SensingParams, terms) -> np.ndarray:
+def _gradient(state, params: SensingParams, terms) -> np.ndarray:
     """(4, ...) analytic partials of the quality w.r.t. the agent state, from its terms."""
     dx, dy, d2, s, A, _, f_pers, f_res = terms
-    z, lam = state.z, state.lam
+    _, _, z, lam = state
     s3 = s**3
     # Perspective factor: distance enters through s only; λ also moves A.
     pers_scale = A * z / (s3 * (A - lam))
@@ -221,12 +222,12 @@ def _gradient(state: AgentState, params: SensingParams, terms) -> np.ndarray:
     )
 
 
-def sensing_field(state: AgentState, params: SensingParams, points):
+def sensing_field(state, params: SensingParams, points):
     """Quality, closed, and strict footprint masks of one agent over many points."""
     return _masked_quality(_field_terms(state, params, points))
 
 
-def sensing_gradient(state: AgentState, params: SensingParams, points) -> np.ndarray:
+def sensing_gradient(state, params: SensingParams, points) -> np.ndarray:
     """(4, N) analytic partials of the quality w.r.t. the agent state.
 
     Valid at points strictly inside the footprint; the caller masks.
@@ -244,9 +245,9 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
     owner, best, total = np.full(n, -1), np.full(n, -np.inf), np.zeros(n)
     owner_cells, best_cells, total_cells = grid.cells(owner), grid.cells(best), grid.cells(total)
     windows = []
-    for i, state in enumerate(states):
-        cells = grid.window(state.x, state.y, params.r * state.z / state.lam)
-        terms = _field_terms(state, params, points[cells])
+    for i, (x, y, z, lam, radius) in enumerate(footprint_rows(states, params.r)):
+        cells = grid.window(x, y, radius)
+        terms = _field_terms((x, y, z, lam), params, points[cells])
         f, covered, strict = _masked_quality(terms)
         # Only a strictly better quality takes a point: ties stay with the lower index.
         best_w = best_cells[cells]
@@ -307,7 +308,7 @@ def nominal_input(
     m *= window.strict
     m *= grid.cells(grid.mass(density))[window.cells]
     dx, dy, d2, s, A, _, f_pers, f_res = window.terms
-    z, lam, sigma2 = states[i].z, states[i].lam, params.sigma**2
+    z, lam, sigma2 = float(states[i][2]), float(states[i][3]), params.sigma**2
     inv_s = 1.0 / s
     m_res = m * f_res
     m_both = m_res * f_pers

@@ -1,24 +1,29 @@
 """Power-diagram geometry for downward-camera agent teams.
 
-Each agent carries a camera whose ground footprint is a disk (its field of
-view).  The module provides the power distance to such disks, radical
-centers, the communication graph whose triangles drive the barrier functions,
-the per-triangle working frame used by the analytic gradients, and one
-detector for coverage holes: a grid oracle that labels uncovered cells by
-runs (`enclosed_cells`), so the module needs only numpy.
+The team's state is one (n, 4) float64 array with columns x, y, z, λ; a
+camera's ground footprint is the disk centered under it with radius
+R = r·z/λ, computed over a column.  The module provides the power distance
+to such disks, radical centers, the communication graph whose triangles
+drive the barrier functions, the per-triangle working frame used by the
+analytic gradients, and one detector for coverage holes: a grid oracle that
+labels uncovered cells by runs (`enclosed_cells`), so the module needs only
+numpy.
 
 The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
-overhead costs more than the arithmetic.  A radical center solves the two
-radical-axis equations by Cramer's rule on the lifted heights |c|² − R² (the
-lifting view of power diagrams); the working frame is the 4-tuple
-(ox, oy, ax, ay) of its origin and x-axis, and both pick a trio's roles by
-position (`ROLE_POSITIONS`); a trio's triangle is the centers of its
-footprints.  `build_graph` runs the same solve on arrays over every candidate
-trio and tests the candidates against all footprints in fixed row blocks.
+overhead costs more than the arithmetic.  A disk is the triple (cx, cy, R);
+a trio holds its agents' rows (x, y, z, λ, R), read from the state array as
+Python floats.  A radical center solves the two radical-axis equations by
+Cramer's rule on the lifted heights |c|² − R² (the lifting view of power
+diagrams); the working frame is the 4-tuple (ox, oy, ax, ay) of its origin
+and x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`); a
+trio's triangle is the centers of its footprints.  `build_graph` runs the
+same solve on arrays over every candidate trio and tests the candidates
+against all footprints in fixed row blocks.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,53 +42,37 @@ class DegenerateTrio(Exception):
     """Raised when three FOVs admit no usable radical center or triangle (collinear centers, a concentric pair, or an area below tolerance)."""
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """One agent's state: planar position, altitude, focal length (all meters)."""
+class AgentState(NamedTuple("AgentState", [("x", float), ("y", float), ("z", float), ("lam", float)])):
+    """One agent's scenario row: planar position, altitude, focal length (all meters).
 
-    x: float
-    y: float
-    z: float
-    lam: float
+    A sequence of them is a state array's input: `np.array(agents)` is (n, 4).
+    """
 
-    def __post_init__(self):
-        # Normalize numpy scalars (e.g. from integrator arithmetic) to plain floats so
-        # downstream repr-based serialization stays clean; plain floats pass one test.
-        if not (type(self.x) is type(self.y) is type(self.z) is type(self.lam) is float):
-            for name in ("x", "y", "z", "lam"):
-                object.__setattr__(self, name, float(getattr(self, name)))
+    __slots__ = ()
 
+    def __new__(cls, x, y, z, lam):
+        # Plain floats, so that serialization writes repr(float) and never np.float64(...).
+        return super().__new__(cls, float(x), float(y), float(z), float(lam))
 
-@dataclass(frozen=True)
-class Fov:
-    """Ground-plane footprint disk of one agent's camera."""
-
-    cx: float
-    cy: float
-    radius: float
-
-    @property
-    def center(self):
-        return np.array([self.cx, self.cy])
-
-
-def fov_of(state: AgentState, r: float) -> Fov:
-    """Footprint of an agent: disk centered under it with radius r·z/λ."""
-    return Fov(state.x, state.y, r * state.z / state.lam)
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and so _replace) bypasses __new__; route it through.
+        return cls(*iterable)
 
 
 @dataclass(slots=True)
 class TrioContext:
     """One triangle {i, j, k} of the communication graph.
 
-    `fovs` holds the three footprints in id order, so their centers are the
-    triangle's vertices; `radical_center` is the common equal-power point of
-    the three footprint disks.
+    `rows` holds the three agents' (x, y, z, λ, R) in id order: the state row
+    and the footprint radius, so the footprint centers (x, y) are the
+    triangle's vertices.  `radical_center` is the common equal-power point of
+    the three footprint disks, and r the sensing constant in R = r·z/λ, which
+    the gradients' ∂R²/∂z and ∂R²/∂λ need.
     """
 
     ids: tuple
-    states: tuple
-    fovs: tuple
+    rows: tuple
     radical_center: np.ndarray
     r: float
 
@@ -107,12 +96,13 @@ class CommGraph:
         return {t.ids for lst in self.trios.values() for t in lst}
 
 
-def power_distance(fov: Fov, q) -> float:
-    """Squared distance from q to the disk center minus squared radius.
+def power_distance(disk, q) -> float:
+    """Squared distance from q to the center of the disk (cx, cy, R) minus R².
 
     Negative inside the disk, zero on its boundary, positive outside.
     """
-    return float((q[0] - fov.cx) ** 2 + (q[1] - fov.cy) ** 2 - fov.radius**2)
+    cx, cy, radius = disk
+    return float((q[0] - cx) ** 2 + (q[1] - cy) ** 2 - radius**2)
 
 
 def _lift(cx, cy, radius):
@@ -129,16 +119,16 @@ def _cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc):
     return (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
 
 
-def radical_center(fa: Fov, fb: Fov, fc: Fov) -> np.ndarray:
-    """Common equal-power point of three disks (their pairwise radical axes meet there)."""
-    ax, ay, bx, by, cx, cy = fa.cx, fa.cy, fb.cx, fb.cy, fc.cx, fc.cy
+def radical_center(da, db, dc) -> np.ndarray:
+    """Common equal-power point of three disks (cx, cy, R) (their pairwise radical axes meet there)."""
+    (ax, ay, ra), (bx, by, rb), (cx, cy, rc) = da, db, dc
     tol2 = CONCENTRIC_TOL * CONCENTRIC_TOL
     for dx, dy in ((bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by)):
         if dx * dx + dy * dy < tol2:
             raise DegenerateTrio("concentric footprint pair")
     if abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))) < AREA_TOL:
         raise DegenerateTrio("collinear footprint centers")
-    pa, pb, pc = _lift(ax, ay, fa.radius), _lift(bx, by, fb.radius), _lift(cx, cy, fc.radius)
+    pa, pb, pc = _lift(ax, ay, ra), _lift(bx, by, rb), _lift(cx, cy, rc)
     return np.array(_cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc))
 
 
@@ -161,18 +151,23 @@ def point_in_triangle(I, J, K, v):
     return inside, (r_ijk, r_jki, r_kij)
 
 
-def make_trio(ids, states, r: float, center=None, fovs=None) -> TrioContext:
-    """Build a TrioContext for three agents; raises DegenerateTrio on bad geometry.
+def footprint_rows(states, r: float) -> list:
+    """Each agent's (x, y, z, λ, R) as floats: its row of an (n, 4) state array and its footprint radius r·z/λ."""
+    states = np.asarray(states, dtype=float)
+    return list(zip(*states.T.tolist(), (r * states[:, 2] / states[:, 3]).tolist()))
 
-    center is the trio's radical center and fovs the agents' footprints, in
-    the order of ids, when the caller already has them.
-    """
-    a, b, c = sorted(range(3), key=ids.__getitem__)
-    ids = (int(ids[a]), int(ids[b]), int(ids[c]))
-    states = (states[a], states[b], states[c])
-    fovs = tuple(fov_of(s, r) for s in states) if fovs is None else (fovs[a], fovs[b], fovs[c])
-    v = radical_center(*fovs) if center is None else np.array(center, dtype=float)
-    return TrioContext(ids, states, fovs, v, r)
+
+def make_trio(ids, states, r: float) -> TrioContext:
+    """The TrioContext of rows ids of an (n, 4) state array; raises DegenerateTrio on bad geometry."""
+    ids = sorted(map(int, ids))
+    return _trio(ids, footprint_rows(np.asarray(states, dtype=float)[ids], r), r, None)
+
+
+def _trio(ids, rows, r, center):
+    """A TrioContext from its agents' rows in id order; solves the radical center when center is None."""
+    if center is None:
+        center = radical_center(*((x, y, R) for x, y, _, _, R in rows))
+    return TrioContext(tuple(ids), tuple(rows), np.array(center, dtype=float), r)
 
 
 def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
@@ -185,19 +180,20 @@ def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
     x_J² − R_J² = x_K² − R_K².
     """
     _, pj, pk = ROLE_POSITIONS[trio.ids.index(distinguished)]
-    fj, fk = trio.fovs[pj], trio.fovs[pk]
-    dx, dy = fk.cx - fj.cx, fk.cy - fj.cy
+    jx, jy, _, _, rj = trio.rows[pj]
+    kx, ky, _, _, rk = trio.rows[pk]
+    dx, dy = kx - jx, ky - jy
     nd = math.sqrt(dx * dx + dy * dy)
     if nd < CONCENTRIC_TOL:
         raise DegenerateTrio("coincident J/K centers")
     # Origin: intersection of the radical axis with line JK.  Points q of the
     # axis satisfy q·d = c; substituting the line q = cj + s·d/‖d‖ gives s.
-    c = 0.5 * (_lift(fk.cx, fk.cy, fk.radius) - _lift(fj.cx, fj.cy, fj.radius))
-    s = (c - (fj.cx * dx + fj.cy * dy)) / nd
-    ox = fj.cx + s * dx / nd
-    oy = fj.cy + s * dy / nd
+    c = 0.5 * (_lift(kx, ky, rk) - _lift(jx, jy, rj))
+    s = (c - (jx * dx + jy * dy)) / nd
+    ox = jx + s * dx / nd
+    oy = jy + s * dy / nd
     ax, ay = dx / nd, dy / nd
-    if fj.radius**2 - fk.radius**2 > dx * dx + dy * dy:
+    if rj**2 - rk**2 > dx * dx + dy * dy:
         # Origin beyond K (s > ‖d‖, so R_J² − R_K² > ‖d‖²): flip so K keeps a
         # positive frame x-coordinate.  Decided from the radii, not the rounded
         # origin, whose error can exceed ‖d‖ when J and K nearly coincide.
@@ -256,10 +252,9 @@ def detect_holes_grid(states, r: float, grid, graph):
     """
     XX, YY = grid.cells(grid.points[:, 0]), grid.cells(grid.points[:, 1])
     covered = np.zeros(grid.shape, dtype=bool)
-    for s in states:
-        f = fov_of(s, r)
-        cells = grid.window(f.cx, f.cy, f.radius)
-        covered[cells] |= (XX[cells] - f.cx) ** 2 + (YY[cells] - f.cy) ** 2 <= f.radius**2
+    for x, y, _, _, R in footprint_rows(states, r):
+        cells = grid.window(x, y, R)
+        covered[cells] |= (XX[cells] - x) ** 2 + (YY[cells] - y) ** 2 <= R**2
     candidate = enclosed_cells(~covered)
     if not candidate.any():
         return np.empty((0, 2))
@@ -267,7 +262,7 @@ def detect_holes_grid(states, r: float, grid, graph):
     inside_any = np.zeros(cx.shape, dtype=bool)
     for trio in graph.all_trios():
         try:
-            inside_any |= point_in_triangle(*((f.cx, f.cy) for f in trio.fovs), (cx, cy))[0]
+            inside_any |= point_in_triangle(*(row[:2] for row in trio.rows), (cx, cy))[0]
         except DegenerateTrio:
             pass  # no interior
     return np.column_stack([cx[inside_any], cy[inside_any]])
@@ -293,11 +288,11 @@ def build_graph(states, r: float) -> CommGraph:
     footprints GRAPH_BLOCK rows at a time, so no Python loop runs per
     candidate and the excess matrix stays small at large n.
     """
+    states = np.asarray(states, dtype=float).reshape(-1, 4)
     n = len(states)
-    fovs = [fov_of(s, r) for s in states]
-    centers = np.array([(f.cx, f.cy) for f in fovs], dtype=float).reshape(n, 2)
+    centers = states[:, :2]
     cx, cy = centers.T
-    radii = np.array([f.radius for f in fovs], dtype=float)
+    radii = r * states[:, 2] / states[:, 3]
     radii2 = radii * radii
     # Pairwise inner products through matmul round like np.linalg.norm's dot,
     # so tangent pairs are decided as a per-pair norm would decide them.
@@ -345,7 +340,7 @@ def build_graph(states, r: float) -> CommGraph:
         shared += [tuple(np.flatnonzero(cofactor[row]).tolist())
                    for row in np.flatnonzero(live & (size > 3)).tolist()]
 
-    # Triple -> radical center, or None where make_trio must solve it.
+    # Triple -> radical center, or None where _trio must solve it.
     trio_triples = dict(zip(
         zip(I[simple].tolist(), J[simple].tolist(), K[simple].tolist()),
         zip(vx[simple].tolist(), vy[simple].tolist()),
@@ -361,12 +356,11 @@ def build_graph(states, r: float) -> CommGraph:
             if overlap[apex, a] and overlap[apex, b] and overlap[a, b]:
                 trio_triples.setdefault((apex, a, b), None)
 
+    rows = footprint_rows(states, r)
     trios = {i: [] for i in range(n)}
     for triple in sorted(trio_triples):
-        a, b, c = triple
         try:
-            ctx = make_trio(triple, [states[a], states[b], states[c]], r, trio_triples[triple],
-                            [fovs[a], fovs[b], fovs[c]])
+            ctx = _trio(triple, [rows[a] for a in triple], r, trio_triples[triple])
         except DegenerateTrio:
             continue
         for agent in triple:

@@ -1,11 +1,13 @@
 """Synchronous discrete-time simulation of a barrier-filtered camera team.
 
-Each step rebuilds the communication graph from the current states, detects
-graph switches by comparing trio sets, computes nominal inputs (coverage
-gradient or fixed per-agent vectors), filters them through the per-agent QP,
-and Euler-integrates the single-integrator dynamics with positive floors on
-altitude and focal length.  Every step emits a TraceRecord; the integration
-itself uses no randomness, so a scenario replays bit-identically.
+The team's state is one read-only (n, 4) float64 array with columns x, y, z,
+λ.  Each step rebuilds the communication graph from it, detects graph
+switches by comparing trio sets, computes nominal inputs (coverage gradient
+or fixed per-agent vectors), filters them through the per-agent QP, and
+Euler-integrates the single-integrator dynamics over the whole array, with
+positive floors on altitude and focal length.  Every step emits a
+TraceRecord of Python floats; the integration itself uses no randomness, so
+a scenario replays bit-identically.
 """
 
 import logging
@@ -32,12 +34,7 @@ from aircover.coverage import (
     nominal_input,
     partition,
 )
-from aircover.geometry import (
-    AgentState,
-    build_graph,
-    detect_holes_grid,
-    fov_of,
-)
+from aircover.geometry import build_graph, detect_holes_grid, footprint_rows
 
 log = logging.getLogger(__name__)
 
@@ -110,10 +107,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class WorldState:
-    """Integrator state: step index, agent states, and last step's trio sets."""
+    """Integrator state: step index, the read-only (n, 4) state array, and last step's trio sets."""
 
     step: int
-    states: tuple
+    states: np.ndarray
     trio_keys: frozenset = None
 
 
@@ -135,7 +132,9 @@ class TraceRecord:
 
 
 def initial_world(scenario: Scenario) -> WorldState:
-    return WorldState(step=0, states=tuple(scenario.agents), trio_keys=None)
+    states = np.array(scenario.agents, dtype=float)
+    states.flags.writeable = False
+    return WorldState(step=0, states=states, trio_keys=None)
 
 
 def step(world: WorldState, scenario: Scenario):
@@ -151,14 +150,14 @@ def step(world: WorldState, scenario: Scenario):
     keys = graph.trio_keys()
     switch = world.trio_keys is not None and keys != world.trio_keys
 
-    # 3. Immutable snapshot (states tuple already is one) + shared metrics.
+    # 3. Shared metrics of the (read-only) snapshot.
     grid = scenario.grid()
     part = partition(states, params, grid)
     report = coverage_objective(states, params, scenario.density, grid, part)
 
     # 4. Nominal inputs.
     if scenario.fixed_nominal is not None:
-        nominals = [np.asarray(u, dtype=float) for u in scenario.fixed_nominal]
+        nominals = np.array(scenario.fixed_nominal, dtype=float)
     else:
         nominals = [
             nominal_input(i, states, params, scenario.density, grid, part) for i in range(n)
@@ -182,18 +181,12 @@ def step(world: WorldState, scenario: Scenario):
                 inputs.append(np.zeros(4))
                 fallback[i] = True
 
-    # 6. Euler integration on floats, with floor clamps on z and lambda.
-    dt = scenario.dt
-    clamped = [False] * n
-    next_states = []
-    for i, (s, u) in enumerate(zip(states, inputs)):
-        ux, uy, uz, ul = map(float, u)
-        z, lam = s.z + dt * uz, s.lam + dt * ul
-        if z < scenario.min_z or lam < scenario.min_lambda:
-            clamped[i] = True
-            z = max(z, scenario.min_z)
-            lam = max(lam, scenario.min_lambda)
-        next_states.append(AgentState(s.x + dt * ux, s.y + dt * uy, z, lam))
+    # 6. Euler integration, with floor clamps on z and lambda.
+    next_states = states + scenario.dt * np.array(inputs)
+    floors = (scenario.min_z, scenario.min_lambda)
+    clamped = (next_states[:, 2:] < floors).any(axis=1)
+    np.maximum(next_states[:, 2:], floors, out=next_states[:, 2:])
+    next_states.flags.writeable = False
 
     # 7. Telemetry for the pre-integration snapshot.
     min_ncbf = tuple(
@@ -206,9 +199,7 @@ def step(world: WorldState, scenario: Scenario):
         witnesses = -1
     record = TraceRecord(
         step=world.step,
-        agents=tuple(
-            (s.x, s.y, s.z, s.lam, fov_of(s, params.r).radius) for s in states
-        ),
+        agents=tuple(footprint_rows(states, params.r)),
         min_ncbf=min_ncbf,
         trio_counts=tuple(len(graph.trios_of(i)) for i in range(n)),
         H=report.H,
@@ -217,12 +208,12 @@ def step(world: WorldState, scenario: Scenario):
         hole_witnesses=witnesses,
         switch=switch,
         fallback=tuple(fallback),
-        clamped=tuple(clamped),
+        clamped=tuple(clamped.tolist()),
     )
     for value in (record.H, record.H_M, record.H_O, *record.min_ncbf):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise FloatingPointError(f"non-finite trace value at step {world.step}")
-    return WorldState(step=world.step + 1, states=tuple(next_states), trio_keys=keys), record
+    return WorldState(step=world.step + 1, states=next_states, trio_keys=keys), record
 
 
 def run(scenario: Scenario):

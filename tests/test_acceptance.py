@@ -38,7 +38,7 @@ from aircover.geometry import (
     sigma_d_frame,
 )
 from aircover.sim import Scenario, initial_world, run, step
-from conftest import component_apex, radical_axis, random_trio, to_frame
+from conftest import component_apex, disks, radical_axis, random_trio, to_frame, trio_states, triangle
 
 
 def report(n, name, ok, detail):
@@ -47,7 +47,7 @@ def report(n, name, ok, detail):
 
 
 def _perturbed_trio(trio, agent_index, coord, h):
-    states = list(trio.states)
+    states = trio_states(trio)
     values = [states[agent_index].x, states[agent_index].y,
               states[agent_index].z, states[agent_index].lam]
     values[coord] += h
@@ -88,12 +88,12 @@ def test_criterion_2_power_diagram_suite(rng):
     for _ in range(1000):
         trio = random_trio(rng)
         v = trio.radical_center
-        powers = [power_distance(f, v) for f in trio.fovs]
+        powers = [power_distance(f, v) for f in disks(trio)]
         worst_power = max(worst_power, max(powers) - min(powers))
         for a in range(3):
             for b in range(a + 1, 3):
-                _, direction = radical_axis(trio.fovs[a], trio.fovs[b])
-                line = trio.fovs[b].center - trio.fovs[a].center
+                _, direction = radical_axis(disks(trio)[a], disks(trio)[b])
+                line = np.subtract(triangle(trio)[b], triangle(trio)[a])
                 cosang = abs(float(direction @ line)) / np.linalg.norm(line)
                 worst_perp = max(worst_perp, cosang)
         for agent in trio.ids:
@@ -112,18 +112,17 @@ def test_criterion_3_hole_oracle_equivalence(rng):
     mismatches = 0
     while checked < 1000:
         trio = random_trio(rng, require_overlap=True)
-        graph = build_graph(trio.states, trio.r)
+        graph = build_graph(trio_states(trio), trio.r)
         if not graph.all_trios():
             continue
         checked += 1
         value = ncbf_value(cbf_components(trio, trio.ids[0]).vals, 0.2).value
-        xs = [f.cx for f in trio.fovs]
-        ys = [f.cy for f in trio.fovs]
-        radius = max(f.radius for f in trio.fovs)
+        xs, ys, radii = zip(*disks(trio))
+        radius = max(radii)
         mission = (min(xs) - radius - 1.0, min(ys) - radius - 1.0,
                    max(xs) + radius + 1.0, max(ys) + radius + 1.0)
         size = max(mission[2] - mission[0], mission[3] - mission[1])
-        witnesses = detect_holes_grid(trio.states, trio.r, CoverageGrid(mission, size / 260), graph)
+        witnesses = detect_holes_grid(trio_states(trio), trio.r, CoverageGrid(mission, size / 260), graph)
         if (value >= 0.0) != (len(witnesses) == 0):
             mismatches += 1
     elapsed = time.monotonic() - t0

@@ -18,7 +18,15 @@ from aircover.geometry import (
     power_distance,
     sigma_d_frame,
 )
-from conftest import component_apex, hole_exists_exact, random_trio, to_frame, triangle
+from conftest import (
+    component_apex,
+    disks,
+    hole_exists_exact,
+    random_trio,
+    to_frame,
+    triangle,
+    trio_states,
+)
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
@@ -27,7 +35,7 @@ FD_RTOL = 1e-5
 def fd_gradient(trio, viewpoint, component, step=FD_STEP):
     """Central finite difference of one component w.r.t. the viewpoint agent's state."""
     idx = trio.ids.index(viewpoint)
-    s = trio.states[idx]
+    s = trio_states(trio)[idx]
     base = np.array([s.x, s.y, s.z, s.lam])
     grad = np.zeros(4)
     for p in range(4):
@@ -36,7 +44,7 @@ def fd_gradient(trio, viewpoint, component, step=FD_STEP):
         minus[p] -= step
         vals = []
         for pert in (plus, minus):
-            states = list(trio.states)
+            states = trio_states(trio)
             states[idx] = AgentState(*pert)
             t = make_trio(list(trio.ids), states, trio.r)
             vals.append(cbf_components(t, viewpoint)[component])
@@ -50,7 +58,7 @@ class TestComponents:
             trio = random_trio(rng)
             for a in trio.ids:
                 comps = cbf_components(trio, a)
-                f = trio.fovs[trio.ids.index(a)]
+                f = disks(trio)[trio.ids.index(a)]
                 expect = -power_distance(f, trio.radical_center)
                 assert comps[4] == pytest.approx(expect, abs=1e-12)
 
@@ -139,7 +147,7 @@ class TestNcbfValue:
             R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
             shift = rng.uniform(-5, 5, size=2)
             moved = []
-            for s in trio.states:
+            for s in trio_states(trio):
                 q = R @ np.array([s.x, s.y]) + shift
                 moved.append(AgentState(q[0], q[1], s.z, s.lam))
             trio2 = make_trio(list(trio.ids), moved, trio.r)
@@ -189,7 +197,7 @@ class TestGradients:
             shift = rng.uniform(-3, 3, size=2)
             moved = [
                 AgentState(*(R @ np.array([s.x, s.y]) + shift), s.z, s.lam)
-                for s in trio.states
+                for s in trio_states(trio)
             ]
             trio2 = make_trio(list(trio.ids), moved, trio.r)
             for component in (1, 2, 3, 4):

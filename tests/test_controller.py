@@ -19,8 +19,8 @@ from aircover.controller import (
     solve_qp,
     trio_views,
 )
-from aircover.geometry import AgentState, TrioContext, build_graph, fov_of, make_trio
-from conftest import component_apex, random_trio
+from aircover.geometry import AgentState, TrioContext, build_graph, footprint_rows, make_trio
+from conftest import component_apex, random_trio, trio_states
 
 
 def w_distance(u, u_nom, w):
@@ -115,11 +115,9 @@ class TestBuildConstraints:
             AgentState(1.0, 0.0, 1.0, 1.0),
             AgentState(2.0, 1e-10, 1.0, 1.0),
         )
-        fovs = tuple(fov_of(s, 1.0) for s in states)
         trio = TrioContext(
             ids=(0, 1, 2),
-            states=states,
-            fovs=fovs,
+            rows=tuple(footprint_rows(states, 1.0)),
             radical_center=np.array([1.0, 0.5]),
             r=1.0,
         )
@@ -345,8 +343,7 @@ class TestAgentControl:
         checked = 0
         for _ in range(150):
             trio = random_trio(rng, require_overlap=True)
-            states = list(trio.states)
-            graph = build_graph(states, r=trio.r)
+            graph = build_graph(trio_states(trio), r=trio.r)
             if trio.ids not in graph.trio_keys():
                 continue
             inputs = {}

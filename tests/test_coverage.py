@@ -13,7 +13,7 @@ from aircover.coverage import (
     sensing_field,
     sensing_gradient,
 )
-from aircover.geometry import AgentState, fov_of
+from aircover.geometry import AgentState
 from conftest import DensePartition, sensing_quality
 
 PARAMS = SensingParams(r=1.0, kappa=4.0, sigma=3.0, M=11.0, w=0.4)
@@ -46,7 +46,7 @@ class TestSensingQuality:
 
     def test_zero_on_boundary_and_continuous(self):
         state = AgentState(3.0, -2.0, 8.0, 1.2)
-        radius = fov_of(state, PARAMS.r).radius
+        radius = PARAMS.r * state.z / state.lam
         on_edge = sensing_quality(state, (state.x + radius, state.y), PARAMS)
         just_in = sensing_quality(state, (state.x + radius * (1 - 1e-9), state.y), PARAMS)
         assert on_edge == 0.0
@@ -57,7 +57,7 @@ class TestSensingQuality:
         # distance; the Gaussian factor is then exactly one.
         state = AgentState(0.0, 0.0, 10.5, 0.3)
         ground = np.sqrt(PARAMS.M**2 - state.z**2)
-        assert ground < fov_of(state, PARAMS.r).radius
+        assert ground < PARAMS.r * state.z / state.lam
         aperture = np.hypot(state.lam, PARAMS.r)
         f_pers = (aperture * state.z / PARAMS.M - state.lam) / (aperture - state.lam)
         expected = f_pers * (state.lam / aperture) ** PARAMS.kappa
@@ -69,7 +69,7 @@ class TestSensingQuality:
             state = AgentState(
                 rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(2, 12), rng.uniform(0.3, 3.0)
             )
-            radius = fov_of(state, PARAMS.r).radius
+            radius = PARAMS.r * state.z / state.lam
             ang = rng.uniform(0, 2 * np.pi)
             inside = (
                 state.x + 0.9 * radius * np.cos(ang),
@@ -84,7 +84,7 @@ class TestSensingQuality:
 
     def test_field_masks_match_footprint(self, rng):
         state = AgentState(1.0, -1.0, 6.0, 0.8)
-        radius = fov_of(state, PARAMS.r).radius
+        radius = PARAMS.r * state.z / state.lam
         points = rng.uniform(-10, 10, size=(500, 2))
         f, covered, strict = sensing_field(state, PARAMS, points)
         d2 = np.sum((points - [state.x, state.y]) ** 2, axis=1)
@@ -113,7 +113,7 @@ class TestSensingGradient:
             state = AgentState(
                 rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(2, 12), rng.uniform(0.3, 3.0)
             )
-            radius = fov_of(state, PARAMS.r).radius
+            radius = PARAMS.r * state.z / state.lam
             ang = rng.uniform(0, 2 * np.pi)
             rad = rng.uniform(0, 0.95) * radius
             q = np.array([state.x + rad * np.cos(ang), state.y + rad * np.sin(ang)])

@@ -4,10 +4,8 @@ import pytest
 from aircover.geometry import (
     AgentState,
     DegenerateTrio,
-    Fov,
     build_graph,
     detect_holes_grid,
-    fov_of,
     make_trio,
     point_in_triangle,
     power_distance,
@@ -17,6 +15,7 @@ from aircover.geometry import (
 from aircover.coverage import CoverageGrid
 from conftest import (
     cross2,
+    disks,
     frame_rotation,
     grid_witnesses,
     hole_exists_exact,
@@ -24,6 +23,7 @@ from conftest import (
     random_trio,
     roles,
     to_frame,
+    trio_states,
     triangle,
 )
 
@@ -50,21 +50,28 @@ class TestAgentState:
         assert repr(s) == "AgentState(x=0.30000000000000004, y=-0.0, z=1e-300, lam=7.0)"
         assert s == AgentState(np.float64(x), np.float64(-0.0), np.float64(1e-300), np.float64(7.0))
 
+    def test_replace_and_make_normalize_numpy_scalars(self):
+        s = AgentState(1.5, 2.0, 3.0, 4.0)._replace(x=np.float64(0.5), lam=np.int64(5))
+        assert all(type(v) is float for v in s)
+        assert repr(s) == "AgentState(x=0.5, y=2.0, z=3.0, lam=5.0)"
+        made = AgentState._make(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert all(type(v) is float for v in made)
+
 
 class TestPowerDistance:
     def test_center_gives_minus_radius_squared(self):
-        assert power_distance(Fov(0, 0, 2), (0, 0)) == -4
+        assert power_distance((0, 0, 2), (0, 0)) == -4
 
     def test_boundary_point_gives_zero(self):
-        assert power_distance(Fov(1, 0, 1), (1, 1)) == 0
+        assert power_distance((1, 0, 1), (1, 1)) == 0
 
     def test_outside_point(self):
-        assert power_distance(Fov(0, 0, 1), (3, 4)) == 24
+        assert power_distance((0, 0, 1), (3, 4)) == 24
 
 
 class TestRadicalCenter:
     def test_known_three_circle_case(self):
-        fa, fb, fc = Fov(0, 0, 1), Fov(2, 0, 1), Fov(1, 2, 1)
+        fa, fb, fc = (0, 0, 1), (2, 0, 1), (1, 2, 1)
         v = radical_center(fa, fb, fc)
         assert np.allclose(v, [1.0, 0.75], atol=1e-12)
         for f in (fa, fb, fc):
@@ -72,19 +79,19 @@ class TestRadicalCenter:
 
     def test_concentric_pair_rejected(self):
         with pytest.raises(DegenerateTrio):
-            radical_center(Fov(0, 0, 1), Fov(0, 0, 2), Fov(1, 1, 1))
+            radical_center((0, 0, 1), (0, 0, 2), (1, 1, 1))
 
     def test_collinear_centers_rejected(self):
         with pytest.raises(DegenerateTrio):
-            radical_center(Fov(0, 0, 1), Fov(1, 0, 1.2), Fov(2, 0, 0.8))
+            radical_center((0, 0, 1), (1, 0, 1.2), (2, 0, 0.8))
 
     def test_equal_radii_reduce_to_circumcenter(self, rng):
         for _ in range(50):
             pts = rng.uniform(-3, 3, size=(3, 2))
             if abs(cross2(pts[1] - pts[0], pts[2] - pts[0])) < 0.2:
                 continue
-            fovs = [Fov(p[0], p[1], 1.5) for p in pts]
-            v = radical_center(*fovs)
+            footprints = [(p[0], p[1], 1.5) for p in pts]
+            v = radical_center(*footprints)
             d = [np.linalg.norm(v - p) for p in pts]
             assert d[0] == pytest.approx(d[1], abs=1e-9)
             assert d[1] == pytest.approx(d[2], abs=1e-9)
@@ -93,7 +100,7 @@ class TestRadicalCenter:
         for _ in range(200):
             trio = random_trio(rng)
             v = trio.radical_center
-            d = [power_distance(f, v) for f in trio.fovs]
+            d = [power_distance(f, v) for f in disks(trio)]
             assert abs(d[0] - d[1]) < 1e-9
             assert abs(d[1] - d[2]) < 1e-9
 
@@ -103,8 +110,8 @@ class TestRadicalCenter:
             v = trio.radical_center
             for a in range(3):
                 for b in range(a + 1, 3):
-                    point, direction = radical_axis(trio.fovs[a], trio.fovs[b])
-                    center_dir = trio.fovs[b].center - trio.fovs[a].center
+                    point, direction = radical_axis(disks(trio)[a], disks(trio)[b])
+                    center_dir = np.subtract(triangle(trio)[b], triangle(trio)[a])
                     assert abs(direction @ center_dir) < 1e-12 * np.linalg.norm(center_dir)
                     # Distance from v to the axis.
                     off = v - point
@@ -170,8 +177,8 @@ class TestSigmaDFrame:
             for viewpoint in trio.ids:
                 _, j, k = roles(trio, viewpoint)
                 frame = sigma_d_frame(trio, viewpoint)
-                xk = to_frame(frame, trio.fovs[trio.ids.index(k)].center)
-                xj = to_frame(frame, trio.fovs[trio.ids.index(j)].center)
+                xk = to_frame(frame, triangle(trio)[trio.ids.index(k)])
+                xj = to_frame(frame, triangle(trio)[trio.ids.index(j)])
                 assert xk[0] > 0 or abs(xk[0]) < 1e-12
                 assert abs(xk[1]) < 1e-9 and abs(xj[1]) < 1e-9
                 assert np.linalg.det(frame_rotation(frame)) == pytest.approx(1.0, abs=1e-12)
@@ -183,7 +190,7 @@ class TestSigmaDFrame:
             trio = random_trio(rng)
             i, j, k = roles(trio, trio.ids[0])
             frame = sigma_d_frame(trio, i)
-            point, direction = radical_axis(trio.fovs[trio.ids.index(i)], trio.fovs[trio.ids.index(j)])
+            point, direction = radical_axis(disks(trio)[trio.ids.index(i)], disks(trio)[trio.ids.index(j)])
             p = to_frame(frame, point)
             d = frame_rotation(frame) @ direction
             assert abs(d[0]) > 1e-12  # axis not parallel to the y-axis for sane trios
@@ -196,8 +203,8 @@ class TestSigmaDFrame:
 def assert_footprints_overlap_pairwise(trio):
     for a in range(3):
         for b in range(a + 1, 3):
-            fa, fb = trio.fovs[a], trio.fovs[b]
-            assert np.linalg.norm(fa.center - fb.center) <= fa.radius + fb.radius
+            (xa, ya, ra), (xb, yb, rb) = disks(trio)[a], disks(trio)[b]
+            assert np.linalg.norm([xa - xb, ya - yb]) <= ra + rb
 
 
 class TestBuildGraph:
@@ -276,7 +283,7 @@ class TestHoleOracles:
         trio = make_trio((0, 1, 2), states, r=1.0)
         inside, _ = point_in_triangle(*triangle(trio), trio.radical_center)
         assert inside
-        assert power_distance(trio.fovs[0], trio.radical_center) < 0
+        assert power_distance(disks(trio)[0], trio.radical_center) < 0
         assert not hole_exists_exact(trio)
 
     def test_grid_oracle_empty_when_triangle_covered(self):
@@ -305,8 +312,8 @@ class TestHoleOracles:
         n_cases = 60
         for _ in range(n_cases):
             trio = random_trio(rng, require_overlap=True)
-            centers = np.array([f.center for f in trio.fovs])
-            rmax = max(f.radius for f in trio.fovs)
+            centers = np.array(triangle(trio))
+            rmax = max(R for _, _, R in disks(trio))
             lo = centers.min(axis=0) - 2 * rmax
             hi = centers.max(axis=0) + 2 * rmax
             diam = np.linalg.norm(
@@ -314,7 +321,7 @@ class TestHoleOracles:
             )
             res = 0.01 * np.linalg.norm(np.ptp(centers, axis=0))
             witnesses = grid_witnesses(
-                trio.states, (lo[0], lo[1], hi[0], hi[1]), max(res, diam / 400), trio.r
+                trio_states(trio), (lo[0], lo[1], hi[0], hi[1]), max(res, diam / 400), trio.r
             )
             if hole_exists_exact(trio) != (len(witnesses) > 0):
                 mismatches += 1

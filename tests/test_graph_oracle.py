@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aircover import geometry
 from aircover.geometry import (
@@ -18,17 +18,16 @@ from aircover.geometry import (
     AgentState,
     DegenerateTrio,
     build_graph,
-    fov_of,
     make_trio,
     power_distance,
     radical_center,
 )
-from conftest import radical_axis
+from conftest import NEAR_PAIR_TEAM, SQUARE_TEAM, radical_axis
 
 
 def _fovs_overlap(fa, fb):
     # Closed test: tangent footprints count as overlapping.
-    return np.linalg.norm(fa.center - fb.center) <= fa.radius + fb.radius
+    return np.linalg.norm(np.subtract(fa[:2], fb[:2])) <= fa[2] + fb[2]
 
 
 def _cells_adjacent(fovs, i, j):
@@ -48,7 +47,7 @@ def _cells_adjacent(fovs, i, j):
             continue
         # g(t) = d_i(q0 + t u) − d_l(q0 + t u) must stay ≤ 0 (within tolerance).
         g0 = power_distance(fovs[i], q0) - power_distance(fovs[l], q0)
-        g1 = 2.0 * float((fovs[l].center - fovs[i].center) @ u)
+        g1 = 2.0 * float(np.subtract(fovs[l][:2], fovs[i][:2]) @ u)
         if abs(g1) < 1e-15:
             if g0 > ADJACENCY_TOL:
                 return False
@@ -66,7 +65,7 @@ def _cells_adjacent(fovs, i, j):
 def oracle_trio_keys(states, r):
     """Sorted id triples of the brute-force graph."""
     n = len(states)
-    fovs = [fov_of(s, r) for s in states]
+    fovs = [(s.x, s.y, r * s.z / s.lam) for s in states]
     edges = {
         (i, j)
         for i in range(n)
@@ -109,7 +108,7 @@ def oracle_trio_keys(states, r):
         if not ((a, b) in edges and (a, c) in edges and (b, c) in edges):
             continue
         try:
-            make_trio((a, b, c), [states[a], states[b], states[c]], r)
+            make_trio((a, b, c), states, r)
         except DegenerateTrio:
             continue
         keys.append((a, b, c))
@@ -148,6 +147,8 @@ def teams(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(teams())
+@example(SQUARE_TEAM)
+@example(NEAR_PAIR_TEAM)
 def test_random_teams_match_oracle(states):
     assert graph_trio_keys(states, 1.0) == oracle_trio_keys(states, 1.0)
 

@@ -23,7 +23,6 @@ from aircover.geometry import (
     build_graph,
     detect_holes_grid,
     enclosed_cells,
-    fov_of,
 )
 from aircover.sim import run
 from conftest import triangle
@@ -49,9 +48,8 @@ def full_grid_witnesses(states, r, mission, resolution, graph):
     ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
     covered = np.zeros((nx, ny), dtype=bool)
-    for s in states:
-        f = fov_of(s, r)
-        covered |= (XX - f.cx) ** 2 + (YY - f.cy) ** 2 <= f.radius**2
+    for x, y, z, lam in states:
+        covered |= (XX - x) ** 2 + (YY - y) ** 2 <= (r * z / lam) ** 2
     candidate = ndimage_enclosed(~covered)
     cx, cy = XX[candidate], YY[candidate]
     inside_any = np.zeros(cx.shape, dtype=bool)

@@ -12,7 +12,7 @@ arithmetic from a given radical center.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aircover.barrier import cbf_components
 from aircover.geometry import (
@@ -20,20 +20,23 @@ from aircover.geometry import (
     CONCENTRIC_TOL,
     AgentState,
     DegenerateTrio,
-    Fov,
     build_graph,
     make_trio,
     power_distance,
     radical_center,
     sigma_d_frame,
 )
-from conftest import cross2, frame_rotation, roles
+from conftest import NEAR_PAIR_TEAM, SQUARE_TEAM, cross2, disks, frame_rotation, roles
 
 RTOL = 1e-12
 
 
+def center(disk):
+    return np.array(disk[:2])
+
+
 def oracle_radical_center(fa, fb, fc):
-    centers = [fa.center, fb.center, fc.center]
+    centers = [center(fa), center(fb), center(fc)]
     for a in range(3):
         for b in range(a + 1, 3):
             if np.linalg.norm(centers[a] - centers[b]) < CONCENTRIC_TOL:
@@ -41,9 +44,9 @@ def oracle_radical_center(fa, fb, fc):
     ca, cb, cc = centers
     if abs(0.5 * cross2(cb - ca, cc - ca)) < AREA_TOL:
         raise DegenerateTrio("collinear footprint centers")
-    pa = ca @ ca - fa.radius**2
-    pb = cb @ cb - fb.radius**2
-    pc = cc @ cc - fc.radius**2
+    pa = ca @ ca - fa[2] ** 2
+    pb = cb @ cb - fb[2] ** 2
+    pc = cc @ cc - fc[2] ** 2
     A = 2.0 * np.array([cb - ca, cc - cb])
     rhs = np.array([pb - pa, pc - pb])
     return np.linalg.solve(A, rhs)
@@ -52,19 +55,19 @@ def oracle_radical_center(fa, fb, fc):
 def oracle_sigma_d_frame(trio, distinguished):
     """(origin, rotation) of the viewpoint's working frame."""
     i, j, k = roles(trio, distinguished)
-    fj = trio.fovs[trio.ids.index(j)]
-    fk = trio.fovs[trio.ids.index(k)]
-    cj, ck = fj.center, fk.center
+    _, _, rj = fj = disks(trio)[trio.ids.index(j)]
+    _, _, rk = fk = disks(trio)[trio.ids.index(k)]
+    cj, ck = center(fj), center(fk)
     d = ck - cj
     nd = float(np.linalg.norm(d))
     if nd < CONCENTRIC_TOL:
         raise DegenerateTrio("coincident J/K centers")
-    c = 0.5 * ((ck @ ck - fk.radius**2) - (cj @ cj - fj.radius**2))
+    c = 0.5 * ((ck @ ck - rk**2) - (cj @ cj - rj**2))
     s = (c - float(cj @ d)) / nd
     origin = cj + s * d / nd
     x_axis = d / nd
     # Origin beyond K (t > 1 in origin = cj + t·d) exactly when R_J² − R_K² > ‖d‖².
-    if fj.radius**2 - fk.radius**2 > float(d @ d):
+    if rj**2 - rk**2 > float(d @ d):
         x_axis = -x_axis
     y_axis = np.array([-x_axis[1], x_axis[0]])
     return origin, np.vstack([x_axis, y_axis])
@@ -73,9 +76,9 @@ def oracle_sigma_d_frame(trio, distinguished):
 def oracle_cbf_components(trio, viewpoint):
     """(values, frame coordinates (x_i, y_i, x_j, x_k)) of one viewpoint."""
     i, j, k = roles(trio, viewpoint)
-    fi, fj, fk = (trio.fovs[trio.ids.index(a)] for a in (i, j, k))
+    fi, fj, fk = (disks(trio)[trio.ids.index(a)] for a in (i, j, k))
     v = trio.radical_center
-    I, J, K = fi.center, fj.center, fk.center
+    I, J, K = center(fi), center(fj), center(fk)
     denom = cross2(J - I, K - I)
     if abs(denom) < 2.0 * AREA_TOL:
         raise DegenerateTrio("triangle area below tolerance")
@@ -84,9 +87,9 @@ def oracle_cbf_components(trio, viewpoint):
     r_kij = cross2(I - K, v - K) / denom
     h_f = -power_distance(fi, v)
     origin, rotation = oracle_sigma_d_frame(trio, viewpoint)
-    pi = rotation @ (fi.center - origin)
-    xj = (rotation @ (fj.center - origin))[0]
-    xk = (rotation @ (fk.center - origin))[0]
+    pi = rotation @ (I - origin)
+    xj = (rotation @ (J - origin))[0]
+    xk = (rotation @ (K - origin))[0]
     return (-r_ijk, -r_jki, -r_kij, h_f), (pi[0], pi[1], xj, xk)
 
 
@@ -96,19 +99,20 @@ def solve_scale(fovs, v):
     A is the 2×2 radical-axis matrix and p the lifted heights |c|² − R²,
     whose rounding is what the right-hand side carries.
     """
-    ca, cb, cc = (f.center for f in fovs)
+    ca, cb, cc = (center(f) for f in fovs)
     A = 2.0 * np.array([cb - ca, cc - cb])
-    lifted = max(abs(float(f.center @ f.center - f.radius**2)) for f in fovs)
+    lifted = max(abs(float(c @ c - f[2] ** 2)) for c, f in zip((ca, cb, cc), fovs))
     return np.linalg.cond(A) * (np.abs(v).max() + lifted / np.linalg.norm(A, 2))
 
 
 def frame_scale(trio):
     """What rounding can reach in a frame origin: m²/‖c_k − c_j‖ + m over the trio's magnitudes m."""
-    m = max(abs(f.cx) + abs(f.cy) + f.radius for f in trio.fovs)
+    fovs = disks(trio)
+    m = max(abs(x) + abs(y) + R for x, y, R in fovs)
     gap = min(
-        np.linalg.norm(a.center - b.center)
-        for n, a in enumerate(trio.fovs)
-        for b in trio.fovs[n + 1:]
+        np.linalg.norm(center(a) - center(b))
+        for n, a in enumerate(fovs)
+        for b in fovs[n + 1:]
     )
     return m * m / gap + m
 
@@ -142,11 +146,22 @@ def footprint_trios(draw):
         offset = np.array([draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
         a, b, c = a + offset, b + offset, c + offset
     radii = [draw(st.floats(0.05, 5.0)) for _ in range(3)]
-    return [Fov(float(p[0]), float(p[1]), r) for p, r in zip((a, b, c), radii)]
+    return [(float(p[0]), float(p[1]), r) for p, r in zip((a, b, c), radii)]
+
+
+# Fixed examples, kept whatever seed a test's source hashes to: J and K 4e-9 m
+# apart at |c| ≈ 3.4 m, where a frame origin's rounding exceeds their gap; a
+# near-collinear trio at 1.01·AREA_TOL; a trio 1e3 m from the origin.
+NEAR_PAIR = [(0.5, -1.0, 1.2), (2.4, 2.4, 1.0), (2.4 + 4e-9, 2.4, 1.0)]
+NEAR_COLLINEAR = [(0.3, -0.2, 1.1), (1.3, -0.2, 0.9), (0.8, -0.2 + 2.02 * AREA_TOL, 1.4)]
+FAR = [(1000.5, 998.8, 1.5), (1001.8, 999.9, 2.0), (1000.2, 1001.3, 1.2)]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(footprint_trios())
+@example(NEAR_PAIR)
+@example(NEAR_COLLINEAR)
+@example(FAR)
 def test_radical_center_matches_solve(fovs):
     expect = outcome(oracle_radical_center, *fovs)
     got = outcome(radical_center, *fovs)
@@ -157,12 +172,15 @@ def test_radical_center_matches_solve(fovs):
 
 def trio_of(fovs):
     # Unit focal length and r = 1 give footprint radius z.
-    states = [AgentState(f.cx, f.cy, f.radius, 1.0) for f in fovs]
+    states = [AgentState(x, y, R, 1.0) for x, y, R in fovs]
     return make_trio((0, 1, 2), states, 1.0)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(footprint_trios())
+@example(NEAR_PAIR)
+@example(NEAR_COLLINEAR)
+@example(FAR)
 def test_frame_and_components_match_numpy(fovs):
     trio = outcome(trio_of, fovs)
     assume(trio is not None)
@@ -201,8 +219,10 @@ def teams(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(teams())
+@example(SQUARE_TEAM)
+@example(NEAR_PAIR_TEAM)
 def test_graph_centers_equal_scalar_kernel(states):
     # The graph's batched solve and radical_center share one formula, so a
     # trio's stored center is exactly what radical_center gives for it.
     for trio in build_graph(states, 1.0).all_trios():
-        assert np.array_equal(trio.radical_center, radical_center(*trio.fovs))
+        assert np.array_equal(trio.radical_center, radical_center(*disks(trio)))

@@ -13,7 +13,7 @@ import aircover.sim
 from aircover.cli import bundled_scenario, parse_config, serialize
 from aircover.controller import ClassK
 from aircover.coverage import DensityField, SensingParams
-from aircover.geometry import AgentState, CommGraph, TrioContext, fov_of
+from aircover.geometry import AgentState, CommGraph, TrioContext, footprint_rows
 from aircover.sim import MODES, Scenario, TraceRecord, initial_world, run, step
 
 MISSION = (-3.5, -3.5, 3.5, 3.5)
@@ -30,7 +30,7 @@ ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
 def with_first_agent(scenario, **change):
-    return replace(scenario, agents=(replace(scenario.agents[0], **change), *scenario.agents[1:]))
+    return replace(scenario, agents=(scenario.agents[0]._replace(**change), *scenario.agents[1:]))
 
 
 def with_first_component(scenario, weight=1.0, mean=(0.0, 0.0), scale=1.5):
@@ -116,7 +116,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("field", ["z", "lam"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_rejects_agent_without_a_positive_altitude_or_focal_length(self, field, value):
-        agents = (replace(TRIO_AGENTS[0], **{field: value}), *TRIO_AGENTS[1:])
+        agents = (TRIO_AGENTS[0]._replace(**{field: value}), *TRIO_AGENTS[1:])
         with pytest.raises(ValueError, match="positive altitude z and focal length lambda"):
             trio_scenario(agents=agents)
 
@@ -152,22 +152,26 @@ class TestStep:
             world, record = step(world, scenario)
             assert not any(record.fallback)
             assert not any(record.clamped)
-        for state, start in zip(world.states, TRIO_AGENTS):
-            assert (state.x, state.y, state.z, state.lam) == (
-                start.x,
-                start.y,
-                start.z,
-                start.lam,
-            )
+        for state, start in zip(world.states.tolist(), TRIO_AGENTS):
+            assert state == [start.x, start.y, start.z, start.lam]
 
     def test_record_snapshots_pre_integration_state(self):
         scenario = trio_scenario()
         world = initial_world(scenario)
-        _, record = step(world, scenario)
+        before = world.states.copy()
+        after, record = step(world, scenario)
         assert record.step == 0
         for row, state in zip(record.agents, TRIO_AGENTS):
             assert row[:4] == (state.x, state.y, state.z, state.lam)
             assert row[4] == pytest.approx(state.z / state.lam)
+        # The trace writers get Python floats, whose repr carries no np.float64(...).
+        assert all(type(v) is float for row in record.agents for v in row)
+        # The state is one read-only (n, 4) float64 array, and step leaves its input alone.
+        for states in (world.states, after.states):
+            assert states.shape == (3, 4) and states.dtype == np.float64
+            assert not states.flags.writeable
+        np.testing.assert_array_equal(world.states, before)
+        assert not np.array_equal(after.states, before)
 
     def test_first_step_is_never_a_switch(self):
         scenario = trio_scenario()
@@ -194,8 +198,9 @@ class TestStep:
         assert after.min_ncbf == (0.0, 0.0, 0.0)
 
     def test_clamps_engage_and_are_recorded(self):
+        # Agent 0 dives through both floors; agent 1 hovers and is never clamped.
         scenario = Scenario(
-            agents=(AgentState(0.0, 0.0, 1.0, 1.0),),
+            agents=(AgentState(0.0, 0.0, 1.0, 1.0), AgentState(2.5, 2.5, 1.0, 1.0)),
             sensing=SENSING,
             density=DENSITY,
             dt=0.01,
@@ -204,17 +209,20 @@ class TestStep:
             grid_resolution=0.2,
             min_z=0.05,
             min_lambda=1e-4,
-            fixed_nominal=((0.0, 0.0, -100.0, -200.0),),
+            fixed_nominal=((0.0, 0.0, -100.0, -200.0), ZERO),
         )
         records, summary = run(scenario)
         assert any(any(r.clamped) for r in records)
+        assert all(r.clamped in ((False, False), (True, False)) for r in records)
         assert summary["clamp_count"] >= 1
         # Floors hold: re-run step by step and check the world state.
         world = initial_world(scenario)
         for _ in range(3):
             world, _ = step(world, scenario)
-            assert world.states[0].z >= scenario.min_z
-            assert world.states[0].lam >= scenario.min_lambda
+            assert world.states[0, 2] >= scenario.min_z
+            assert world.states[0, 3] >= scenario.min_lambda
+            assert world.states[1].tolist() == list(scenario.agents[1])
+        assert world.states[0, 2:].tolist() == [scenario.min_z, scenario.min_lambda]
 
     def test_hole_oracle_cadence_and_sentinel(self):
         scenario = trio_scenario(steps=25, hole_check_every=10)
@@ -350,11 +358,9 @@ class TestCaching:
             AgentState(1.0, 0.0, 1.0, 1.0),
             AgentState(2.0, 1e-10, 1.0, 1.0),
         )
-        fovs = tuple(fov_of(s, SENSING.r) for s in states)
         trio = TrioContext(
             ids=(0, 1, 2),
-            states=states,
-            fovs=fovs,
+            rows=tuple(footprint_rows(states, SENSING.r)),
             radical_center=np.array([1.0, 0.5]),
             r=SENSING.r,
         )
