@@ -52,7 +52,7 @@ for agent in trio.ids:
     ox, oy, ax, ay = sigma_d_frame(trio, agent)
     direction = np.array([-ay, ax])
     centers = np.subtract(trio.rows[k][:2], trio.rows[j][:2])
-    to_v = v - (ox, oy)
+    to_v = np.subtract(v, (ox, oy))
     print(f"agent {agent}, axis {j}-{k}: |direction . centers| = "
           f"{abs(float(direction @ centers)):.2e}, frame coordinates of v = "
           f"({ax * to_v[0] + ay * to_v[1]:+.2e}, {-ay * to_v[0] + ax * to_v[1]:+.4f})")

@@ -35,7 +35,7 @@ print("mover y    h (barrier)   argmax   exact oracle   grid witnesses")
 for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
     mover = AgentState(0.0, y, 1.5, 1.0)
     trio = make_trio((0, 1, 2), [mover, *hoverers], r)
-    value = ncbf_value(cbf_components(trio, 0).vals, epsilon=0.2)
+    value = ncbf_value(cbf_components(trio)[0].vals, epsilon=0.2)
     # The exact test: v strictly inside the triangle and outside the footprints
     # (one footprint decides for all three, as v has equal power to each).
     inside, _ = point_in_triangle(*(row[:2] for row in trio.rows), trio.radical_center)
@@ -48,10 +48,11 @@ for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
 
 # The four components from the mover's viewpoint: three triangle-side
 # conditions (is v beyond an edge?) and the footprint condition (does my
-# disk reach v?).  The max picks the "most safe" certificate.
+# disk reach v?).  The max picks the "most safe" certificate.  One evaluation
+# of the trio gives all three agents' views, in id order; the mover is agent 0.
 mover = AgentState(0.0, -1.2, 1.5, 1.0)
 trio = make_trio((0, 1, 2), [mover, *hoverers], r)
-comps = cbf_components(trio, 0)
+comps = cbf_components(trio)[0]
 print("\ncomponent values from the mover's viewpoint:",
       np.round(comps.vals, 4))
 print("almost-active set (within epsilon = 0.2 of the max):",
@@ -70,7 +71,7 @@ for coord in range(4):
         bumped = [mover.x, mover.y, mover.z, mover.lam]
         bumped[coord] += sign * h
         t = make_trio((0, 1, 2), [AgentState(*bumped), *hoverers], r)
-        vals.append(cbf_components(t, 0)[component])
+        vals.append(cbf_components(t)[0][component])
     fd[coord] = (vals[0] - vals[1]) / (2.0 * h)
 print(f"\ncomponent {component} gradient (analytic):", np.round(grad, 6))
 print(f"component {component} gradient (finite diff):", np.round(fd, 6))

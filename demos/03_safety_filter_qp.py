@@ -22,7 +22,6 @@ from aircover import (
     ncbf_value,
     qp_weights,
     solve_qp,
-    trio_views,
 )
 
 # A trio close to opening a hole: the mover is pulling away from the pair.
@@ -33,14 +32,15 @@ states = [
     AgentState(1.4, 0.0, 1.5, 1.0),
 ]
 trio = make_trio((0, 1, 2), states, r)
-value = ncbf_value(cbf_components(trio, 0).vals, epsilon=0.2)
+mover_view = cbf_components(trio)[0]  # the trio's views come in id order
+value = ncbf_value(mover_view.vals, epsilon=0.2)
 print(f"barrier h = {value.value:.4f}, almost-active components: "
       f"{value.active_set}")
 
 # The mover's nominal input keeps retreating -- unsafe if left unfiltered.
 u_nom = np.array([0.0, -0.4, 0.0, 0.0])
 alpha = ClassK(gain=20.0, power=3)
-rows = build_constraints(trio_views(0, [trio]), epsilon=0.2, alpha=alpha,
+rows = build_constraints([mover_view], epsilon=0.2, alpha=alpha,
                          guard_threshold=1e4)
 for a, b in rows:
     print("constraint row a =", np.round(a, 4), f" b = {b:+.5f}",
@@ -59,7 +59,7 @@ print("worst row residual at the solution:",
 # filter is inert.
 safe = make_trio((0, 1, 2), [AgentState(0.0, -0.2, 1.5, 1.0),
                              states[1], states[2]], r)
-rows_safe = build_constraints(trio_views(0, [safe]), 0.2, alpha, 1e4)
+rows_safe = build_constraints([cbf_components(safe)[0]], 0.2, alpha, 1e4)
 u_safe = solve_qp(QpProblem(u_nom, qp_weights(1.0e6), rows_safe))
 print("\nwith a comfortable barrier the filter returns u_nom exactly:",
       bool(np.array_equal(u_safe, u_nom)))

@@ -28,7 +28,7 @@ print("\nstep    mover y    barrier h   certificate")
 for k in range(scenario.steps):
     trios = build_graph(world.states, scenario.sensing.r).trios_of(0)
     if trios:
-        value = ncbf_value(cbf_components(trios[0], 0).vals, scenario.epsilon)
+        value = ncbf_value(cbf_components(trios[0])[0].vals, scenario.epsilon)
         if value.argmax != last_argmax or k % 400 == 0:
             print(f"{k:>4}   {world.states[0, 1]:+8.3f}   {value.value:+9.4f}"
                   f"   component {value.argmax}"

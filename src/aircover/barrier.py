@@ -8,16 +8,16 @@ no hole exists.  Component indices are 1-based: 1..3 are the triangle-side
 conditions (lines IJ, JK, KI with I the viewpoint agent), 4 is footprint
 membership.
 
-`cbf_components` is the one evaluation of a (trio, viewpoint) per step: it
-computes the four values and the viewpoint's working frame (x-axis on segment
-JK, y-axis on the JK radical axis) with the frame coordinates of the three
-footprint centers.  The safety filter and the trace share that result:
-`ncbf_value` composes the values, and `cbf_gradient` reads the stored frame to
-give one component's analytic gradient, where the radical center has a closed
-form, rotated back to world coordinates; altitude and focal-length entries
-are frame-invariant.  The barrier's sign is a per-trio certificate, not a
-detector: the package's one hole detector is the grid oracle
-`geometry.detect_holes_grid`.
+`cbf_components` is the one evaluation of a trio per step: its three agents
+share one barrier with the roles permuted, so each view permutes the trio's
+four values and adds the agent's working frame (x-axis on segment JK, y-axis
+on the JK radical axis) with the frame coordinates of the footprint centers.
+The filter and the trace share the views: `ncbf_value` composes the values,
+and `cbf_gradient` reads the stored frame to give one component's analytic
+gradient, where the radical center has a closed form, rotated back to world
+coordinates; altitude and focal-length entries are frame-invariant.  The
+barrier's sign is a per-trio certificate, not a detector: the package's one
+hole detector is the grid oracle `geometry.detect_holes_grid`.
 
 Everything here runs on plain floats: the frame is the 4-tuple
 (ox, oy, ax, ay) of its origin and x-axis, the roles J and K are picked by
@@ -38,7 +38,7 @@ from aircover.geometry import (
 
 
 class CbfComponents:
-    """One (trio, viewpoint) evaluation: the four condition values and what their gradients need.
+    """One agent's view of a trio: the four condition values and what their gradients need.
 
     `vals` is ordered (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint).
     `frame` is the viewpoint's working frame (ox, oy, ax, ay) and `coords` holds
@@ -76,37 +76,32 @@ class NcbfValue:
         return tuple(l + 1 for l, h in enumerate(self.vals) if abs(h - self.value) <= self.epsilon)
 
 
-def cbf_components(trio: TrioContext, viewpoint: int) -> CbfComponents:
-    """Evaluate the four condition values and the working frame from one agent's viewpoint.
+def cbf_components(trio: TrioContext) -> tuple:
+    """Evaluate a trio once: its agents' views, in id order (a degenerate frame's view is its DegenerateTrio).
 
-    The triangle ratios use vertex roles (I, J, K) = (viewpoint, lower other,
-    higher other); the footprint value is the negated power distance of the
-    radical center to the viewpoint's footprint.  Raises DegenerateTrio when
-    the triangle's area is below tolerance.
+    The ratios of lines 01, 12, 20 are the radical center's barycentric coordinates λ₂, λ₀, λ₁;
+    with h_f its negated power distance to footprint 0 (equal for all three there), the agent at
+    position p, with roles (I, J, K) = ROLE_POSITIONS[p], sees (−λ_K, −λ_I, −λ_J, h_f).
+    Raises DegenerateTrio when the triangle's area is below tolerance.
     """
-    pi, pj, pk = ROLE_POSITIONS[trio.ids.index(viewpoint)]
-    xi, yi, z, lam, Ri = trio.rows[pi]
-    xj, yj, _, _, Rj = trio.rows[pj]
-    xk, yk, _, _, Rk = trio.rows[pk]
-    v = trio.radical_center.tolist()
-    _, (r_ijk, r_jki, r_kij) = point_in_triangle((xi, yi), (xj, yj), (xk, yk), v)
-    h_f = -power_distance((xi, yi, Ri), v)
-    frame = sigma_d_frame(trio, viewpoint)
-    ox, oy, ax, ay = frame
-    dx, dy = xi - ox, yi - oy
-    coords = (
-        ax * dx + ay * dy,
-        -ay * dx + ax * dy,
-        ax * (xj - ox) + ay * (yj - oy),
-        ax * (xk - ox) + ay * (yk - oy),
-        Ri**2,
-        Rj**2,
-        Rk**2,
-        z,
-        lam,
-        trio.r,
-    )
-    return CbfComponents((-r_ijk, -r_jki, -r_kij, h_f), trio, viewpoint, frame, coords)
+    rows, v = trio.rows, trio.radical_center
+    _, (l2, l0, l1) = point_in_triangle(rows[0][:2], rows[1][:2], rows[2][:2], v)
+    neg = (-l0, -l1, -l2)
+    h_f = -power_distance((rows[0][0], rows[0][1], rows[0][4]), v)
+    views = []
+    for viewpoint, (pi, pj, pk) in zip(trio.ids, ROLE_POSITIONS):
+        try:
+            frame = sigma_d_frame(trio, viewpoint)
+        except DegenerateTrio as exc:
+            views.append(exc)
+            continue
+        (xi, yi, z, lam, Ri), (xj, yj, _, _, Rj), (xk, yk, _, _, Rk) = rows[pi], rows[pj], rows[pk]
+        ox, oy, ax, ay = frame
+        dx, dy = xi - ox, yi - oy
+        coords = (ax * dx + ay * dy, -ay * dx + ax * dy, ax * (xj - ox) + ay * (yj - oy),
+                  ax * (xk - ox) + ay * (yk - oy), Ri**2, Rj**2, Rk**2, z, lam, trio.r)
+        views.append(CbfComponents((neg[pk], neg[pi], neg[pj], h_f), trio, viewpoint, frame, coords))
+    return tuple(views)
 
 
 def ncbf_value(vals, epsilon: float) -> NcbfValue:

@@ -1,16 +1,16 @@
 """Per-agent QP safety filter.
 
-`trio_views` evaluates each of an agent's triangles once from its viewpoint
-(`barrier.cbf_components`) and drops a degenerate one with a single warning;
-the simulator shares that list between this filter and the trace.  From it
-the agent assembles one linear constraint per almost-active, non-suppressed
-barrier component, computing only those components' gradients, then minimally
-modifies its nominal input in the weighted least-squares sense subject to
-those constraints.  The QP is tiny (4 variables, a couple dozen constraints at
-most), so a deterministic dual active-set method is used rather than an
-external solver.  Rows are (4-tuple, float) pairs and the solver runs on
-Python floats: on 4-vectors numpy's per-call overhead costs more than the
-arithmetic.
+`trio_views` evaluates each triangle once (`barrier.cbf_components`) and
+hands each agent its views, dropping a degenerate one with a warning; the
+simulator shares them between this filter and the trace.  From its views the
+agent assembles one linear constraint per almost-active, non-suppressed
+barrier component, computing only those components' gradients, then keeps its
+nominal input if every row holds there, or else minimally modifies it in the
+weighted least-squares sense.  The QP is tiny (4 variables, a couple dozen
+constraints at most), so a deterministic dual active-set method is used
+rather than an external solver.  Rows are (4-tuple, float) pairs and the
+solver runs on Python floats: on 4-vectors numpy's per-call overhead costs
+more than the arithmetic.
 """
 
 import logging
@@ -86,14 +86,19 @@ class FilterParams:
     components: tuple = ALL_COMPONENTS
 
 
-def trio_views(viewpoint: int, trios):
-    """One `cbf_components` evaluation per trio from the viewpoint; a degenerate trio is dropped with a warning."""
-    views = []
-    for trio in trios:
+def trio_views(graph):
+    """Each agent's views, in the graph's trio order, from one `cbf_components` call per trio; each dropped view warns."""
+    views = [[] for _ in range(graph.n)]
+    for trio in graph.all_trios():
         try:
-            views.append(cbf_components(trio, viewpoint))
+            evaluated = cbf_components(trio)
         except DegenerateTrio as exc:
-            log.warning("agent %d trio %s degenerate, dropped: %s", viewpoint, trio.ids, exc)
+            evaluated = (exc,) * 3
+        for agent, view in zip(trio.ids, evaluated):
+            if isinstance(view, DegenerateTrio):
+                log.warning("agent %d trio %s degenerate, dropped: %s", agent, trio.ids, view)
+            else:
+                views[agent].append(view)
     return views
 
 
@@ -182,8 +187,7 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     b = [float(bb) for _, bb in problem.constraints]
     if not all(map(math.isfinite, chain(u_nom, b, *A))):
         raise ValueError("u_nom and every constraint row must be finite")
-    if not A or min(_dot(a, u_nom) - bb for a, bb in zip(A, b)) >= -_FEAS_TOL:
-        # No row, or every row already holds: the iteration below would stop here too.
+    if not A:
         return np.array(u_nom)
     winv = tuple(1.0 / x for x in w)
     sw = tuple(math.sqrt(x) for x in winv)
@@ -261,7 +265,8 @@ def agent_control(viewpoint: int, views, u_nom, params: FilterParams) -> np.ndar
     rows = build_constraints(
         views, params.epsilon, params.alpha, params.guard_threshold, params.components
     )
-    if not rows:
-        return u_nom.copy()
-    problem = QpProblem(u_nom=u_nom, weights=qp_weights(params.w_lambda), constraints=rows)
-    return solve_qp(problem)
+    u = u_nom.tolist()
+    valid = len(u) == 4 and all(map(math.isfinite, u))  # else solve_qp rejects it
+    if not rows or valid and all(_dot(a, u) - b >= -_FEAS_TOL for a, b in rows):
+        return u_nom.copy()  # solve_qp would return it unchanged
+    return solve_qp(QpProblem(u_nom, qp_weights(params.w_lambda), rows))

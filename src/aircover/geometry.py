@@ -12,13 +12,13 @@ numpy.
 The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
 overhead costs more than the arithmetic.  A disk is the triple (cx, cy, R);
 a trio holds its agents' rows (x, y, z, λ, R), read from the state array as
-Python floats.  A radical center solves the two radical-axis equations by
-Cramer's rule on the lifted heights |c|² − R² (the lifting view of power
-diagrams); the working frame is the 4-tuple (ox, oy, ax, ay) of its origin
-and x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`); a
-trio's triangle is the centers of its footprints.  `build_graph` runs the
-same solve on arrays over every candidate trio and tests the candidates
-against all footprints in fixed row blocks.
+Python floats.  A radical center (a float pair) solves the two radical-axis
+equations by Cramer's rule on the lifted heights |c|² − R² (the lifting view
+of power diagrams); the working frame is the 4-tuple (ox, oy, ax, ay) of its
+origin and x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`);
+a trio's triangle is the centers of its footprints.  `build_graph` runs the
+same solve on arrays over every candidate trio, tests the candidates against
+all footprints in fixed row blocks and keeps each trio once.
 """
 
 import math
@@ -67,33 +67,37 @@ class TrioContext:
     `rows` holds the three agents' (x, y, z, λ, R) in id order: the state row
     and the footprint radius, so the footprint centers (x, y) are the
     triangle's vertices.  `radical_center` is the common equal-power point of
-    the three footprint disks, and r the sensing constant in R = r·z/λ, which
-    the gradients' ∂R²/∂z and ∂R²/∂λ need.
+    the three footprint disks as a float pair, and r the sensing constant in
+    R = r·z/λ, which the gradients' ∂R²/∂z and ∂R²/∂λ need.
     """
 
     ids: tuple
     rows: tuple
-    radical_center: np.ndarray
+    radical_center: tuple
     r: float
 
 
 @dataclass
 class CommGraph:
-    """Communication graph: the trios of power-diagram vertices with pairwise-overlapping footprints."""
+    """Communication graph: each trio of a power-diagram vertex with pairwise-overlapping footprints once, sorted by id triple."""
 
     n: int
-    trios: dict
+    trios: tuple
+
+    def __post_init__(self):
+        self._by_agent = [[] for _ in range(self.n)]  # each agent's trios, in the same order
+        for trio in self.trios:
+            for agent in trio.ids:
+                self._by_agent[agent].append(trio)
 
     def trios_of(self, agent_id: int):
-        return self.trios.get(agent_id, [])
+        return self._by_agent[agent_id]
 
     def all_trios(self):
-        """All distinct trios, sorted by id triple."""
-        seen = {t.ids: t for lst in self.trios.values() for t in lst}
-        return [seen[k] for k in sorted(seen)]
+        return list(self.trios)
 
     def trio_keys(self):
-        return {t.ids for lst in self.trios.values() for t in lst}
+        return {t.ids for t in self.trios}
 
 
 def power_distance(disk, q) -> float:
@@ -119,8 +123,8 @@ def _cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc):
     return (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
 
 
-def radical_center(da, db, dc) -> np.ndarray:
-    """Common equal-power point of three disks (cx, cy, R) (their pairwise radical axes meet there)."""
+def radical_center(da, db, dc) -> tuple:
+    """Common equal-power point (x, y) of three disks (cx, cy, R) (their pairwise radical axes meet there)."""
     (ax, ay, ra), (bx, by, rb), (cx, cy, rc) = da, db, dc
     tol2 = CONCENTRIC_TOL * CONCENTRIC_TOL
     for dx, dy in ((bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by)):
@@ -129,7 +133,7 @@ def radical_center(da, db, dc) -> np.ndarray:
     if abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))) < AREA_TOL:
         raise DegenerateTrio("collinear footprint centers")
     pa, pb, pc = _lift(ax, ay, ra), _lift(bx, by, rb), _lift(cx, cy, rc)
-    return np.array(_cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc))
+    return _cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc)
 
 
 def point_in_triangle(I, J, K, v):
@@ -167,7 +171,7 @@ def _trio(ids, rows, r, center):
     """A TrioContext from its agents' rows in id order; solves the radical center when center is None."""
     if center is None:
         center = radical_center(*((x, y, R) for x, y, _, _, R in rows))
-    return TrioContext(tuple(ids), tuple(rows), np.array(center, dtype=float), r)
+    return TrioContext(tuple(ids), tuple(rows), center, r)
 
 
 def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
@@ -183,20 +187,19 @@ def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
     jx, jy, _, _, rj = trio.rows[pj]
     kx, ky, _, _, rk = trio.rows[pk]
     dx, dy = kx - jx, ky - jy
-    nd = math.sqrt(dx * dx + dy * dy)
+    nd2 = dx * dx + dy * dy
+    nd = math.sqrt(nd2)
     if nd < CONCENTRIC_TOL:
         raise DegenerateTrio("coincident J/K centers")
-    # Origin: intersection of the radical axis with line JK.  Points q of the
-    # axis satisfy q·d = c; substituting the line q = cj + s·d/‖d‖ gives s.
-    c = 0.5 * (_lift(kx, ky, rk) - _lift(jx, jy, rj))
-    s = (c - (jx * dx + jy * dy)) / nd
-    ox = jx + s * dx / nd
-    oy = jy + s * dy / nd
+    # Origin: the radical axis meets line JK at s from J, s² − R_J² = (‖d‖ − s)² − R_K²,
+    # with no lifted heights |c|² − R² to cancel however far the trio lies.
+    dr2 = rj**2 - rk**2
+    s = (nd2 + dr2) / (2.0 * nd)
     ax, ay = dx / nd, dy / nd
-    if rj**2 - rk**2 > dx * dx + dy * dy:
+    ox, oy = jx + s * ax, jy + s * ay
+    if dr2 > nd2:
         # Origin beyond K (s > ‖d‖, so R_J² − R_K² > ‖d‖²): flip so K keeps a
-        # positive frame x-coordinate.  Decided from the radii, not the rounded
-        # origin, whose error can exceed ‖d‖ when J and K nearly coincide.
+        # positive frame x-coordinate; decided from the radii, not from the rounded s.
         ax, ay = -ax, -ay
     return ox, oy, ax, ay
 
@@ -357,12 +360,10 @@ def build_graph(states, r: float) -> CommGraph:
                 trio_triples.setdefault((apex, a, b), None)
 
     rows = footprint_rows(states, r)
-    trios = {i: [] for i in range(n)}
+    trios = []
     for triple in sorted(trio_triples):
         try:
-            ctx = _trio(triple, [rows[a] for a in triple], r, trio_triples[triple])
+            trios.append(_trio(triple, [rows[a] for a in triple], r, trio_triples[triple]))
         except DegenerateTrio:
             continue
-        for agent in triple:
-            trios[agent].append(ctx)
-    return CommGraph(n=n, trios=trios)
+    return CommGraph(n=n, trios=tuple(trios))

@@ -163,10 +163,8 @@ def step(world: WorldState, scenario: Scenario):
             nominal_input(i, states, params, scenario.density, grid, part) for i in range(n)
         ]
 
-    # 5. One barrier evaluation per (trio, viewpoint), shared by the filter
-    #    and the trace; then the safety filter against the snapshot (skipped
-    #    in nominal_only mode).
-    views = [trio_views(i, graph.trios_of(i)) for i in range(n)]
+    # 5. One barrier evaluation per trio, shared by the filter (not in nominal_only) and the trace.
+    views = trio_views(graph)
     fallback = [False] * n
     if scenario.mode == "nominal_only":
         inputs = nominals
@@ -188,11 +186,11 @@ def step(world: WorldState, scenario: Scenario):
     np.maximum(next_states[:, 2:], floors, out=next_states[:, 2:])
     next_states.flags.writeable = False
 
-    # 7. Telemetry for the pre-integration snapshot.
-    min_ncbf = tuple(
-        min((ncbf_value(c.vals, scenario.epsilon).value for c in agent_views), default=0.0)
-        for agent_views in views
-    )
+    # 7. Telemetry for the pre-integration snapshot: one composed value per
+    #    trio, as its views hold the same values, permuted.
+    trio_vals = {c.trio.ids: c.vals for agent_views in views for c in agent_views}
+    h = {ids: ncbf_value(vals, scenario.epsilon).value for ids, vals in trio_vals.items()}
+    min_ncbf = tuple(min((h[c.trio.ids] for c in vs), default=0.0) for vs in views)
     if world.step % scenario.hole_check_every == 0:
         witnesses = len(detect_holes_grid(states, params.r, grid, graph))
     else:

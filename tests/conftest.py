@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aircover.barrier import cbf_components
 from aircover.controller import ClassK
 from aircover.coverage import CoverageGrid, DensityField, SensingParams, sensing_field
 from aircover.geometry import (
@@ -51,6 +52,14 @@ def disks(trio):
 def trio_states(trio):
     """A trio's three agent states, in id order."""
     return [AgentState(*row[:4]) for row in trio.rows]
+
+
+def view(trio, viewpoint):
+    """One agent's view from its trio's single evaluation; raises DegenerateTrio where `trio_views` would drop it."""
+    evaluated = cbf_components(trio)[trio.ids.index(viewpoint)]
+    if isinstance(evaluated, DegenerateTrio):
+        raise evaluated
+    return evaluated
 
 
 def hole_exists_exact(trio) -> bool:

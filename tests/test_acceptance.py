@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from aircover.barrier import (
-    cbf_components,
     cbf_gradient,
     degenerate_guard,
     ncbf_value,
@@ -31,6 +30,7 @@ from aircover.controller import (
 from aircover.coverage import CoverageGrid, DensityField, SensingParams
 from aircover.geometry import (
     AgentState,
+    CommGraph,
     build_graph,
     detect_holes_grid,
     make_trio,
@@ -38,7 +38,16 @@ from aircover.geometry import (
     sigma_d_frame,
 )
 from aircover.sim import Scenario, initial_world, run, step
-from conftest import component_apex, disks, radical_axis, random_trio, to_frame, trio_states, triangle
+from conftest import (
+    component_apex,
+    disks,
+    radical_axis,
+    random_trio,
+    to_frame,
+    trio_states,
+    triangle,
+    view,
+)
 
 
 def report(n, name, ok, detail):
@@ -59,8 +68,8 @@ def fd_component_gradient(trio, viewpoint, component, h=1e-6):
     idx = trio.ids.index(viewpoint)
     fd = np.zeros(4)
     for coord in range(4):
-        plus = cbf_components(_perturbed_trio(trio, idx, coord, h), viewpoint)[component]
-        minus = cbf_components(_perturbed_trio(trio, idx, coord, -h), viewpoint)[component]
+        plus = view(_perturbed_trio(trio, idx, coord, h), viewpoint)[component]
+        minus = view(_perturbed_trio(trio, idx, coord, -h), viewpoint)[component]
         fd[coord] = (plus - minus) / (2.0 * h)
     return fd
 
@@ -72,7 +81,7 @@ def test_criterion_1_gradient_suite(rng):
         trio = random_trio(rng)
         viewpoint = trio.ids[k % 3]
         for component in (1, 2, 3, 4):
-            grad = cbf_gradient(cbf_components(trio, viewpoint), component)
+            grad = cbf_gradient(view(trio, viewpoint), component)
             fd = fd_component_gradient(trio, viewpoint, component)
             rel = np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(grad)))
             worst = max(worst, rel)
@@ -116,7 +125,7 @@ def test_criterion_3_hole_oracle_equivalence(rng):
         if not graph.all_trios():
             continue
         checked += 1
-        value = ncbf_value(cbf_components(trio, trio.ids[0]).vals, 0.2).value
+        value = ncbf_value(view(trio, trio.ids[0]).vals, 0.2).value
         xs, ys, radii = zip(*disks(trio))
         radius = max(radii)
         mission = (min(xs) - radius - 1.0, min(ys) - radius - 1.0,
@@ -146,7 +155,7 @@ def test_criterion_4_trio_passage_replication():
     for _ in range(scenario.steps):
         trios = build_graph(world.states, scenario.sensing.r).trios_of(0)
         if trios:
-            argmaxes.append(ncbf_value(cbf_components(trios[0], 0).vals, scenario.epsilon).argmax)
+            argmaxes.append(ncbf_value(view(trios[0], 0).vals, scenario.epsilon).argmax)
         else:
             argmaxes.append(None)
         world, _ = step(world, scenario)
@@ -329,19 +338,20 @@ def test_criterion_8_distributed_implies_central(rng):
     while trios_done < 500:
         trio = random_trio(rng)
         trios_done += 1
-        value = ncbf_value(cbf_components(trio, trio.ids[0]).vals, epsilon)
+        value = ncbf_value(view(trio, trio.ids[0]).vals, epsilon)
         per_agent = {}
         solved = {}
         skip_components = set()
         for agent in trio.ids:
-            comps = cbf_components(trio, agent)
+            comps = view(trio, agent)
             suppressed = degenerate_guard(comps, 1e4)
             for local in suppressed:
                 apex = component_apex(trio, agent, local)
                 for glob in value.active_set:
                     if component_apex(trio, trio.ids[0], glob) == apex:
                         skip_components.add(glob)
-            rows = build_constraints(trio_views(agent, [trio]), epsilon, alpha, 1e4)
+            views = trio_views(CommGraph(3, (trio,)))[agent]
+            rows = build_constraints(views, epsilon, alpha, 1e4)
             u_nom = rng.normal(size=4) * 2.0
             try:
                 solved[agent] = (
@@ -371,7 +381,7 @@ def test_criterion_8_distributed_implies_central(rng):
                 if local is None:
                     premise = False
                     break
-                grad = cbf_gradient(cbf_components(trio, agent), local)
+                grad = cbf_gradient(view(trio, agent), local)
                 if float(np.linalg.norm(grad)) < 1e-9:
                     degenerate = True
                     break

@@ -26,6 +26,7 @@ from conftest import (
     to_frame,
     triangle,
     trio_states,
+    view,
 )
 
 FD_STEP = 1e-6
@@ -47,7 +48,7 @@ def fd_gradient(trio, viewpoint, component, step=FD_STEP):
             states = trio_states(trio)
             states[idx] = AgentState(*pert)
             t = make_trio(list(trio.ids), states, trio.r)
-            vals.append(cbf_components(t, viewpoint)[component])
+            vals.append(view(t, viewpoint)[component])
         grad[p] = (vals[0] - vals[1]) / (2.0 * step)
     return grad
 
@@ -57,7 +58,7 @@ class TestComponents:
         for _ in range(50):
             trio = random_trio(rng)
             for a in trio.ids:
-                comps = cbf_components(trio, a)
+                comps = view(trio, a)
                 f = disks(trio)[trio.ids.index(a)]
                 expect = -power_distance(f, trio.radical_center)
                 assert comps[4] == pytest.approx(expect, abs=1e-12)
@@ -70,7 +71,7 @@ class TestComponents:
             AgentState(1.0, 0.0, 1.0, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        comps = cbf_components(trio, 0)
+        comps = view(trio, 0)
         assert comps[4] == pytest.approx(0.0, abs=1e-12)
 
     def test_interior_point_negates_all_triangle_components(self, rng):
@@ -82,7 +83,7 @@ class TestComponents:
                 continue
             found += 1
             for a in trio.ids:
-                comps = cbf_components(trio, a)
+                comps = view(trio, a)
                 assert comps[1] < 0 and comps[2] < 0 and comps[3] < 0
         assert found >= 10
 
@@ -93,7 +94,7 @@ class TestComponents:
             trio = random_trio(rng)
             by_apex = {}
             for a in trio.ids:
-                comps = cbf_components(trio, a)
+                comps = view(trio, a)
                 for l in (1, 2, 3):
                     apex = component_apex(trio, a, l)
                     by_apex.setdefault(apex, []).append(comps[l])
@@ -126,14 +127,14 @@ class TestNcbfValue:
     def test_viewpoints_agree(self, rng):
         for _ in range(100):
             trio = random_trio(rng)
-            vals = [ncbf_value(cbf_components(trio, a).vals, 0.2).value for a in trio.ids]
-            assert max(vals) - min(vals) < 1e-12
+            vals = [ncbf_value(view(trio, a).vals, 0.2).value for a in trio.ids]
+            assert vals[0] == vals[1] == vals[2]
 
     def test_theorem_equivalence_with_exact_oracle(self, rng):
         checked = 0
         for _ in range(300):
             trio = random_trio(rng, require_overlap=True)
-            h = ncbf_value(cbf_components(trio, trio.ids[0]).vals, 0.2).value
+            h = ncbf_value(view(trio, trio.ids[0]).vals, 0.2).value
             if abs(h) < 1e-12:
                 continue  # boundary of the safe set: either call is defensible
             checked += 1
@@ -151,14 +152,14 @@ class TestNcbfValue:
                 q = R @ np.array([s.x, s.y]) + shift
                 moved.append(AgentState(q[0], q[1], s.z, s.lam))
             trio2 = make_trio(list(trio.ids), moved, trio.r)
-            h1 = ncbf_value(cbf_components(trio, trio.ids[0]).vals, 0.2).value
-            h2 = ncbf_value(cbf_components(trio2, trio.ids[0]).vals, 0.2).value
+            h1 = ncbf_value(view(trio, trio.ids[0]).vals, 0.2).value
+            h2 = ncbf_value(view(trio2, trio.ids[0]).vals, 0.2).value
             assert h1 == pytest.approx(h2, abs=1e-10)
 
 
 class TestGradients:
     def test_one_frame_per_evaluation(self, rng, monkeypatch):
-        # The working frame is built with the four values; gradients reuse it.
+        # Each view's working frame is built with the trio's values; gradients reuse it.
         calls = []
         original = aircover.barrier.sigma_d_frame
 
@@ -168,11 +169,11 @@ class TestGradients:
 
         monkeypatch.setattr(aircover.barrier, "sigma_d_frame", counting)
         trio = random_trio(rng)
-        comps = cbf_components(trio, trio.ids[1])
-        grads = [cbf_gradient(comps, l) for l in (1, 2, 3, 4)]
-        assert calls == [trio.ids[1]]
-        frame = original(trio, trio.ids[1])
-        assert comps.frame == frame
+        views = cbf_components(trio)
+        grads = [cbf_gradient(comps, l) for comps in views for l in (1, 2, 3, 4)]
+        assert calls == list(trio.ids)
+        for comps in views:
+            assert comps.frame == original(trio, comps.viewpoint)
         # A gradient is a 4-tuple of plain floats.
         assert all(len(g) == 4 and all(type(x) is float for x in g) for g in grads)
 
@@ -181,7 +182,7 @@ class TestGradients:
             trio = random_trio(rng)
             viewpoint = int(rng.choice(trio.ids))
             for component in (1, 2, 3, 4):
-                analytic = cbf_gradient(cbf_components(trio, viewpoint), component)
+                analytic = cbf_gradient(view(trio, viewpoint), component)
                 numeric = fd_gradient(trio, viewpoint, component)
                 scale = max(1.0, float(np.max(np.abs(analytic))))
                 assert np.max(np.abs(analytic - numeric)) < FD_RTOL * scale, (
@@ -201,8 +202,8 @@ class TestGradients:
             ]
             trio2 = make_trio(list(trio.ids), moved, trio.r)
             for component in (1, 2, 3, 4):
-                g1 = cbf_gradient(cbf_components(trio, trio.ids[0]), component)
-                g2 = cbf_gradient(cbf_components(trio2, trio.ids[0]), component)
+                g1 = cbf_gradient(view(trio, trio.ids[0]), component)
+                g2 = cbf_gradient(view(trio2, trio.ids[0]), component)
                 rotated = R @ g1[:2]
                 assert np.allclose(rotated, g2[:2], atol=1e-9)
                 assert g1[2] == pytest.approx(g2[2], abs=1e-9)
@@ -221,7 +222,7 @@ class TestGradients:
         trio = make_trio([0, 1, 2], states, r=1.0)
         frame = sigma_d_frame(trio, 0)
         assert abs(to_frame(frame, trio.radical_center)[1]) < 1e-12
-        grad = cbf_gradient(cbf_components(trio, 0), 4)
+        grad = cbf_gradient(view(trio, 0), 4)
         assert np.linalg.norm(grad) < 1e-9
 
     def test_side_gradient_vanishes_with_aligned_radical_axis(self):
@@ -235,7 +236,7 @@ class TestGradients:
             AgentState(1.0, 0.0, R, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        grad = cbf_gradient(cbf_components(trio, 0), 1)
+        grad = cbf_gradient(view(trio, 0), 1)
         assert np.linalg.norm(grad) < 1e-9
 
     def test_height_ratio_gradient_never_zero(self, rng):
@@ -244,7 +245,7 @@ class TestGradients:
         for _ in range(100):
             trio = random_trio(rng)
             for a in trio.ids:
-                grad = cbf_gradient(cbf_components(trio, a), 2)
+                grad = cbf_gradient(view(trio, a), 2)
                 assert grad[2] > 0.0
                 assert np.linalg.norm(grad) > 0.0
 
@@ -270,7 +271,7 @@ class TestDegenerateGuard:
             AgentState(1.0, 0.0, 1.0, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        comps = cbf_components(trio, 0)
+        comps = view(trio, 0)
         assert degenerate_guard(comps, 1e4)
 
     def test_threshold_must_be_positive(self):

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from aircover.barrier import cbf_gradient, degenerate_guard, cbf_components, ncbf_value
+from aircover.barrier import cbf_gradient, degenerate_guard, ncbf_value
 from aircover.controller import (
     ClassK,
     FilterParams,
@@ -19,8 +20,20 @@ from aircover.controller import (
     solve_qp,
     trio_views,
 )
-from aircover.geometry import AgentState, TrioContext, build_graph, footprint_rows, make_trio
-from conftest import component_apex, random_trio, trio_states
+from aircover.geometry import (
+    AREA_TOL,
+    CONCENTRIC_TOL,
+    ROLE_POSITIONS,
+    AgentState,
+    CommGraph,
+    DegenerateTrio,
+    TrioContext,
+    build_graph,
+    footprint_rows,
+    make_trio,
+    radical_center,
+)
+from conftest import component_apex, cross2, random_trio, trio_states, view
 
 
 def w_distance(u, u_nom, w):
@@ -70,12 +83,12 @@ class TestBuildConstraints:
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
         alpha = ClassK(gain=1.0, power=3)
-        rows = build_constraints(trio_views(0, [trio]), 0.2, alpha, 1e4)
+        rows = build_constraints(trio_views(CommGraph(3, (trio,)))[0], 0.2, alpha, 1e4)
         assert len(rows) == 1
         a, b = rows[0]
-        h = ncbf_value(cbf_components(trio, 0).vals, 0.2)
+        h = ncbf_value(view(trio, 0).vals, 0.2)
         assert h.active_set == (4,)
-        assert np.allclose(a, cbf_gradient(cbf_components(trio, 0), 4))
+        assert np.allclose(a, cbf_gradient(view(trio, 0), 4))
         assert b == pytest.approx(-alpha(h.value) / 3.0)
 
     def test_row_count_matches_active_set(self, rng):
@@ -83,11 +96,12 @@ class TestBuildConstraints:
         for _ in range(60):
             trio = random_trio(rng)
             for agent in trio.ids:
-                comps = cbf_components(trio, agent)
+                comps = view(trio, agent)
                 suppressed = set(degenerate_guard(comps, 1e4))
-                out = ncbf_value(cbf_components(trio, agent).vals, 0.2)
+                out = ncbf_value(view(trio, agent).vals, 0.2)
                 expected = [l for l in out.active_set if l not in suppressed]
-                rows = build_constraints(trio_views(agent, [trio]), 0.2, alpha, 1e4)
+                views = trio_views(CommGraph(3, (trio,)))[agent]
+                rows = build_constraints(views, 0.2, alpha, 1e4)
                 assert len(rows) == len(expected)
                 for _, b in rows:
                     assert b == pytest.approx(-alpha(out.value) / 3.0)
@@ -101,9 +115,9 @@ class TestBuildConstraints:
             AgentState(1.0, 0.0, 1.0, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        comps = cbf_components(trio, 0)
+        comps = view(trio, 0)
         assert degenerate_guard(comps, 1e4)
-        rows = build_constraints(trio_views(0, [trio]), 0.2, ClassK(), 1e4)
+        rows = build_constraints(trio_views(CommGraph(3, (trio,)))[0], 0.2, ClassK(), 1e4)
         assert rows == []
 
     def test_below_tolerance_triangle_dropped_with_warning(self, caplog):
@@ -118,11 +132,11 @@ class TestBuildConstraints:
         trio = TrioContext(
             ids=(0, 1, 2),
             rows=tuple(footprint_rows(states, 1.0)),
-            radical_center=np.array([1.0, 0.5]),
+            radical_center=(1.0, 0.5),
             r=1.0,
         )
         with caplog.at_level(logging.WARNING, logger="aircover.controller"):
-            rows = build_constraints(trio_views(0, [trio]), 0.2, ClassK(), 1e4)
+            rows = build_constraints(trio_views(CommGraph(3, (trio,)))[0], 0.2, ClassK(), 1e4)
         assert rows == []
         assert "degenerate, dropped" in caplog.text
 
@@ -147,11 +161,12 @@ class TestBuildConstraints:
             AgentState(1.4, 0.0, 1.5, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        assert len(build_constraints(trio_views(0, [trio]), 0.2, ClassK(), 1e4)) == 1
+        views = trio_views(CommGraph(3, (trio,)))[0]
+        assert len(build_constraints(views, 0.2, ClassK(), 1e4)) == 1
         if gradient is not None:
             monkeypatch.setattr(ctl, "cbf_gradient", lambda comps, l: gradient)
         with caplog.at_level(logging.WARNING, logger="aircover.controller"):
-            rows = build_constraints(trio_views(0, [trio]), 0.2, alpha, 1e4)
+            rows = build_constraints(views, 0.2, alpha, 1e4)
         assert rows == []
         assert "constraint dropped" in caplog.text
 
@@ -159,15 +174,95 @@ class TestBuildConstraints:
         alpha = ClassK()
         for _ in range(20):
             trio = random_trio(rng)
-            rows = build_constraints(trio_views(0, [trio]), 0.2, alpha, 1e4, components=(4,))
-            comps = cbf_components(trio, trio.ids[0])
+            views = trio_views(CommGraph(3, (trio,)))[0]
+            rows = build_constraints(views, 0.2, alpha, 1e4, components=(4,))
+            comps = view(trio, trio.ids[0])
             # exactly one row: the footprint gradient with its own decay budget
             rows = build_constraints(
-                trio_views(trio.ids[0], [trio]), 0.2, alpha, 1e4, components=(4,)
+                trio_views(CommGraph(3, (trio,)))[trio.ids[0]], 0.2, alpha, 1e4, components=(4,)
             )
             assert len(rows) == 1
-            assert np.allclose(rows[0][0], cbf_gradient(cbf_components(trio, trio.ids[0]), 4))
+            assert np.allclose(rows[0][0], cbf_gradient(view(trio, trio.ids[0]), 4))
             assert rows[0][1] == pytest.approx(-alpha(comps[4]) / 3.0)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@st.composite
+def footprint_triples(draw):
+    """Three footprints (x, y, R), some far from the origin, some with a pair under CONCENTRIC_TOL apart."""
+    coord = st.floats(-5.0, 5.0)
+    fovs = [[draw(coord), draw(coord), draw(st.floats(0.05, 5.0))] for _ in range(3)]
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+        fovs[b][:2] = fovs[a][0] + draw(st.floats(0.0, 0.9 * CONCENTRIC_TOL)), fovs[a][1]
+    if draw(st.booleans()):
+        dx, dy = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+        fovs = [[x + dx, y + dy, R] for x, y, R in fovs]
+    return [tuple(f) for f in fovs]
+
+
+# Fixed examples, kept whatever seed the test's source hashes to: agents 1 and
+# 2 5e-10 m apart with agent 0 5 m off their line, so only agent 0's frame is
+# degenerate; triangles at 0.99 and 1.01·AREA_TOL (below the area tolerance
+# every view is dropped; just above it all three are kept, with blown-up
+# ratios); and a trio 1e3 m from the origin.
+NEAR_COINCIDENT_JK = [(0.0, 5.0, 1.0), (0.0, 0.0, 1.0), (5e-10, 0.0, 1.0)]
+BELOW_AREA_TOL = [(0.3, -0.2, 1.1), (1.3, -0.2, 0.9), (0.8, -0.2 + 1.98 * AREA_TOL, 1.4)]
+ABOVE_AREA_TOL = [(0.3, -0.2, 1.1), (1.3, -0.2, 0.9), (0.8, -0.2 + 2.02 * AREA_TOL, 1.4)]
+FAR_TRIO = [(1000.5, 998.8, 1.5), (1001.8, 999.9, 2.0), (1000.2, 1001.3, 1.2)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(footprint_triples())
+@example(NEAR_COINCIDENT_JK)
+@example(BELOW_AREA_TOL)
+@example(ABOVE_AREA_TOL)
+@example(FAR_TRIO)
+def test_trio_views_share_one_evaluation(fovs):
+    # A trio as a graph could hand it over, centred at its radical center
+    # where that exists and at its centroid otherwise.  Its views hold the
+    # same four values, permuted, so they compose to exactly equal barrier
+    # values; a view is dropped, with one warning for its agent, exactly when
+    # the triangle (all three) or that agent's J/K pair (that one) is degenerate.
+    try:
+        center = radical_center(*fovs)
+    except DegenerateTrio:
+        center = tuple(sum(f[c] for f in fovs) / 3.0 for c in (0, 1))
+    states = [AgentState(x, y, R, 1.0) for x, y, R in fovs]
+    trio = TrioContext(ids=(0, 1, 2), rows=tuple(footprint_rows(states, 1.0)), radical_center=center, r=1.0)
+    centers = [np.array(f[:2]) for f in fovs]
+    if abs(cross2(centers[1] - centers[0], centers[2] - centers[0])) < 2.0 * AREA_TOL:
+        expect_dropped = [0, 1, 2]
+    else:
+        expect_dropped = []
+        for agent, (_, pj, pk) in enumerate(ROLE_POSITIONS):
+            dx, dy = centers[pk] - centers[pj]
+            if math.sqrt(dx * dx + dy * dy) < CONCENTRIC_TOL:
+                expect_dropped.append(agent)
+
+    handler = _Records()
+    logger = logging.getLogger("aircover.controller")
+    logger.addHandler(handler)
+    try:
+        views = trio_views(CommGraph(3, (trio,)))
+    finally:
+        logger.removeHandler(handler)
+    assert sorted(r.args[0] for r in handler.records) == expect_dropped
+    assert all("degenerate, dropped" in r.getMessage() for r in handler.records)
+    kept = [agent_views[0] for agent_views in views if agent_views]
+    assert [v.viewpoint for v in kept] == [a for a in trio.ids if a not in expect_dropped]
+    assert all(len(agent_views) <= 1 for agent_views in views)
+    for v in kept:
+        assert sorted(v.vals) == sorted(kept[0].vals)
+        assert ncbf_value(v.vals, 0.2).value == ncbf_value(kept[0].vals, 0.2).value
 
 
 class TestSolveQp:
@@ -297,7 +392,7 @@ class TestAgentControl:
         states = [AgentState(0.0, 0.0, 1.0, 1.0), AgentState(10.0, 0.0, 1.0, 1.0)]
         graph = build_graph(states, r=1.0)
         u_nom = np.array([0.1, 0.2, 0.0, 0.0])
-        out = agent_control(0, trio_views(0, graph.trios_of(0)), u_nom, self.make_params())
+        out = agent_control(0, trio_views(graph)[0], u_nom, self.make_params())
         assert np.array_equal(out, u_nom)
 
     def test_safe_trio_zero_input_is_fixed(self):
@@ -310,9 +405,9 @@ class TestAgentControl:
         ]
         graph = build_graph(states, r=1.0)
         assert graph.trios_of(0)
-        h = ncbf_value(cbf_components(graph.trios_of(0)[0], 0).vals, 0.2)
+        h = ncbf_value(view(graph.trios_of(0)[0], 0).vals, 0.2)
         assert h.value >= 0.0
-        out = agent_control(0, trio_views(0, graph.trios_of(0)), np.zeros(4), self.make_params())
+        out = agent_control(0, trio_views(graph)[0], np.zeros(4), self.make_params())
         assert np.array_equal(out, np.zeros(4))
 
     def test_filtered_input_meets_every_constraint(self):
@@ -327,9 +422,9 @@ class TestAgentControl:
         assert graph.trios_of(0)
         params = self.make_params(w_lambda=3.0e6)
         u_nom = np.array([0.0, 0.4, 0.0, 0.0])
-        u = agent_control(0, trio_views(0, graph.trios_of(0)), u_nom, params)
+        u = agent_control(0, trio_views(graph)[0], u_nom, params)
         rows = build_constraints(
-            trio_views(0, graph.trios_of(0)), params.epsilon, params.alpha, params.guard_threshold
+            trio_views(graph)[0], params.epsilon, params.alpha, params.guard_threshold
         )
         assert rows
         for a, b in rows:
@@ -351,7 +446,7 @@ class TestAgentControl:
             for agent in trio.ids:
                 u_nom = rng.normal(size=4) * np.array([0.5, 0.5, 0.3, 1e-4])
                 try:
-                    views = trio_views(agent, graph.trios_of(agent))
+                    views = trio_views(graph)[agent]
                     inputs[agent] = agent_control(agent, views, u_nom, params)
                 except (Infeasible, NumericalFailure):
                     ok = False
@@ -359,9 +454,9 @@ class TestAgentControl:
             if not ok:
                 continue
             checked += 1
-            out = ncbf_value(cbf_components(trio, trio.ids[0]).vals, params.epsilon)
+            out = ncbf_value(view(trio, trio.ids[0]).vals, params.epsilon)
             h = out.value
-            comps = cbf_components(trio, trio.ids[0])
+            comps = view(trio, trio.ids[0])
             suppressed = set(degenerate_guard(comps, params.guard_threshold))
             for l in out.active_set:
                 if l in suppressed:
@@ -376,7 +471,7 @@ class TestAgentControl:
                         la = next(
                             m for m in (1, 2, 3) if component_apex(trio, agent, m) == apex
                         )
-                    grad = cbf_gradient(cbf_components(trio, agent), la)
+                    grad = cbf_gradient(view(trio, agent), la)
                     if np.linalg.norm(grad) < 1e-9:
                         skip = True  # dropped rows carry no per-agent guarantee
                         break
@@ -384,6 +479,23 @@ class TestAgentControl:
                 if not skip:
                     assert total >= -alpha(h) - 1e-8
         assert checked >= 100
+
+    @pytest.mark.parametrize(
+        "u_nom", [(0.0, 0.0, math.inf, 0.0), (math.nan, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+        ids=["inf", "nan", "short"],
+    )
+    def test_invalid_nominal_rejected_where_rows_hold(self, u_nom):
+        # The safe trio's rows hold at zero input; an invalid nominal input
+        # still reaches solve_qp's check instead of coming back unchanged.
+        states = [
+            AgentState(0.0, 1.0, 1.5, 1.0),
+            AgentState(-1.0, -0.6, 1.5, 1.0),
+            AgentState(1.0, -0.6, 1.5, 1.0),
+        ]
+        views = trio_views(build_graph(states, r=1.0))[0]
+        assert build_constraints(views, 0.2, ClassK(gain=1.0, power=3), 1e4)
+        with pytest.raises(ValueError):
+            agent_control(0, views, np.array(u_nom), self.make_params())
 
     def test_views_from_another_viewpoint_rejected(self):
         # Gradients are taken w.r.t. the evaluating agent's own state, so
@@ -394,7 +506,7 @@ class TestAgentControl:
             AgentState(1.0, -0.6, 1.5, 1.0),
         ]
         graph = build_graph(states, r=1.0)
-        views = trio_views(1, graph.trios_of(1))
+        views = trio_views(graph)[1]
         assert views
         with pytest.raises(ValueError, match="viewpoint"):
             agent_control(0, views, np.zeros(4), self.make_params())
@@ -414,5 +526,5 @@ class TestAgentControl:
         )
         with pytest.raises(Infeasible):
             ctl.agent_control(
-                0, trio_views(0, graph.trios_of(0)), np.zeros(4), self.make_params()
+                0, trio_views(graph)[0], np.zeros(4), self.make_params()
             )

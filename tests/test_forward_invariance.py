@@ -9,10 +9,10 @@ graph already below zero is the known failure of trio switching and is not
 asserted here.
 """
 
-from aircover.barrier import cbf_components, ncbf_value
+from aircover.barrier import ncbf_value
 from aircover.geometry import DegenerateTrio, build_graph
 from aircover.sim import initial_world, step
-from conftest import fuzz_scenarios, hole_exists_exact
+from conftest import fuzz_scenarios, hole_exists_exact, view
 
 RUNS = 12
 
@@ -23,7 +23,7 @@ def trio_barriers(states, scenario):
     for trio in build_graph(states, scenario.sensing.r).all_trios():
         try:
             out[trio.ids] = min(
-                ncbf_value(cbf_components(trio, a).vals, scenario.epsilon).value for a in trio.ids
+                ncbf_value(view(trio, a).vals, scenario.epsilon).value for a in trio.ids
             )
         except DegenerateTrio:
             continue

@@ -62,6 +62,18 @@ def _cells_adjacent(fovs, i, j):
     return lo <= hi
 
 
+def power_excess(fi, fl, v):
+    """Power distance of footprint l at v minus footprint i's, taken from i's center.
+
+    With o = c_l − c_i and w = v − c_i it is o·(o − 2w) − (R_l² − R_i²), as
+    in `build_graph`: exact for a footprint concentric with i however far v
+    lies, where absolute power distances round by units.
+    """
+    ox, oy = fl[0] - fi[0], fl[1] - fi[1]
+    wx, wy = v[0] - fi[0], v[1] - fi[1]
+    return ox * (ox - 2.0 * wx) + oy * (oy - 2.0 * wy) - (fl[2] ** 2 - fi[2] ** 2)
+
+
 def oracle_trio_keys(states, r):
     """Sorted id triples of the brute-force graph."""
     n = len(states)
@@ -81,17 +93,16 @@ def oracle_trio_keys(states, r):
                     v = radical_center(fovs[i], fovs[j], fovs[k])
                 except DegenerateTrio:
                     continue
-                d = power_distance(fovs[i], v)
                 cofactor = [i, j, k]
                 vertex_alive = True
                 for l in range(n):
                     if l in (i, j, k):
                         continue
-                    dl = power_distance(fovs[l], v)
-                    if dl < d - ADJACENCY_TOL:
+                    excess = power_excess(fovs[i], fovs[l], v)
+                    if excess < -ADJACENCY_TOL:
                         vertex_alive = False
                         break
-                    if dl <= d + ADJACENCY_TOL:
+                    if excess <= ADJACENCY_TOL:
                         cofactor.append(l)
                 if not vertex_alive:
                     continue
@@ -145,10 +156,23 @@ def teams(draw):
     ]
 
 
+# Nearly concentric pairs whose candidate vertices lie 4e7–3e8 m away, where
+# absolute power distances round by units: the oracle once disagreed with
+# build_graph on both, and exact arithmetic sides with build_graph.
+FAR_VERTEX_TEAMS = (
+    [AgentState(0.0, 0.0, 1.0, 1.0), AgentState(1.0, 0.0, 2.0, 1.0),
+     AgentState(0.0, 1e-8, 1.0, 1.0), AgentState(0.0, 0.0, 2.0, 0.75)],
+    [AgentState(0.0, 0.0, 1.0, 1.0), AgentState(0.0, 1e-8, 1.0, 0.75),
+     AgentState(0.0, 0.0, 1.0, 1.0), AgentState(1.0, 0.0, 1.0, 1.0)],
+)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(teams())
 @example(SQUARE_TEAM)
 @example(NEAR_PAIR_TEAM)
+@example(FAR_VERTEX_TEAMS[0])
+@example(FAR_VERTEX_TEAMS[1])
 def test_random_teams_match_oracle(states):
     assert graph_trio_keys(states, 1.0) == oracle_trio_keys(states, 1.0)
 
@@ -193,7 +217,7 @@ def test_nested_concentric_footprint_has_no_trio():
 
 
 def trio_records(states):
-    return [(t.ids, t.radical_center.tolist()) for t in build_graph(states, 1.0).all_trios()]
+    return [(t.ids, t.radical_center) for t in build_graph(states, 1.0).all_trios()]
 
 
 @pytest.mark.parametrize("block", [1, 7])

@@ -2,8 +2,10 @@
 
 The oracles below are the earlier numpy versions of `radical_center`
 (`np.linalg.solve` on the two radical-axis equations), `sigma_d_frame`
-(rotation stacked with `np.vstack`) and `cbf_components` (frame coordinates
-through that rotation).  The float kernels round differently, so values are
+(rotation stacked with `np.vstack`) and `cbf_components` (one signed-area
+split of the id-ordered triangle, permuted into each viewpoint's roles, and
+frame coordinates through that rotation).  The float kernels round
+differently, so values are
 compared within 1e-12 relative to the scale that rounding can reach for the
 problem at hand (a 2×2 solve's condition number times its magnitudes).
 Every decision — a `DegenerateTrio`, the frame's orientation — must be
@@ -11,10 +13,11 @@ identical, and so must the component values, which take the same
 arithmetic from a given radical center.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aircover.barrier import cbf_components
 from aircover.geometry import (
     AREA_TOL,
     CONCENTRIC_TOL,
@@ -26,7 +29,7 @@ from aircover.geometry import (
     radical_center,
     sigma_d_frame,
 )
-from conftest import NEAR_PAIR_TEAM, SQUARE_TEAM, cross2, disks, frame_rotation, roles
+from conftest import NEAR_PAIR_TEAM, SQUARE_TEAM, cross2, disks, frame_rotation, roles, view
 
 RTOL = 1e-12
 
@@ -74,23 +77,30 @@ def oracle_sigma_d_frame(trio, distinguished):
 
 
 def oracle_cbf_components(trio, viewpoint):
-    """(values, frame coordinates (x_i, y_i, x_j, x_k)) of one viewpoint."""
+    """(values, frame coordinates (x_i, y_i, x_j, x_k)) of one viewpoint.
+
+    The values are the trio's: each agent's barycentric coordinate of the
+    radical center in the id-ordered triangle, and the negated power distance
+    to the lowest-id footprint, arranged by the viewpoint's roles.
+    """
     i, j, k = roles(trio, viewpoint)
-    fi, fj, fk = (disks(trio)[trio.ids.index(a)] for a in (i, j, k))
+    I, J, K = (center(disks(trio)[trio.ids.index(a)]) for a in (i, j, k))
     v = trio.radical_center
-    I, J, K = center(fi), center(fj), center(fk)
-    denom = cross2(J - I, K - I)
+    P0, P1, P2 = (center(f) for f in disks(trio))
+    denom = cross2(P1 - P0, P2 - P0)
     if abs(denom) < 2.0 * AREA_TOL:
         raise DegenerateTrio("triangle area below tolerance")
-    r_ijk = cross2(J - I, v - I) / denom
-    r_jki = cross2(K - J, v - J) / denom
-    r_kij = cross2(I - K, v - K) / denom
-    h_f = -power_distance(fi, v)
+    bary = dict(zip(trio.ids, (
+        cross2(P2 - P1, v - P1) / denom,
+        cross2(P0 - P2, v - P2) / denom,
+        cross2(P1 - P0, v - P0) / denom,
+    )))
+    h_f = -power_distance(disks(trio)[0], v)
     origin, rotation = oracle_sigma_d_frame(trio, viewpoint)
     pi = rotation @ (I - origin)
     xj = (rotation @ (J - origin))[0]
     xk = (rotation @ (K - origin))[0]
-    return (-r_ijk, -r_jki, -r_kij, h_f), (pi[0], pi[1], xj, xk)
+    return (-bary[k], -bary[i], -bary[j], h_f), (pi[0], pi[1], xj, xk)
 
 
 def solve_scale(fovs, v):
@@ -197,13 +207,26 @@ def test_frame_and_components_match_numpy(fovs):
         assert np.abs(frame_rotation(frame) - rotation).max() <= RTOL
 
         expect = outcome(oracle_cbf_components, trio, viewpoint)
-        comps = outcome(cbf_components, trio, viewpoint)
+        comps = outcome(view, trio, viewpoint)
         assert (comps is None) == (expect is None)
         if comps is None:
             continue
         vals, coords = expect
         assert comps.vals == vals
         assert np.abs(np.array(comps.coords[:4]) - coords).max() <= RTOL * scale
+
+
+def test_near_pair_frame_origin_is_exact():
+    # J and K 4e-9 m apart on one horizontal line at |c| ≈ 3.4 m: the origin,
+    # where their radical axis crosses line JK, lies (‖d‖² + R_J² − R_K²)/(2‖d‖)
+    # from J, which Fractions give exactly.
+    trio = trio_of(NEAR_PAIR)
+    ox, oy, _, _ = sigma_d_frame(trio, 0)
+    (jx, jy, rj), (kx, _, rk) = NEAR_PAIR[1:]
+    d = Fraction(kx) - Fraction(jx)
+    exact = Fraction(jx) + (d * d + Fraction(rj) ** 2 - Fraction(rk) ** 2) / (2 * d)
+    assert abs(Fraction(ox) - exact) <= 4e-16 * exact
+    assert oy == jy
 
 
 @st.composite

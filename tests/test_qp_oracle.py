@@ -22,8 +22,17 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import nnls
 
 import aircover.controller
+import aircover.sim
 from aircover.cli import parse_config
-from aircover.controller import Infeasible, NumericalFailure, QpProblem, _FEAS_TOL, solve_qp
+from aircover.controller import (
+    Infeasible,
+    NumericalFailure,
+    QpProblem,
+    _FEAS_TOL,
+    build_constraints,
+    qp_weights,
+    solve_qp,
+)
 from aircover.sim import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -315,33 +324,50 @@ def load_lattice():
 
 @pytest.fixture(scope="module")
 def lattice_qps():
-    """Every QP of one 41-step `lattice25_expand` run (layout 0)."""
-    recorded = []
-    original = aircover.controller.solve_qp
+    """The QP of every agent and step of one 41-step `lattice25_expand` run (layout 0), and the ones solved.
 
-    def recording(problem, *args, **kwargs):
-        recorded.append(problem)
-        return original(problem, *args, **kwargs)
+    `agent_control` hands solve_qp only the problems whose rows fail at u_nom;
+    the others are rebuilt here from the same rows, so that solve_qp's own
+    answer on them is checked too.
+    """
+    recorded, solved = [], []
+    original_control = aircover.sim.agent_control
+    original_qp = aircover.controller.solve_qp
+
+    def recording(viewpoint, views, u_nom, params):
+        rows = build_constraints(
+            views, params.epsilon, params.alpha, params.guard_threshold, params.components
+        )
+        weights = qp_weights(params.w_lambda)
+        recorded.append(QpProblem(np.asarray(u_nom, dtype=float), weights, rows))
+        return original_control(viewpoint, views, u_nom, params)
+
+    def solving(problem, *args, **kwargs):
+        solved.append(problem)
+        return original_qp(problem, *args, **kwargs)
 
     scenario = parse_config(load_lattice().generate(0))
     mp = pytest.MonkeyPatch()
-    mp.setattr(aircover.controller, "solve_qp", recording)
+    mp.setattr(aircover.sim, "agent_control", recording)
+    mp.setattr(aircover.controller, "solve_qp", solving)
     try:
         run(scenario)
     finally:
         mp.undo()
-    return recorded
+    return recorded, solved
 
 
 def test_lattice_run_qps_match_oracle(lattice_qps):
-    assert len(lattice_qps) == 25 * 41
+    problems, solved = lattice_qps
+    assert len(problems) == 25 * 41
     iterating = 0
     stats = {}
-    for problem in lattice_qps:
+    for problem in problems:
         assert assert_matches_oracle(problem, stats=stats) == "ok"
         A = np.array([a for a, _ in problem.constraints])
         b = np.array([bb for _, bb in problem.constraints])
         iterating += float((A @ problem.u_nom - b).min()) < -_FEAS_TOL
     assert iterating >= 100
+    assert len(solved) == iterating
     # Dual steps that drop a blocker: a sign error in the multiplier update shows here.
     assert stats["drops"] >= 20

@@ -329,26 +329,71 @@ class TestCaching:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_barrier_evaluation_per_trio_viewpoint(self, monkeypatch, mode):
-        # The filter and the trace share one evaluation per (trio, viewpoint):
-        # every incident trio of every agent is evaluated exactly once a step.
-        calls = []
+        # The filter and the trace share one evaluation per trio a step, which
+        # builds one working frame per (trio, viewpoint): every trio is
+        # evaluated once a step for its three agents.
+        calls, frames = [], []
         original = aircover.barrier.cbf_components
+        original_frame = aircover.barrier.sigma_d_frame
 
-        def counting(trio, viewpoint):
-            calls.append(viewpoint)
-            return original(trio, viewpoint)
+        def counting(trio):
+            calls.append(trio.ids)
+            return original(trio)
+
+        def counting_frame(trio, viewpoint):
+            frames.append((trio.ids, viewpoint))
+            return original_frame(trio, viewpoint)
 
         for module in (aircover.barrier, aircover.controller):
             monkeypatch.setattr(module, "cbf_components", counting)
+        monkeypatch.setattr(aircover.barrier, "sigma_d_frame", counting_frame)
         for scenario in (
             trio_scenario(steps=4, mode=mode),
             replace(parse_config(bundled_scenario("five_agents")), steps=3, mode=mode),
         ):
             calls.clear()
+            frames.clear()
             records, _ = run(scenario)
             incident = sum(sum(r.trio_counts) for r in records)
             assert incident > 0
-            assert len(calls) == incident
+            assert 3 * len(calls) == incident
+            assert frames == [(ids, agent) for ids in calls for agent in ids]
+
+    def test_qp_only_for_an_agent_whose_rows_fail_at_its_nominal(self, monkeypatch):
+        # The mover retreats from the gap, so its row fails at its nominal
+        # input; the hoverers' rows hold at zero input.  agent_control still
+        # runs for every agent and step, but builds a QP only for the mover.
+        controls, rows, qps = [], [], []
+        original_control = aircover.sim.agent_control
+        original_rows = aircover.controller.build_constraints
+        original_qp = aircover.controller.solve_qp
+
+        def counting_control(viewpoint, views, u_nom, params):
+            controls.append(viewpoint)
+            return original_control(viewpoint, views, u_nom, params)
+
+        def recording_rows(*args, **kwargs):
+            rows.append(original_rows(*args, **kwargs))
+            return rows[-1]
+
+        def recording_qp(problem):
+            qps.append(problem)
+            return original_qp(problem)
+
+        monkeypatch.setattr(aircover.sim, "agent_control", counting_control)
+        monkeypatch.setattr(aircover.controller, "build_constraints", recording_rows)
+        monkeypatch.setattr(aircover.controller, "solve_qp", recording_qp)
+        mover = AgentState(0.0, -1.6, 1.5, 1.0)
+        scenario = trio_scenario(
+            steps=5, agents=(mover, *TRIO_AGENTS[1:]), fixed_nominal=((0.0, -0.4, 0.0, 0.0), ZERO, ZERO)
+        )
+        run(scenario)
+        assert controls == [0, 1, 2] * 5
+        assert all(rows)
+        assert len(qps) == 5
+        for problem in qps:
+            assert tuple(problem.u_nom) == (0.0, -0.4, 0.0, 0.0)
+            assert any(float(np.dot(a, problem.u_nom)) < b for a, b in problem.constraints)
 
     def test_degenerate_trio_warned_once_per_agent_step(self, monkeypatch, caplog):
         # A below-tolerance trio (built by hand, as in the controller tests)
@@ -361,10 +406,10 @@ class TestCaching:
         trio = TrioContext(
             ids=(0, 1, 2),
             rows=tuple(footprint_rows(states, SENSING.r)),
-            radical_center=np.array([1.0, 0.5]),
+            radical_center=(1.0, 0.5),
             r=SENSING.r,
         )
-        graph = CommGraph(n=3, trios={i: [trio] for i in range(3)})
+        graph = CommGraph(n=3, trios=(trio,))
         monkeypatch.setattr(aircover.sim, "build_graph", lambda states, r: graph)
         scenario = trio_scenario(agents=states)
         world = initial_world(scenario)
