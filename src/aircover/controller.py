@@ -267,6 +267,6 @@ def agent_control(viewpoint: int, views, u_nom, params: FilterParams) -> np.ndar
     )
     u = u_nom.tolist()
     valid = len(u) == 4 and all(map(math.isfinite, u))  # else solve_qp rejects it
-    if not rows or valid and all(_dot(a, u) - b >= -_FEAS_TOL for a, b in rows):
+    if not rows or (valid and all(_dot(a, u) - b >= -_FEAS_TOL for a, b in rows)):
         return u_nom.copy()  # solve_qp would return it unchanged
     return solve_qp(QpProblem(u_nom, qp_weights(params.w_lambda), rows))

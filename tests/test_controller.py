@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aircover.barrier import cbf_gradient, degenerate_guard, ncbf_value
 from aircover.controller import (
@@ -186,15 +186,6 @@ class TestBuildConstraints:
             assert rows[0][1] == pytest.approx(-alpha(comps[4]) / 3.0)
 
 
-class _Records(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-
 @st.composite
 def footprint_triples(draw):
     """Three footprints (x, y, R), some far from the origin, some with a pair under CONCENTRIC_TOL apart."""
@@ -220,13 +211,14 @@ ABOVE_AREA_TOL = [(0.3, -0.2, 1.1), (1.3, -0.2, 0.9), (0.8, -0.2 + 2.02 * AREA_T
 FAR_TRIO = [(1000.5, 998.8, 1.5), (1001.8, 999.9, 2.0), (1000.2, 1001.3, 1.2)]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(footprint_triples())
-@example(NEAR_COINCIDENT_JK)
-@example(BELOW_AREA_TOL)
-@example(ABOVE_AREA_TOL)
-@example(FAR_TRIO)
-def test_trio_views_share_one_evaluation(fovs):
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fovs=footprint_triples())
+@example(fovs=NEAR_COINCIDENT_JK)
+@example(fovs=BELOW_AREA_TOL)
+@example(fovs=ABOVE_AREA_TOL)
+@example(fovs=FAR_TRIO)
+def test_trio_views_share_one_evaluation(caplog, fovs):
     # A trio as a graph could hand it over, centred at its radical center
     # where that exists and at its centroid otherwise.  Its views hold the
     # same four values, permuted, so they compose to exactly equal barrier
@@ -248,15 +240,11 @@ def test_trio_views_share_one_evaluation(fovs):
             if math.sqrt(dx * dx + dy * dy) < CONCENTRIC_TOL:
                 expect_dropped.append(agent)
 
-    handler = _Records()
-    logger = logging.getLogger("aircover.controller")
-    logger.addHandler(handler)
-    try:
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="aircover.controller"):
         views = trio_views(CommGraph(3, (trio,)))
-    finally:
-        logger.removeHandler(handler)
-    assert sorted(r.args[0] for r in handler.records) == expect_dropped
-    assert all("degenerate, dropped" in r.getMessage() for r in handler.records)
+    assert sorted(r.args[0] for r in caplog.records) == expect_dropped
+    assert all("degenerate, dropped" in r.getMessage() for r in caplog.records)
     kept = [agent_views[0] for agent_views in views if agent_views]
     assert [v.viewpoint for v in kept] == [a for a in trio.ids if a not in expect_dropped]
     assert all(len(agent_views) <= 1 for agent_views in views)
