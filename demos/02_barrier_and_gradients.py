@@ -14,18 +14,22 @@ import numpy as np
 from aircover import (
     AgentState,
     CoverageGrid,
+    SensingParams,
     build_graph,
     cbf_components,
     cbf_gradient,
     detect_holes_grid,
     make_trio,
     ncbf_value,
+    partition,
     power_distance,
 )
 from aircover.geometry import point_in_triangle
 
 r = 1.0
 grid = CoverageGrid((-4, -4, 4, 4), 0.02)
+# The grid oracle reads a partition's owners; coverage depends on r alone.
+sensing = SensingParams(r=r, kappa=1.0, sigma=1.0, M=1.0, w=0.0)
 hoverers = [AgentState(-1.4, 0.0, 1.5, 1.0), AgentState(1.4, 0.0, 1.5, 1.0)]
 
 # Slide a third agent away from the pair and watch the barrier cross zero.
@@ -42,7 +46,7 @@ for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
     x, y, _, _, R = trio.rows[0]
     holed = inside and power_distance((x, y, R), trio.radical_center) > 0.0
     agents = [mover, *hoverers]
-    witnesses = detect_holes_grid(agents, r, grid, build_graph(agents, r))
+    witnesses = detect_holes_grid(partition(agents, sensing, grid), grid, build_graph(agents, r))
     print(f"{y:+7.1f}   {value.value:+11.4f}   comp {value.argmax}   "
           f"{'HOLE' if holed else 'safe':>12}   {len(witnesses):>5}")
 

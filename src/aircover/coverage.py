@@ -10,9 +10,9 @@ objective, evaluated by midpoint quadrature with analytic partials.
 The quadrature visits each agent only on its window: the grid cells under
 its footprint's bounding box, with a one-cell margin.  ``partition``
 evaluates the sensing model once per agent on that window and keeps the
-terms for the nominal inputs, with each point's running best quality and
-quality sum for the objective; the density mass phi·cell_area is computed
-once per grid and density.  A nominal input is one reduction per agent: the
+terms for the nominal inputs, with each point's owner for the hole oracle
+and its running best quality and quality sum for the objective; the density
+mass phi·cell_area is computed once per grid and density.  A nominal input is one reduction per agent: the
 window's mass is signed (+1 on owned, −w on overlap points of the open
 footprint, 0 elsewhere) and dotted with per-point factors of the four
 partials.
@@ -133,15 +133,15 @@ class FieldWindow:
 
     cells are the window's slices of the grid's cell layout; terms the
     `_field_terms` at the window's points, from which the quality f, the
-    closed (covered) and open (strict) footprint masks and the gradient are
-    all taken.  Arrays have the window's (wx, wy) shape.
+    closed (covered) footprint mask and the gradient are all taken; a
+    reader that needs the open footprint takes d² < R² from the terms.
+    Arrays have the window's (wx, wy) shape.
     """
 
     cells: tuple
     terms: tuple
     f: np.ndarray
     covered: np.ndarray
-    strict: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -185,11 +185,10 @@ def _field_terms(state, params: SensingParams, points):
 
 
 def _masked_quality(terms):
-    """Quality (zero outside the footprint), closed and strict footprint masks."""
+    """Quality (zero outside the footprint) and the closed footprint mask."""
     _, _, d2, _, _, radius, f_pers, f_res = terms
     covered = d2 <= radius**2
-    strict = d2 < radius**2
-    return np.where(covered, f_pers * f_res, 0.0), covered, strict
+    return np.where(covered, f_pers * f_res, 0.0), covered
 
 
 def _gradient(state, params: SensingParams, terms) -> np.ndarray:
@@ -224,7 +223,8 @@ def _gradient(state, params: SensingParams, terms) -> np.ndarray:
 
 def sensing_field(state, params: SensingParams, points):
     """Quality, closed, and strict footprint masks of one agent over many points."""
-    return _masked_quality(_field_terms(state, params, points))
+    terms = _field_terms(state, params, points)
+    return (*_masked_quality(terms), terms[2] < terms[5] ** 2)
 
 
 def sensing_gradient(state, params: SensingParams, points) -> np.ndarray:
@@ -238,7 +238,9 @@ def sensing_gradient(state, params: SensingParams, points) -> np.ndarray:
 def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
     """Assign each grid point to its best covering agent (lowest index on ties).
 
-    Keeps each point's running best quality and quality sum beside its owner.
+    Keeps each point's running best quality and quality sum beside its
+    owner.  This is the step's one footprint evaluation: a point is covered
+    exactly where it has an owner, which the hole oracle reads.
     """
     points = grid.cells(grid.points)
     n = len(grid.points)
@@ -248,7 +250,7 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
     for i, (x, y, z, lam, radius) in enumerate(footprint_rows(states, params.r)):
         cells = grid.window(x, y, radius)
         terms = _field_terms((x, y, z, lam), params, points[cells])
-        f, covered, strict = _masked_quality(terms)
+        f, covered = _masked_quality(terms)
         # Only a strictly better quality takes a point: ties stay with the lower index.
         best_w = best_cells[cells]
         wins = covered & (f > best_w)
@@ -256,7 +258,7 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
         np.copyto(owner_cells[cells], i, where=wins)
         total_w = total_cells[cells]
         total_w += f  # f is zero off the footprint: a point covered once keeps total == best
-        windows.append(FieldWindow(cells, terms, f, covered, strict))
+        windows.append(FieldWindow(cells, terms, f, covered))
     return Partition(owner=owner, best=best, total=total, windows=tuple(windows))
 
 
@@ -304,10 +306,10 @@ def nominal_input(
     if part is None:
         part = partition(states, params, grid)
     window = part.windows[i]
+    dx, dy, d2, s, A, radius, f_pers, f_res = window.terms
     m = np.where(grid.cells(part.owner)[window.cells] == i, 1.0, -params.w)
-    m *= window.strict
+    m *= d2 < radius**2
     m *= grid.cells(grid.mass(density))[window.cells]
-    dx, dy, d2, s, A, _, f_pers, f_res = window.terms
     z, lam, sigma2 = float(states[i][2]), float(states[i][3]), params.sigma**2
     inv_s = 1.0 / s
     m_res = m * f_res

@@ -242,33 +242,28 @@ def enclosed_cells(mask):
     return marks.reshape(h, k)[:, :w].view(bool)
 
 
-def detect_holes_grid(states, r: float, grid, graph):
-    """Independent grid oracle for holes.
+def detect_holes_grid(part, grid, graph):
+    """Grid oracle for holes, read from the step's partition.
 
-    Samples the mission rectangle at the cell centres of grid (a
-    CoverageGrid), painting each footprint on its window of cells; a witness
-    is an uncovered cell lying strictly inside some trio triangle of graph,
-    the communication graph of these states, whose uncovered connected
-    component (4-connectivity) does not touch the mission boundary.  Those
-    components come from `enclosed_cells`, a run-length labelling of the
-    uncovered mask.  Returns the witness points as an (m, 2) array.
+    A cell of grid (a CoverageGrid) is uncovered where part (its Partition)
+    gives no owner, so the oracle evaluates no footprint of its own.  A
+    witness is an uncovered cell centre lying strictly inside some trio
+    triangle of graph, the communication graph of the same states, whose
+    uncovered connected component (4-connectivity) does not touch the
+    mission boundary; those components come from `enclosed_cells`, a
+    run-length labelling of the uncovered mask.  Returns the witness points
+    as an (m, 2) array, in the grid's point order.
     """
-    XX, YY = grid.cells(grid.points[:, 0]), grid.cells(grid.points[:, 1])
-    covered = np.zeros(grid.shape, dtype=bool)
-    for x, y, _, _, R in footprint_rows(states, r):
-        cells = grid.window(x, y, R)
-        covered[cells] |= (XX[cells] - x) ** 2 + (YY[cells] - y) ** 2 <= R**2
-    candidate = enclosed_cells(~covered)
-    if not candidate.any():
+    points = grid.points[enclosed_cells(grid.cells(part.owner) < 0).ravel()]
+    if not len(points):
         return np.empty((0, 2))
-    cx, cy = XX[candidate], YY[candidate]
-    inside_any = np.zeros(cx.shape, dtype=bool)
+    inside_any = np.zeros(len(points), dtype=bool)
     for trio in graph.all_trios():
         try:
-            inside_any |= point_in_triangle(*(row[:2] for row in trio.rows), (cx, cy))[0]
+            inside_any |= point_in_triangle(*(row[:2] for row in trio.rows), points.T)[0]
         except DegenerateTrio:
             pass  # no interior
-    return np.column_stack([cx[inside_any], cy[inside_any]])
+    return points[inside_any]
 
 
 def build_graph(states, r: float) -> CommGraph:

@@ -192,7 +192,7 @@ def step(world: WorldState, scenario: Scenario):
     h = {ids: ncbf_value(vals, scenario.epsilon).value for ids, vals in trio_vals.items()}
     min_ncbf = tuple(min((h[c.trio.ids] for c in vs), default=0.0) for vs in views)
     if world.step % scenario.hole_check_every == 0:
-        witnesses = len(detect_holes_grid(states, params.r, grid, graph))
+        witnesses = len(detect_holes_grid(part, grid, graph))
     else:
         witnesses = -1
     record = TraceRecord(

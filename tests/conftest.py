@@ -3,7 +3,7 @@ import pytest
 
 from aircover.barrier import cbf_components
 from aircover.controller import ClassK
-from aircover.coverage import CoverageGrid, DensityField, SensingParams, sensing_field
+from aircover.coverage import CoverageGrid, DensityField, SensingParams, partition, sensing_field
 from aircover.geometry import (
     CONCENTRIC_TOL,
     AgentState,
@@ -29,9 +29,19 @@ NEAR_PAIR_TEAM = [
 ]
 
 
+def oracle_witnesses(states, r, grid, graph):
+    """Grid-oracle witnesses of states on grid with a given graph.
+
+    The oracle reads the partition's owners, and coverage depends on r
+    alone, so any sensing constants with that r give the same witnesses.
+    """
+    params = SensingParams(r=r, kappa=1.0, sigma=1.0, M=1.0, w=0.0)
+    return detect_holes_grid(partition(states, params, grid), grid, graph)
+
+
 def grid_witnesses(states, mission, resolution, r=1.0):
     """Grid-oracle witnesses of states on a fresh grid, with the states' own graph."""
-    return detect_holes_grid(states, r, CoverageGrid(mission, resolution), build_graph(states, r))
+    return oracle_witnesses(states, r, CoverageGrid(mission, resolution), build_graph(states, r))
 
 
 def cross2(a, b) -> float:
@@ -211,21 +221,25 @@ class DensePartition:
 
     f[i, q] is agent i's quality field (zero off its window); covered its
     closed-disk membership; strict its open-disk membership (where gradients
-    are evaluated).
+    are evaluated), d² < R² from the window's terms.
     """
 
     def __init__(self, part, grid):
         self.owner = part.owner
         self.f, self.covered, self.strict = (
-            self._dense(part, grid, name, fill)
-            for name, fill in (("f", 0.0), ("covered", False), ("strict", False))
+            self._dense(part, grid, read, fill)
+            for read, fill in (
+                (lambda w: w.f, 0.0),
+                (lambda w: w.covered, False),
+                (lambda w: w.terms[2] < w.terms[5] ** 2, False),
+            )
         )
 
     @staticmethod
-    def _dense(part, grid, name, fill):
+    def _dense(part, grid, read, fill):
         out = np.full((len(part.windows), len(part.owner)), fill)
         for row, window in zip(out, part.windows):
-            grid.cells(row)[window.cells] = getattr(window, name)
+            grid.cells(row)[window.cells] = read(window)
         return out
 
     def losers(self, i: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from aircover.geometry import (
     AgentState,
     CommGraph,
     build_graph,
-    detect_holes_grid,
     make_trio,
     power_distance,
     sigma_d_frame,
@@ -41,6 +40,7 @@ from aircover.sim import Scenario, initial_world, run, step
 from conftest import (
     component_apex,
     disks,
+    oracle_witnesses,
     radical_axis,
     random_trio,
     to_frame,
@@ -131,7 +131,7 @@ def test_criterion_3_hole_oracle_equivalence(rng):
         mission = (min(xs) - radius - 1.0, min(ys) - radius - 1.0,
                    max(xs) + radius + 1.0, max(ys) + radius + 1.0)
         size = max(mission[2] - mission[0], mission[3] - mission[1])
-        witnesses = detect_holes_grid(trio_states(trio), trio.r, CoverageGrid(mission, size / 260), graph)
+        witnesses = oracle_witnesses(trio_states(trio), trio.r, CoverageGrid(mission, size / 260), graph)
         if (value >= 0.0) != (len(witnesses) == 0):
             mismatches += 1
     elapsed = time.monotonic() - t0

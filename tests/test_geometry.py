@@ -5,7 +5,6 @@ from aircover.geometry import (
     AgentState,
     DegenerateTrio,
     build_graph,
-    detect_holes_grid,
     make_trio,
     point_in_triangle,
     power_distance,
@@ -19,6 +18,7 @@ from conftest import (
     frame_rotation,
     grid_witnesses,
     hole_exists_exact,
+    oracle_witnesses,
     radical_axis,
     random_trio,
     roles,
@@ -302,10 +302,10 @@ class TestHoleOracles:
     def test_grid_oracle_uses_a_given_graph(self):
         states = self.shrinkable_trio(1.6)
         grid = CoverageGrid((-4, -4, 7, 7), 0.05)
-        assert len(detect_holes_grid(states, 1.0, grid, build_graph(states, 1.0))) > 0
+        assert len(oracle_witnesses(states, 1.0, grid, build_graph(states, 1.0))) > 0
         # The oracle trusts the graph it is given: with no trios there is no witness.
         alone = build_graph(states[:1], 1.0)
-        assert len(detect_holes_grid(states, 1.0, grid, alone)) == 0
+        assert len(oracle_witnesses(states, 1.0, grid, alone)) == 0
 
     def test_oracles_agree_on_random_trios(self, rng):
         mismatches = 0

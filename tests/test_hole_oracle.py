@@ -1,7 +1,8 @@
 """detect_holes_grid and its run-length labeller against the oracles they replaced.
 
 The full-grid oracle builds its own midpoint grid over the mission and tests
-every footprint against every cell; detect_holes_grid paints each footprint
+every footprint against every cell; detect_holes_grid evaluates no footprint
+and reads the covered cells from the partition, which tests each footprint
 only on its window of the scenario's CoverageGrid.  The two grids round their
 cell centres differently ((i + ½)·(span/n) against (i + ½)·span/n), so the
 witness points agree to rounding and their count exactly.  Both oracles find
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import aircover.coverage as coverage
+import aircover.geometry as geometry
 from aircover.cli import bundled_scenario, parse_config
-from aircover.coverage import CoverageGrid
+from aircover.coverage import CoverageGrid, SensingParams, partition
 from aircover.geometry import (
     AREA_TOL,
     AgentState,
@@ -25,7 +28,7 @@ from aircover.geometry import (
     enclosed_cells,
 )
 from aircover.sim import run
-from conftest import triangle
+from conftest import oracle_witnesses, triangle
 
 
 def ndimage_enclosed(mask):
@@ -96,12 +99,34 @@ def test_windowed_oracle_matches_the_full_grid_oracle():
     for _ in range(60):
         states, mission, resolution = footprint_union(rng)
         graph = build_graph(states, 1.0)
-        got = detect_holes_grid(states, 1.0, CoverageGrid(mission, resolution), graph)
+        got = oracle_witnesses(states, 1.0, CoverageGrid(mission, resolution), graph)
         want = full_grid_witnesses(states, 1.0, mission, resolution, graph)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         with_witnesses += len(want) > 0
     assert with_witnesses >= 20
+
+
+def test_oracle_evaluates_no_footprint(monkeypatch):
+    # A symmetric trio whose radical center no footprint reaches.  Once the
+    # partition is built, the oracle runs with every way of evaluating a
+    # footprint broken and still finds the full-grid oracle's witnesses.
+    states = [AgentState(x, y, 1.6, 1.0) for x, y in ((0.0, 0.0), (3.0, 0.0), (1.5, 2.6))]
+    mission, resolution = (-4.0, -4.0, 7.0, 7.0), 0.05
+    grid, graph = CoverageGrid(mission, resolution), build_graph(states, 1.0)
+    part = partition(states, SensingParams(r=1.0, kappa=1.0, sigma=1.0, M=1.0, w=0.0), grid)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("the hole oracle evaluated a footprint")
+
+    monkeypatch.setattr(CoverageGrid, "window", evaluated)
+    monkeypatch.setattr(geometry, "footprint_rows", evaluated)
+    monkeypatch.setattr(coverage, "_field_terms", evaluated)
+    got = detect_holes_grid(part, grid, graph)
+    want = full_grid_witnesses(states, 1.0, mission, resolution, graph)
+    assert len(want) > 0
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def assert_labeller_matches(mask):
@@ -196,8 +221,6 @@ class TestEnclosedCells:
     def test_hole_oracle_masks_of_a_nominal_only_run(self, monkeypatch):
         # The uncovered masks detect_holes_grid labels along the bundled trio
         # run with its filter off, in which a hole opens near step 1,070.
-        import aircover.geometry as geometry
-
         masks = []
 
         def recording(mask):
