@@ -109,31 +109,32 @@ def power_distance(disk, q) -> float:
     return float((q[0] - cx) ** 2 + (q[1] - cy) ** 2 - radius**2)
 
 
-def _lift(cx, cy, radius):
-    """Lifted height |c|² − R² of a footprint: its power distance at the origin."""
-    return cx * cx + cy * cy - radius * radius
+def _radical_solve(bx, by, rb, ux, uy, ru, vx, vy, rv):
+    """Radical center of disks at b, b + u and b + v with radii rb, ru, rv; floats or arrays.
 
-
-def _cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc):
-    """Solve 2q·(b − a) = p_b − p_a, 2q·(c − b) = p_c − p_b by Cramer's rule; floats or arrays."""
-    a00, a01 = 2.0 * (bx - ax), 2.0 * (by - ay)
-    a10, a11 = 2.0 * (cx - bx), 2.0 * (cy - by)
-    r0, r1 = pb - pa, pc - pb
-    det = a00 * a11 - a01 * a10
-    return (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
+    Each radical axis is written from b, 2(q − b)·u = |u|² − (R_u − R_b)(R_u + R_b),
+    and the pair is solved by Cramer's rule.  With b on the trio's closest
+    pair, that pair's own axis enters directly, with no lifted heights
+    |c|² − R² to cancel however close the pair lies.
+    """
+    pu = ux * ux + uy * uy - (ru - rb) * (ru + rb)
+    pv = vx * vx + vy * vy - (rv - rb) * (rv + rb)
+    det = 2.0 * (ux * vy - uy * vx)
+    return bx + (pu * vy - uy * pv) / det, by + (ux * pv - pu * vx) / det
 
 
 def radical_center(da, db, dc) -> tuple:
     """Common equal-power point (x, y) of three disks (cx, cy, R) (their pairwise radical axes meet there)."""
     (ax, ay, ra), (bx, by, rb), (cx, cy, rc) = da, db, dc
-    tol2 = CONCENTRIC_TOL * CONCENTRIC_TOL
-    for dx, dy in ((bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by)):
-        if dx * dx + dy * dy < tol2:
-            raise DegenerateTrio("concentric footprint pair")
+    gaps = [dx * dx + dy * dy for dx, dy in ((bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by))]
+    if min(gaps) < CONCENTRIC_TOL * CONCENTRIC_TOL:
+        raise DegenerateTrio("concentric footprint pair")
     if abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))) < AREA_TOL:
         raise DegenerateTrio("collinear footprint centers")
-    pa, pb, pc = _lift(ax, ay, ra), _lift(bx, by, rb), _lift(cx, cy, rc)
-    return _cramer_center(ax, ay, pa, bx, by, pb, cx, cy, pc)
+    # Solve from a member of the closest pair: a when that pair is (a, c), else b.
+    if gaps[1] < min(gaps[0], gaps[2]):
+        return _radical_solve(ax, ay, ra, bx - ax, by - ay, rb, cx - ax, cy - ay, rc)
+    return _radical_solve(bx, by, rb, ax - bx, ay - by, ra, cx - bx, cy - by, rc)
 
 
 def point_in_triangle(I, J, K, v):
@@ -304,12 +305,16 @@ def build_graph(states, r: float) -> CommGraph:
     I, J = pi[pair], pj[pair]
     # Drop what radical_center rejects (a concentric pair, collinear centers)
     # before solving, so no determinant near zero is divided by.
-    area = 0.5 * ((cx[J] - cx[I]) * (cy[K] - cy[I]) - (cy[J] - cy[I]) * (cx[K] - cx[I]))
-    concentric = np.minimum(np.minimum(dist[I, J], dist[I, K]), dist[J, K]) < CONCENTRIC_TOL
-    ok = ~(concentric | (np.abs(area) < AREA_TOL))
+    (jx, jy), (kx, ky) = diff[J, I, 0].T, diff[K, I, 0].T
+    area = 0.5 * (jx * ky - jy * kx)
+    d_ik, near = dist[I, K], np.minimum(dist[I, J], dist[J, K])
+    ok = ~((np.minimum(near, d_ik) < CONCENTRIC_TOL) | (np.abs(area) < AREA_TOL))
+    # Solve from a member of the closest pair, as radical_center does: I when that pair is (I, K), else J.
+    at_i = (d_ik < near)[ok]
     I, J, K = I[ok], J[ok], K[ok]
-    lift = _lift(cx, cy, radii)
-    vx, vy = _cramer_center(cx[I], cy[I], lift[I], cx[J], cy[J], lift[J], cx[K], cy[K], lift[K])
+    B, P = np.where(at_i, I, J), np.where(at_i, J, I)
+    (ux, uy), (wx, wy) = diff[P, B, 0].T, diff[K, B, 0].T
+    vx, vy = _radical_solve(cx[B], cy[B], radii[B], ux, uy, radii[P], wx, wy, radii[K])
 
     # Power distance of every footprint at each candidate vertex minus
     # footprint i's, o·(o − 2w) − (R² − Rᵢ²) with o = c − cᵢ and w = v − cᵢ:

@@ -16,6 +16,7 @@ arithmetic from a given radical center.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from aircover.geometry import (
@@ -227,6 +228,31 @@ def test_near_pair_frame_origin_is_exact():
     exact = Fraction(jx) + (d * d + Fraction(rj) ** 2 - Fraction(rk) ** 2) / (2 * d)
     assert abs(Fraction(ox) - exact) <= 4e-16 * exact
     assert oy == jy
+
+
+def exact_radical_center(fovs):
+    """The radical center of three disks (cx, cy, R) in Fractions: exact for their float values."""
+    (ax, ay, ra), (bx, by, rb), (cx, cy, rc) = ([Fraction(v) for v in f] for f in fovs)
+    lift = [x * x + y * y - r * r for x, y, r in ((ax, ay, ra), (bx, by, rb), (cx, cy, rc))]
+    a00, a01, a10, a11 = 2 * (bx - ax), 2 * (by - ay), 2 * (cx - bx), 2 * (cy - by)
+    r0, r1 = lift[1] - lift[0], lift[2] - lift[1]
+    det = a00 * a11 - a01 * a10
+    return (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_near_pair_radical_center_is_exact(pair):
+    # The 4e-9 m pair of NEAR_PAIR placed at each pair of ids.  Lifted heights
+    # |c|² − R² of about 11.5 m² cancel to 2e-8 m² between the pair, which left
+    # both solves about 1.7e-7 m off; written from a member of the pair, its
+    # axis enters directly.  The graph solves the same trio with r = 2, where
+    # all three footprints overlap.
+    fovs = list(NEAR_PAIR[1:])
+    fovs.insert(3 - sum(pair), NEAR_PAIR[0])
+    (trio,) = build_graph([AgentState(x, y, R, 1.0) for x, y, R in fovs], 2.0).all_trios()
+    for got, solved in ((radical_center(*fovs), fovs), (trio.radical_center, disks(trio))):
+        exact = exact_radical_center(solved)
+        assert max(abs(Fraction(g) - e) for g, e in zip(got, exact)) <= 1e-12
 
 
 @st.composite
