@@ -10,12 +10,12 @@ objective, evaluated by midpoint quadrature with analytic partials.
 The quadrature visits each agent only on its window: the grid cells under
 its footprint's bounding box, with a one-cell margin.  ``partition``
 evaluates the sensing model once per agent on that window and keeps the
-terms for the nominal inputs, with each point's owner for the hole oracle
-and its running best quality and quality sum for the objective; the density
-mass phi·cell_area is computed once per grid and density.  A nominal input is one reduction per agent: the
-window's mass is signed (+1 on owned, −w on overlap points of the open
-footprint, 0 elsewhere) and dotted with per-point factors of the four
-partials.
+terms for the nominal inputs, with each point's owner (read by the hole
+oracle), running best quality and quality sum (for the objective); the
+density mass phi·cell_area is computed once per grid and density.  A
+nominal input is one reduction per agent: the window's mass is signed (+1
+on owned, −w on overlap points of the open footprint, 0 elsewhere) and
+dotted with per-point factors of the four partials.
 """
 
 import math
@@ -133,9 +133,8 @@ class FieldWindow:
 
     cells are the window's slices of the grid's cell layout; terms the
     `_field_terms` at the window's points, from which the quality f, the
-    closed (covered) footprint mask and the gradient are all taken; a
-    reader that needs the open footprint takes d² < R² from the terms.
-    Arrays have the window's (wx, wy) shape.
+    closed (covered) and open (d² < R²) footprint masks and the gradient are
+    all taken.  Arrays have the window's (wx, wy) shape.
     """
 
     cells: tuple
@@ -239,8 +238,7 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
     """Assign each grid point to its best covering agent (lowest index on ties).
 
     Keeps each point's running best quality and quality sum beside its
-    owner.  This is the step's one footprint evaluation: a point is covered
-    exactly where it has an owner, which the hole oracle reads.
+    owner; a point is covered exactly where it has one.
     """
     points = grid.cells(grid.points)
     n = len(grid.points)

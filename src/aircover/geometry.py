@@ -6,17 +6,18 @@ R = r·z/λ, computed over a column.  The module provides the power distance
 to such disks, radical centers, the communication graph whose triangles
 drive the barrier functions, the per-triangle working frame used by the
 analytic gradients, and one detector for coverage holes: a grid oracle that
-labels uncovered cells by runs (`enclosed_cells`), so the module needs only
-numpy.
+reads the covered cells from the coverage partition and labels the uncovered
+ones by runs (`enclosed_cells`), so the module needs only numpy.
 
 The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
 overhead costs more than the arithmetic.  A disk is the triple (cx, cy, R);
 a trio holds its agents' rows (x, y, z, λ, R), read from the state array as
-Python floats.  A radical center (a float pair) solves the two radical-axis
-equations by Cramer's rule on the lifted heights |c|² − R² (the lifting view
-of power diagrams); the working frame is the 4-tuple (ox, oy, ax, ay) of its
-origin and x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`);
-a trio's triangle is the centers of its footprints.  `build_graph` runs the
+Python floats.  A radical center (a float pair) solves two radical-axis
+equations by Cramer's rule, both written from a member of the trio's closest
+pair so that no lifted heights |c|² − R² cancel (the lifting view of power
+diagrams); the working frame is the 4-tuple (ox, oy, ax, ay) of its origin
+and x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`); a
+trio's triangle is the centers of its footprints.  `build_graph` runs the
 same solve on arrays over every candidate trio, tests the candidates against
 all footprints in fixed row blocks and keeps each trio once.
 """
@@ -112,10 +113,9 @@ def power_distance(disk, q) -> float:
 def _radical_solve(bx, by, rb, ux, uy, ru, vx, vy, rv):
     """Radical center of disks at b, b + u and b + v with radii rb, ru, rv; floats or arrays.
 
-    Each radical axis is written from b, 2(q − b)·u = |u|² − (R_u − R_b)(R_u + R_b),
-    and the pair is solved by Cramer's rule.  With b on the trio's closest
-    pair, that pair's own axis enters directly, with no lifted heights
-    |c|² − R² to cancel however close the pair lies.
+    Solves 2(q − b)·u = |u|² − (R_u − R_b)(R_u + R_b) and its twin in v by
+    Cramer's rule.  With b on the trio's closest pair, that pair's own axis
+    enters with no lifted heights |c|² − R² to cancel, however close it is.
     """
     pu = ux * ux + uy * uy - (ru - rb) * (ru + rb)
     pv = vx * vx + vy * vy - (rv - rb) * (rv + rb)
@@ -246,14 +246,12 @@ def enclosed_cells(mask):
 def detect_holes_grid(part, grid, graph):
     """Grid oracle for holes, read from the step's partition.
 
-    A cell of grid (a CoverageGrid) is uncovered where part (its Partition)
-    gives no owner, so the oracle evaluates no footprint of its own.  A
-    witness is an uncovered cell centre lying strictly inside some trio
-    triangle of graph, the communication graph of the same states, whose
-    uncovered connected component (4-connectivity) does not touch the
-    mission boundary; those components come from `enclosed_cells`, a
-    run-length labelling of the uncovered mask.  Returns the witness points
-    as an (m, 2) array, in the grid's point order.
+    A cell of grid (a CoverageGrid) is uncovered where part, its Partition,
+    gives no owner: the oracle evaluates no footprint.  A witness is an
+    uncovered cell centre strictly inside some trio triangle of graph, the
+    same states' communication graph, whose uncovered 4-connected component
+    does not touch the mission boundary (`enclosed_cells`, a run-length
+    labelling).  Returns the witness points as an (m, 2) array.
     """
     points = grid.points[enclosed_cells(grid.cells(part.owner) < 0).ravel()]
     if not len(points):
@@ -305,16 +303,15 @@ def build_graph(states, r: float) -> CommGraph:
     I, J = pi[pair], pj[pair]
     # Drop what radical_center rejects (a concentric pair, collinear centers)
     # before solving, so no determinant near zero is divided by.
-    (jx, jy), (kx, ky) = diff[J, I, 0].T, diff[K, I, 0].T
-    area = 0.5 * (jx * ky - jy * kx)
+    area = 0.5 * ((cx[J] - cx[I]) * (cy[K] - cy[I]) - (cy[J] - cy[I]) * (cx[K] - cx[I]))
     d_ik, near = dist[I, K], np.minimum(dist[I, J], dist[J, K])
     ok = ~((np.minimum(near, d_ik) < CONCENTRIC_TOL) | (np.abs(area) < AREA_TOL))
     # Solve from a member of the closest pair, as radical_center does: I when that pair is (I, K), else J.
     at_i = (d_ik < near)[ok]
     I, J, K = I[ok], J[ok], K[ok]
     B, P = np.where(at_i, I, J), np.where(at_i, J, I)
-    (ux, uy), (wx, wy) = diff[P, B, 0].T, diff[K, B, 0].T
-    vx, vy = _radical_solve(cx[B], cy[B], radii[B], ux, uy, radii[P], wx, wy, radii[K])
+    bx, by = cx[B], cy[B]
+    vx, vy = _radical_solve(bx, by, radii[B], cx[P] - bx, cy[P] - by, radii[P], cx[K] - bx, cy[K] - by, radii[K])
 
     # Power distance of every footprint at each candidate vertex minus
     # footprint i's, o·(o − 2w) − (R² − Rᵢ²) with o = c − cᵢ and w = v − cᵢ:
