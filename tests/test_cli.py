@@ -4,11 +4,11 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aircover.cli import (
     ParseError,
@@ -235,8 +235,11 @@ class TestSerialize:
         text = serialize(scenario)
         assert serialize(parse_config(text)) == text
 
+    # A fixed example, kept whatever seed the test's source hashes to: floats
+    # that need all 17 significant digits (0.1 + 0.2 = 0.30000000000000004).
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scenarios_off_default())
+    @example(replace(parse_config(MINIMAL), dt=0.1 + 0.2, agents=(AgentState(0.1 + 0.2, -1.2345678901234567, 1.5, 1.0),)))
     def test_round_trip_with_every_setting_off_its_default(self, scenario):
         # Every field of Scenario, SensingParams and ClassK is drawn away from
         # the value an omitted key gets, so a key the parser or the serializer

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aircover.cli import bundled_scenario, parse_config
 from aircover.coverage import (
@@ -188,8 +188,13 @@ def teams(draw):
     return states
 
 
+# Fixed examples, kept whatever seed the test's source hashes to: identical
+# agents, a footprint smaller than a cell, and rim points on a 0.25 m grid.
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(teams(), st.sampled_from([0.2, 0.45, 1.3]))
+@example(CASES["identical_agents"], 0.45)
+@example(CASES["smaller_than_a_cell"], 1.3)
+@example(CASES["points_on_the_rim"], 0.25)
 def test_random_teams_match_oracle(states, resolution):
     assert_matches_oracle(states, CoverageGrid(MISSION, resolution))
 
