@@ -311,7 +311,8 @@ def build_graph(states, r: float) -> CommGraph:
     I, J, K = I[ok], J[ok], K[ok]
     B, P = np.where(at_i, I, J), np.where(at_i, J, I)
     bx, by = cx[B], cy[B]
-    vx, vy = _radical_solve(bx, by, radii[B], cx[P] - bx, cy[P] - by, radii[P], cx[K] - bx, cy[K] - by, radii[K])
+    vx, vy = _radical_solve(
+        bx, by, radii[B], cx[P] - bx, cy[P] - by, radii[P], cx[K] - bx, cy[K] - by, radii[K])
 
     # Power distance of every footprint at each candidate vertex minus
     # footprint i's, o·(o − 2w) − (R² − Rᵢ²) with o = c − cᵢ and w = v − cᵢ:
