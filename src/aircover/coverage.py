@@ -223,7 +223,8 @@ def _gradient(state, params: SensingParams, terms) -> np.ndarray:
 def sensing_field(state, params: SensingParams, points):
     """Quality, closed, and strict footprint masks of one agent over many points."""
     terms = _field_terms(state, params, points)
-    return (*_masked_quality(terms), terms[2] < terms[5] ** 2)
+    _, _, d2, _, _, radius, _, _ = terms
+    return (*_masked_quality(terms), d2 < radius**2)
 
 
 def sensing_gradient(state, params: SensingParams, points) -> np.ndarray:

@@ -231,7 +231,7 @@ class DensePartition:
             for read, fill in (
                 (lambda w: w.f, 0.0),
                 (lambda w: w.covered, False),
-                (lambda w: w.terms[2] < w.terms[5] ** 2, False),
+                (lambda w: w.terms[2] < w.terms[5] ** 2, False),  # d² < R²
             )
         )
 
