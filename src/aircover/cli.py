@@ -30,7 +30,7 @@ from pathlib import Path
 from aircover.controller import ClassK
 from aircover.coverage import DensityField, SensingParams
 from aircover.geometry import AgentState
-from aircover.sim import Scenario, run
+from aircover.sim import MODES, Scenario, run
 
 log = logging.getLogger(__name__)
 
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="simulate a scenario file")
     runp.add_argument("--config", required=True, help="scenario file path")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--mode", choices=("ncbf", "hf-only", "nominal-only"))
+    runp.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES])
     runp.add_argument("--steps", type=int)
     runp.add_argument("--dt", type=float)
     runp.add_argument(

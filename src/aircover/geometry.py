@@ -19,7 +19,7 @@ diagrams); the working frame is the 4-tuple (ox, oy, ax, ay) of its origin
 and x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`); a
 trio's triangle is the centers of its footprints.  `build_graph` runs the
 same solve on arrays over every candidate trio, tests the candidates against
-all footprints in fixed row blocks and keeps each trio once.
+all footprints in fixed row blocks and keeps each vertex's fan triangles.
 """
 
 import math
@@ -165,13 +165,8 @@ def footprint_rows(states, r: float) -> list:
 def make_trio(ids, states, r: float) -> TrioContext:
     """The TrioContext of rows ids of an (n, 4) state array; raises DegenerateTrio on bad geometry."""
     ids = sorted(map(int, ids))
-    return _trio(ids, footprint_rows(np.asarray(states, dtype=float)[ids], r), r, None)
-
-
-def _trio(ids, rows, r, center):
-    """A TrioContext from its agents' rows in id order; solves the radical center when center is None."""
-    if center is None:
-        center = radical_center(*((x, y, R) for x, y, _, _, R in rows))
+    rows = footprint_rows(np.asarray(states, dtype=float)[ids], r)
+    center = radical_center(*((x, y, R) for x, y, _, _, R in rows))
     return TrioContext(tuple(ids), tuple(rows), center, r)
 
 
@@ -271,18 +266,24 @@ def build_graph(states, r: float) -> CommGraph:
     Trios are triples whose radical center is a power-diagram vertex — no
     other footprint has a smaller power distance there, within
     ADJACENCY_TOL — and whose footprints intersect pairwise (closed
-    comparison, so tangency counts).  A degenerate vertex shared by four or
-    more footprints is split into triangles by an index-ordered fan from its
-    lowest-index member.
+    comparison, so tangency counts).  The footprints that tie there within
+    ADJACENCY_TOL are the vertex's cofactors, and a triple is kept when it is
+    their index-ordered fan triangle: i the lowest cofactor, j and k
+    consecutive ones.  A three-way vertex is its own fan; one shared by four
+    or more footprints splits into the fan from its lowest member.
 
     Only the 3-cliques of the footprint-overlap graph are tried as
     candidates.  This is exact: a triple with a non-overlapping pair never
     survives the overlap filter, each candidate's vertex test still sees all
     n footprints, and a live vertex is a point where the three power cells
-    meet, so they are pairwise adjacent.  Cost: O(n²) center distances plus
-    O(t·n) vertex tests over the t overlap 3-cliques, instead of O(n⁴).  The
-    t candidate centers are solved together and tested against all
-    footprints GRAPH_BLOCK rows at a time, so no Python loop runs per
+    meet, so they are pairwise adjacent.  A fan triangle whose footprints
+    overlap pairwise is itself a candidate at the same vertex, solved and
+    tested there like any other, and a collinear or concentric one fails the
+    tests radical_center makes; so one mask decides both kinds of vertex, and
+    the kept candidates are already in id order.  Cost: O(n²) center
+    distances plus O(t·n) vertex tests over the t overlap 3-cliques, instead
+    of O(n⁴).  The t candidate centers are solved together and tested against
+    all footprints GRAPH_BLOCK rows at a time, so no Python loop runs per
     candidate and the excess matrix stays small at large n.
     """
     states = np.asarray(states, dtype=float).reshape(-1, 4)
@@ -319,11 +320,10 @@ def build_graph(states, r: float) -> CommGraph:
     # exact for a footprint concentric with i, however far away v lies.
     # Candidates go through in blocks of GRAPH_BLOCK rows; each row's test is
     # elementwise, so the blocking does not change any decision.
-    simple = np.zeros(len(I), dtype=bool)
-    shared = []  # members of each live vertex shared by four or more footprints, in row order
+    keep = np.zeros(len(I), dtype=bool)
     for lo in range(0, len(I), GRAPH_BLOCK):
         block = slice(lo, lo + GRAPH_BLOCK)
-        Ib = I[block]
+        Ib, Jb, Kb = I[block], J[block], K[block]
         ox = cx - cx[Ib, None]
         oy = cy - cy[Ib, None]
         excess = (
@@ -332,36 +332,18 @@ def build_graph(states, r: float) -> CommGraph:
             - (radii2 - radii2[Ib, None])
         )
         # j and k tie with i at v by construction; keep rounding out.
-        rows = np.arange(len(Ib))
-        excess[rows, J[block]] = excess[rows, K[block]] = 0.0
+        at = np.arange(len(Ib))
+        excess[at, Jb] = excess[at, Kb] = 0.0
         live = ~np.any(excess < -ADJACENCY_TOL, axis=1)
-        cofactor = excess <= ADJACENCY_TOL
-        size = cofactor.sum(axis=1)
-        simple[block] = live & (size == 3)
-        shared += [tuple(np.flatnonzero(cofactor[row]).tolist())
-                   for row in np.flatnonzero(live & (size > 3)).tolist()]
+        # rank[., l] counts the vertex's cofactors with index up to l: i is the
+        # lowest where it is 1, and j, k are consecutive where theirs differ by 1.
+        rank = np.cumsum(excess <= ADJACENCY_TOL, axis=1)
+        keep[block] = live & (rank[at, Ib] == 1) & (rank[at, Kb] - rank[at, Jb] == 1)
 
-    # Triple -> radical center, or None where _trio must solve it.
-    trio_triples = dict(zip(
-        zip(I[simple].tolist(), J[simple].tolist(), K[simple].tolist()),
-        zip(vx[simple].tolist(), vy[simple].tolist()),
+    rows = list(zip(*states.T.tolist(), radii.tolist()))
+    return CommGraph(n=n, trios=tuple(
+        TrioContext((i, j, k), (rows[i], rows[j], rows[k]), center, r)
+        for i, j, k, center in zip(
+            I[keep].tolist(), J[keep].tolist(), K[keep].tolist(),
+            zip(vx[keep].tolist(), vy[keep].tolist()))
     ))
-    handled_degenerate = set()
-    for members in shared:
-        if members in handled_degenerate:
-            continue
-        # Split the degenerate vertex once, deterministically.
-        handled_degenerate.add(members)
-        apex = members[0]
-        for a, b in zip(members[1:], members[2:]):
-            if overlap[apex, a] and overlap[apex, b] and overlap[a, b]:
-                trio_triples.setdefault((apex, a, b), None)
-
-    rows = footprint_rows(states, r)
-    trios = []
-    for triple in sorted(trio_triples):
-        try:
-            trios.append(_trio(triple, [rows[a] for a in triple], r, trio_triples[triple]))
-        except DegenerateTrio:
-            continue
-    return CommGraph(n=n, trios=tuple(trios))

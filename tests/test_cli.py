@@ -411,6 +411,24 @@ class TestMain:
         assert "dt must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", [m.replace("_", "-") for m in MODES])
+    def test_mode_flag_accepts_every_hyphenated_mode(self, tmp_path, mode):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(bundled_scenario("trio"))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--steps", "2", "--mode", mode, "--emit", "summary"])
+        assert code == 0
+        assert f"mode = {mode.replace('-', '_')!r}" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_mode_flag_rejects_an_unknown_mode(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(bundled_scenario("trio"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--mode", "warp"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

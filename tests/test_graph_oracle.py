@@ -194,6 +194,16 @@ def test_square_lattice_fans_match_oracle(side, spacing):
     assert keys == oracle_trio_keys(states, 1.0)
 
 
+@pytest.mark.parametrize("side, spacing", [(4, 1.0), (5, 0.75), (5, 1.25)])
+@pytest.mark.parametrize("jitter", [1e-13, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6])
+def test_barely_jittered_lattices_match_oracle(side, spacing, jitter):
+    # Jitter below ADJACENCY_TOL's scale keeps the four-way vertices, to be
+    # split into fans; jitter above it splits them into three-way vertices.
+    for seed in range(3):
+        states = lattice_states(side, spacing, jitter=jitter, seed=seed)
+        assert graph_trio_keys(states, 1.0) == oracle_trio_keys(states, 1.0)
+
+
 def test_jittered_7x7_lattice_matches_oracle():
     states = lattice_states(7, 1.2, jitter=0.1, seed=7)
     keys = graph_trio_keys(states, 1.0)

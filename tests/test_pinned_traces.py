@@ -12,6 +12,10 @@ benchmark's jittered 5×5 lattice (`perfbench/lattice.py --seed 0`), 41 steps,
 pinned with the float filter and the per-agent coverage objective.  Its QPs
 take steps with a nonempty working set, which the bundled runs rarely do, so
 a sign error in the solver's primal step, its QR or its dual step changes it.
+
+`tests/data/square25/` is the same layout with no jitter: an exact square
+lattice, whose cell centres are power-diagram vertices shared by four
+footprints, so the run goes through `build_graph`'s fan split on every step.
 """
 
 from pathlib import Path
@@ -21,7 +25,7 @@ import pytest
 from aircover import RunConfig, bundled_scenario, run_command
 
 DATA = Path(__file__).resolve().parent / "data"
-PINNED = {"trio": 300, "five_agents": 200, "nine_agents": 60, "lattice25_expand": 41}
+PINNED = {"trio": 300, "five_agents": 200, "nine_agents": 60, "lattice25_expand": 41, "square25": 41}
 RTOL = 1e-9
 ATOL = 1e-12
 
