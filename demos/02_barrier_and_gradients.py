@@ -54,6 +54,8 @@ for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
 # conditions (is v beyond an edge?) and the footprint condition (does my
 # disk reach v?).  The max picks the "most safe" certificate.  One evaluation
 # of the trio gives all three agents' views, in id order; the mover is agent 0.
+# In a run, `build_constraints` makes this one call per trio and step, and the
+# filter's rows and the trace's barrier values both read it.
 mover = AgentState(0.0, -1.2, 1.5, 1.0)
 trio = make_trio((0, 1, 2), [mover, *hoverers], r)
 comps = cbf_components(trio)[0]

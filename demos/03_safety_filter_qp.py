@@ -14,9 +14,11 @@ import numpy as np
 from aircover import (
     AgentState,
     ClassK,
+    FilterParams,
     Infeasible,
     QpProblem,
     build_constraints,
+    build_graph,
     cbf_components,
     make_trio,
     ncbf_value,
@@ -39,9 +41,11 @@ print(f"barrier h = {value.value:.4f}, almost-active components: "
 
 # The mover's nominal input keeps retreating -- unsafe if left unfiltered.
 u_nom = np.array([0.0, -0.4, 0.0, 0.0])
-alpha = ClassK(gain=20.0, power=3)
-rows = build_constraints([mover_view], epsilon=0.2, alpha=alpha,
-                         guard_threshold=1e4)
+# One pass over the graph's trios gives every agent its rows: one per
+# almost-active component of its views, all sharing the trio's b.
+params = FilterParams(epsilon=0.2, alpha=ClassK(gain=20.0, power=3),
+                      guard_threshold=1e4)
+rows = build_constraints(build_graph(states, r), params).rows[0]
 for a, b in rows:
     print("constraint row a =", np.round(a, 4), f" b = {b:+.5f}",
           f" slack at u_nom = {float(a @ u_nom) - b:+.5f}")
@@ -57,9 +61,8 @@ print("worst row residual at the solution:",
 
 # When no constraint is anywhere near active -- far from any hole -- the
 # filter is inert.
-safe = make_trio((0, 1, 2), [AgentState(0.0, -0.2, 1.5, 1.0),
-                             states[1], states[2]], r)
-rows_safe = build_constraints([cbf_components(safe)[0]], 0.2, alpha, 1e4)
+safe = [AgentState(0.0, -0.2, 1.5, 1.0), states[1], states[2]]
+rows_safe = build_constraints(build_graph(safe, r), params).rows[0]
 u_safe = solve_qp(QpProblem(u_nom, qp_weights(1.0e6), rows_safe))
 print("\nwith a comfortable barrier the filter returns u_nom exactly:",
       bool(np.array_equal(u_safe, u_nom)))

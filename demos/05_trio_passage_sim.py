@@ -38,9 +38,10 @@ for k in range(scenario.steps):
     world, _ = step(world, scenario)
 print(f"final mover position: y = {world.states[0, 1]:+.3f}")
 
-# The same scenario without the filter: the mover never brakes, and on the
-# exit leg its footprint lets go of the radical center while the triangle
-# still stands -- the grid oracle reports hole witnesses.
+# The same scenario in nominal_only mode, the filter with no barrier
+# components: no agent gets a row, so the mover never brakes, and on the exit
+# leg its footprint lets go of the radical center while the triangle still
+# stands -- the grid oracle reports hole witnesses.
 records, summary = run(replace(scenario, mode="nominal_only"))
 holed = [r.step for r in records if r.hole_witnesses > 0]
 print(f"\nunfiltered run: first hole witnessed at step "

@@ -17,7 +17,6 @@ from aircover.controller import (
     build_constraints,
     qp_weights,
     solve_qp,
-    trio_views,
 )
 from aircover.coverage import (
     CoverageGrid,

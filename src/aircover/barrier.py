@@ -12,12 +12,12 @@ membership.
 share one barrier with the roles permuted, so each view permutes the trio's
 four values and adds the agent's working frame (x-axis on segment JK, y-axis
 on the JK radical axis) with the frame coordinates of the footprint centers.
-The filter and the trace share the views: `ncbf_value` composes the values,
-and `cbf_gradient` reads the stored frame to give one component's analytic
-gradient, where the radical center has a closed form, rotated back to world
-coordinates; altitude and focal-length entries are frame-invariant.  The
-barrier's sign is a per-trio certificate, not a detector: the package's one
-hole detector is the grid oracle `geometry.detect_holes_grid`.
+`controller.build_constraints` makes the call for the filter and the trace:
+`ncbf_value` composes the values, and `cbf_gradient` reads the stored frame
+for one component's analytic gradient (the radical center has a closed form),
+rotated back to world coordinates; altitude and focal-length entries are
+frame-invariant.  The barrier's sign is a per-trio certificate, not a
+detector: the package's one hole detector is `geometry.detect_holes_grid`.
 
 Everything here runs on plain floats: the frame is the 4-tuple
 (ox, oy, ax, ay) of its origin and x-axis, the roles J and K are picked by

@@ -1,22 +1,23 @@
 """Per-agent QP safety filter.
 
-`trio_views` evaluates each triangle once (`barrier.cbf_components`) and
-hands each agent its views, dropping a degenerate one with a warning; the
-simulator shares them between this filter and the trace.  From its views the
-agent assembles one linear constraint per almost-active, non-suppressed
-barrier component, computing only those components' gradients, then keeps its
-nominal input if every row holds there, or else minimally modifies it in the
-weighted least-squares sense.  The QP is tiny (4 variables, a couple dozen
-constraints at most), so a deterministic dual active-set method is used
-rather than an external solver.  Rows are (4-tuple, float) pairs and the
-solver runs on Python floats: on 4-vectors numpy's per-call overhead costs
-more than the arithmetic.
+`build_constraints` makes one pass over the graph's trios: it evaluates each
+once (`barrier.cbf_components`), drops a degenerate view with a warning,
+composes the trio's barrier once, and gives each agent one linear constraint
+per almost-active, non-suppressed component of its views, computing only
+those components' gradients; the simulator's trace reads the same pass.  An
+agent keeps its nominal input if every row holds there, or else minimally
+modifies it in the weighted least-squares sense.  The QP is tiny (4
+variables, a couple dozen constraints at most), so a deterministic dual
+active-set method is used rather than an external solver.  Rows are
+(4-tuple, float) pairs and the solver runs on Python floats: on 4-vectors
+numpy's per-call overhead costs more than the arithmetic.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +78,11 @@ def qp_weights(w_lambda: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Safety-filter knobs shared by every agent."""
+    """Safety-filter knobs shared by every agent.
+
+    `components` composes the barrier from all four conditions, the footprint
+    alone, or none (no rows): never part of 1–3, so every view composes alike.
+    """
 
     epsilon: float = 0.2
     alpha: ClassK = field(default_factory=ClassK)
@@ -86,65 +91,69 @@ class FilterParams:
     components: tuple = ALL_COMPONENTS
 
 
-def trio_views(graph):
-    """Each agent's views, in the graph's trio order, from one `cbf_components` call per trio; each dropped view warns."""
-    views = [[] for _ in range(graph.n)]
+class FilterRows(NamedTuple):
+    """`build_constraints`' one pass over a graph's trios."""
+
+    rows: list  # per agent, its (a, b) rows in graph trio order, then component order
+    trio_vals: list  # each trio's four values as its last kept view holds them, if it kept one
+    kept: list  # per agent, the indices into trio_vals of the trios whose view it kept
+
+
+def build_constraints(graph, params: FilterParams) -> FilterRows:
+    """Every agent's halfspaces from one `cbf_components` call per trio of the graph.
+
+    A trio's views hold its four values, permuted, so the value composed over
+    `params.components` and b = −α(h)/3 (the decay budget split evenly across
+    its three agents) are taken once.  Each kept view adds one (a, b) row per
+    almost-active, non-suppressed component, a being the component's
+    world-frame gradient (a 4-tuple) with respect to the agent's own state.
+    """
+    rows = [[] for _ in range(graph.n)]
+    kept = [[] for _ in range(graph.n)]
+    trio_vals = []
+    components, epsilon = params.components, params.epsilon
     for trio in graph.all_trios():
         try:
             evaluated = cbf_components(trio)
         except DegenerateTrio as exc:
             evaluated = (exc,) * 3
+        views = []
         for agent, view in zip(trio.ids, evaluated):
             if isinstance(view, DegenerateTrio):
                 log.warning("agent %d trio %s degenerate, dropped: %s", agent, trio.ids, view)
             else:
-                views[agent].append(view)
-    return views
-
-
-def build_constraints(
-    views,
-    epsilon: float,
-    alpha: ClassK,
-    guard_threshold: float,
-    components: tuple = ALL_COMPONENTS,
-):
-    """One (a, b) halfspace per almost-active, non-suppressed component of each evaluated triangle.
-
-    a is the world-frame gradient (a 4-tuple) of the component with respect to
-    the agent's own state; b = −α(h)/3 splits the decay budget evenly across the
-    triangle's three agents.  `components` restricts which conditions define the
-    barrier (all four normally; only the footprint condition in hf-only mode).
-    """
-    rows = []
-    for comps in views:
-        viewpoint, ids = comps.viewpoint, comps.trio.ids
-        vals = comps.vals
-        suppressed = degenerate_guard(comps, guard_threshold)
-        value = max(vals[l - 1] for l in components)
-        b = -alpha(value) / 3.0
-        try:
-            for l in components:
-                if abs(vals[l - 1] - value) > epsilon:
-                    continue
-                if l in suppressed:
-                    log.debug(
-                        "agent %d trio %s: component %d suppressed (|%.3g| > %.3g)",
-                        viewpoint, ids, l, vals[l - 1], guard_threshold,
-                    )
-                    continue
-                a = cbf_gradient(comps, l)
-                norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
-                if not (GRADIENT_FLOOR <= norm < math.inf and math.isfinite(b)):
-                    log.warning(
-                        "agent %d trio %s: component %d gradient vanished or row non-finite "
-                        "(|a| = %.3g, b = %.3g); constraint dropped", viewpoint, ids, l, norm, b,
-                    )
-                    continue
-                rows.append((a, b))
-        except DegenerateTrio as exc:
-            log.warning("agent %d trio %s degenerate, dropped: %s", viewpoint, ids, exc)
-    return rows
+                views.append(view)
+                kept[agent].append(len(trio_vals))
+        if not views:
+            continue
+        trio_vals.append(views[-1].vals)
+        # No components (nominal_only) compose no barrier and give no rows.
+        value = max((views[-1].vals[l - 1] for l in components), default=0.0)
+        b = -params.alpha(value) / 3.0
+        for view in views:
+            viewpoint, vals = view.viewpoint, view.vals
+            suppressed = degenerate_guard(view, params.guard_threshold)
+            try:
+                for l in components:
+                    if abs(vals[l - 1] - value) > epsilon:
+                        continue
+                    if l in suppressed:
+                        log.debug("agent %d trio %s: component %d suppressed (|%.3g| > %.3g)",
+                                  viewpoint, trio.ids, l, vals[l - 1], params.guard_threshold)
+                        continue
+                    a = cbf_gradient(view, l)
+                    norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
+                    if not (GRADIENT_FLOOR <= norm < math.inf and math.isfinite(b)):
+                        # A vanished row with a finite b < 0 holds for every u: no warning.
+                        quiet = norm < GRADIENT_FLOOR and -math.inf < b < 0.0
+                        log.log(logging.DEBUG if quiet else logging.WARNING, "agent %d trio %s: "
+                                "component %d gradient vanished or row non-finite (|a| = %.3g, "
+                                "b = %.3g); constraint dropped", viewpoint, trio.ids, l, norm, b)
+                        continue
+                    rows[viewpoint].append((a, b))
+            except DegenerateTrio as exc:
+                log.warning("agent %d trio %s degenerate, dropped: %s", viewpoint, trio.ids, exc)
+    return FilterRows(rows, trio_vals, kept)
 
 
 def _dot(a, b) -> float:
@@ -252,19 +261,14 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
             mu.pop(blocker)
 
 
-def agent_control(viewpoint: int, views, u_nom, params: FilterParams) -> np.ndarray:
-    """Safety-filtered input for one agent from its own triangles' evaluations (`trio_views`).
+def agent_control(rows, u_nom, params: FilterParams) -> np.ndarray:
+    """Safety-filtered input for one agent from its own rows (`build_constraints(...).rows[i]`).
 
-    Only the agent's own triangles (and the neighbor states embedded in them)
-    are consulted — the distributed information pattern.  Raises Infeasible or
+    The rows read only the agent's own triangles (and the neighbor states in
+    them): the distributed information pattern.  Raises Infeasible or
     NumericalFailure for the caller to handle (fall back and log).
     """
-    if any(v.viewpoint != viewpoint for v in views):
-        raise ValueError(f"views must be evaluated from agent {viewpoint}'s viewpoint")
     u_nom = np.asarray(u_nom, dtype=float)
-    rows = build_constraints(
-        views, params.epsilon, params.alpha, params.guard_threshold, params.components
-    )
     u = u_nom.tolist()
     valid = len(u) == 4 and all(map(math.isfinite, u))  # else solve_qp rejects it
     if not rows or (valid and all(_dot(a, u) - b >= -_FEAS_TOL for a, b in rows)):

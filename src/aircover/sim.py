@@ -3,11 +3,12 @@
 The team's state is one read-only (n, 4) float64 array with columns x, y, z,
 λ.  Each step rebuilds the communication graph from it, detects graph
 switches by comparing trio sets, computes nominal inputs (coverage gradient
-or fixed per-agent vectors), filters them through the per-agent QP, and
-Euler-integrates the single-integrator dynamics over the whole array, with
-positive floors on altitude and focal length.  Every step emits a
-TraceRecord of Python floats; the integration itself uses no randomness, so
-a scenario replays bit-identically.
+or fixed per-agent vectors), filters each through the agent's rows from one
+pass over the trios that the trace shares (nominal_only's filter has no
+components, so no rows), and Euler-integrates the single-integrator dynamics
+over the whole array, with positive floors on altitude and focal length.
+Every step emits a TraceRecord of Python floats; the integration itself uses
+no randomness, so a scenario replays bit-identically.
 """
 
 import logging
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from aircover import controller
 from aircover.barrier import ncbf_value
 from aircover.controller import (
     ALL_COMPONENTS,
@@ -24,7 +26,6 @@ from aircover.controller import (
     Infeasible,
     NumericalFailure,
     agent_control,
-    trio_views,
 )
 from aircover.coverage import (
     CoverageGrid,
@@ -38,10 +39,9 @@ from aircover.geometry import build_graph, detect_holes_grid, footprint_rows
 
 log = logging.getLogger(__name__)
 
-MODES = ("ncbf", "hf_only", "nominal_only")
-
-# Component selections per mode: the full nonsmooth barrier or footprint-only.
-_MODE_COMPONENTS = {"ncbf": ALL_COMPONENTS, "hf_only": (4,)}
+# The filter's components per mode; none leaves every agent its nominal input.
+_MODE_COMPONENTS = {"ncbf": ALL_COMPONENTS, "hf_only": (4,), "nominal_only": ()}
+MODES = tuple(_MODE_COMPONENTS)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class Scenario:
             alpha=self.alpha,
             w_lambda=self.w_lambda,
             guard_threshold=self.guard_threshold,
-            components=_MODE_COMPONENTS.get(self.mode, ALL_COMPONENTS),
+            components=_MODE_COMPONENTS[self.mode],
         )
 
     def grid(self) -> CoverageGrid:
@@ -163,21 +163,18 @@ def step(world: WorldState, scenario: Scenario):
             nominal_input(i, states, params, scenario.density, grid, part) for i in range(n)
         ]
 
-    # 5. One barrier evaluation per trio, shared by the filter (not in nominal_only) and the trace.
-    views = trio_views(graph)
-    fallback = [False] * n
-    if scenario.mode == "nominal_only":
-        inputs = nominals
-    else:
-        fp = scenario.filter_params()
-        inputs = []
-        for i in range(n):
-            try:
-                inputs.append(agent_control(i, views[i], nominals[i], fp))
-            except (Infeasible, NumericalFailure) as exc:
-                log.warning("step %d agent %d: %s; zero-input fallback", world.step, i, exc)
-                inputs.append(np.zeros(4))
-                fallback[i] = True
+    # 5. One pass over the trios for every agent's rows and the trace's values
+    #    (called through its module, so that a wrapper put there sees it).
+    fp = scenario.filter_params()
+    built = controller.build_constraints(graph, fp)
+    inputs, fallback = [], [False] * n
+    for i in range(n):
+        try:
+            inputs.append(agent_control(built.rows[i], nominals[i], fp))
+        except (Infeasible, NumericalFailure) as exc:
+            log.warning("step %d agent %d: %s; zero-input fallback", world.step, i, exc)
+            inputs.append(np.zeros(4))
+            fallback[i] = True
 
     # 6. Euler integration, with floor clamps on z and lambda.
     next_states = states + scenario.dt * np.array(inputs)
@@ -186,11 +183,10 @@ def step(world: WorldState, scenario: Scenario):
     np.maximum(next_states[:, 2:], floors, out=next_states[:, 2:])
     next_states.flags.writeable = False
 
-    # 7. Telemetry for the pre-integration snapshot: one composed value per
-    #    trio, as its views hold the same values, permuted.
-    trio_vals = {c.trio.ids: c.vals for agent_views in views for c in agent_views}
-    h = {ids: ncbf_value(vals, scenario.epsilon).value for ids, vals in trio_vals.items()}
-    min_ncbf = tuple(min((h[c.trio.ids] for c in vs), default=0.0) for vs in views)
+    # 7. Telemetry for the pre-integration snapshot: each trio's value composed
+    #    over all four conditions, once, read over each agent's kept views.
+    h = [ncbf_value(vals, scenario.epsilon).value for vals in built.trio_vals]
+    min_ncbf = tuple(min((h[t] for t in ts), default=0.0) for ts in built.kept)
     if world.step % scenario.hole_check_every == 0:
         witnesses = len(detect_holes_grid(part, grid, graph))
     else:

@@ -65,7 +65,7 @@ def trio_states(trio):
 
 
 def view(trio, viewpoint):
-    """One agent's view from its trio's single evaluation; raises DegenerateTrio where `trio_views` would drop it."""
+    """One agent's view from its trio's single evaluation; raises DegenerateTrio where `build_constraints` would drop it."""
     evaluated = cbf_components(trio)[trio.ids.index(viewpoint)]
     if isinstance(evaluated, DegenerateTrio):
         raise evaluated

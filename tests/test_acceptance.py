@@ -20,12 +20,12 @@ from aircover.barrier import (
 from aircover.cli import RunConfig, bundled_scenario, parse_config, run_command
 from aircover.controller import (
     ClassK,
+    FilterParams,
     Infeasible,
     QpProblem,
     build_constraints,
     qp_weights,
     solve_qp,
-    trio_views,
 )
 from aircover.coverage import CoverageGrid, DensityField, SensingParams
 from aircover.geometry import (
@@ -350,8 +350,8 @@ def test_criterion_8_distributed_implies_central(rng):
                 for glob in value.active_set:
                     if component_apex(trio, trio.ids[0], glob) == apex:
                         skip_components.add(glob)
-            views = trio_views(CommGraph(3, (trio,)))[agent]
-            rows = build_constraints(views, epsilon, alpha, 1e4)
+            params = FilterParams(epsilon=epsilon, alpha=alpha, guard_threshold=1e4)
+            rows = build_constraints(CommGraph(3, (trio,)), params).rows[agent]
             u_nom = rng.normal(size=4) * 2.0
             try:
                 solved[agent] = (

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aircover.barrier import cbf_gradient, degenerate_guard, ncbf_value
 from aircover.controller import (
+    GRADIENT_FLOOR,
     ClassK,
     FilterParams,
     Infeasible,
@@ -18,7 +19,6 @@ from aircover.controller import (
     build_constraints,
     qp_weights,
     solve_qp,
-    trio_views,
 )
 from aircover.geometry import (
     AREA_TOL,
@@ -69,9 +69,15 @@ class TestClassK:
             ClassK(gain=0.0, power=3)
 
 
+def trio_rows(trio, agent, alpha=ClassK(), **params):
+    """An agent's rows from the pass over a graph of the one trio."""
+    graph = CommGraph(3, (trio,))
+    return build_constraints(graph, FilterParams(alpha=alpha, **params)).rows[agent]
+
+
 class TestBuildConstraints:
     def test_empty_trios(self):
-        assert build_constraints([], 0.2, ClassK(), 1e4) == []
+        assert build_constraints(CommGraph(2, ()), FilterParams()).rows == [[], []]
 
     def test_single_active_footprint_constraint(self):
         # Mover approaching the gap between two hoverers: the footprint
@@ -83,7 +89,7 @@ class TestBuildConstraints:
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
         alpha = ClassK(gain=1.0, power=3)
-        rows = build_constraints(trio_views(CommGraph(3, (trio,)))[0], 0.2, alpha, 1e4)
+        rows = trio_rows(trio, 0, alpha, epsilon=0.2, guard_threshold=1e4)
         assert len(rows) == 1
         a, b = rows[0]
         h = ncbf_value(view(trio, 0).vals, 0.2)
@@ -100,8 +106,7 @@ class TestBuildConstraints:
                 suppressed = set(degenerate_guard(comps, 1e4))
                 out = ncbf_value(view(trio, agent).vals, 0.2)
                 expected = [l for l in out.active_set if l not in suppressed]
-                views = trio_views(CommGraph(3, (trio,)))[agent]
-                rows = build_constraints(views, 0.2, alpha, 1e4)
+                rows = trio_rows(trio, agent, alpha, epsilon=0.2, guard_threshold=1e4)
                 assert len(rows) == len(expected)
                 for _, b in rows:
                     assert b == pytest.approx(-alpha(out.value) / 3.0)
@@ -117,7 +122,7 @@ class TestBuildConstraints:
         trio = make_trio([0, 1, 2], states, r=1.0)
         comps = view(trio, 0)
         assert degenerate_guard(comps, 1e4)
-        rows = build_constraints(trio_views(CommGraph(3, (trio,)))[0], 0.2, ClassK(), 1e4)
+        rows = trio_rows(trio, 0, epsilon=0.2, guard_threshold=1e4)
         assert rows == []
 
     def test_below_tolerance_triangle_dropped_with_warning(self, caplog):
@@ -136,7 +141,7 @@ class TestBuildConstraints:
             r=1.0,
         )
         with caplog.at_level(logging.WARNING, logger="aircover.controller"):
-            rows = build_constraints(trio_views(CommGraph(3, (trio,)))[0], 0.2, ClassK(), 1e4)
+            rows = trio_rows(trio, 0, epsilon=0.2, guard_threshold=1e4)
         assert rows == []
         assert "degenerate, dropped" in caplog.text
 
@@ -161,25 +166,47 @@ class TestBuildConstraints:
             AgentState(1.4, 0.0, 1.5, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        views = trio_views(CommGraph(3, (trio,)))[0]
-        assert len(build_constraints(views, 0.2, ClassK(), 1e4)) == 1
+        assert len(trio_rows(trio, 0, epsilon=0.2, guard_threshold=1e4)) == 1
         if gradient is not None:
             monkeypatch.setattr(ctl, "cbf_gradient", lambda comps, l: gradient)
         with caplog.at_level(logging.WARNING, logger="aircover.controller"):
-            rows = build_constraints(views, 0.2, alpha, 1e4)
+            rows = trio_rows(trio, 0, alpha, epsilon=0.2, guard_threshold=1e4)
         assert rows == []
         assert "constraint dropped" in caplog.text
+
+    @pytest.mark.parametrize(
+        "alpha, level",
+        [(ClassK(), logging.DEBUG), (lambda h: 0.0, logging.WARNING), (lambda h: -3.0, logging.WARNING)],
+        ids=["b-negative", "b-zero", "b-positive"],
+    )
+    def test_vanished_row_warns_only_where_dropping_it_loosens_the_filter(self, caplog, alpha, level):
+        # The mover's power vertex with the hoverers lies on their line, so
+        # its footprint gradient vanishes.  With b < 0 the row a·u ≥ b holds
+        # for every u and its drop is logged at DEBUG; with b ≥ 0 (−0.0
+        # included) dropping it loosens the filter, which warns.
+        states = [
+            AgentState(0.0, -1.4, 1.5, 1.0),
+            AgentState(-1.4, 0.0, 1.5, 1.0),
+            AgentState(1.4, 0.0, 1.5, 1.0),
+        ]
+        trio = make_trio([0, 1, 2], states, r=1.0)
+        assert ncbf_value(view(trio, 0).vals, 0.2).active_set == (4,)
+        assert np.linalg.norm(cbf_gradient(view(trio, 0), 4)) < GRADIENT_FLOOR
+        with caplog.at_level(logging.DEBUG, logger="aircover.controller"):
+            rows = trio_rows(trio, 0, alpha)
+        assert rows == []
+        dropped = [r for r in caplog.records if "constraint dropped" in r.getMessage()]
+        assert [(r.levelno, r.args[0]) for r in dropped] == [(level, 0)]
 
     def test_footprint_only_mode(self, rng):
         alpha = ClassK()
         for _ in range(20):
             trio = random_trio(rng)
-            views = trio_views(CommGraph(3, (trio,)))[0]
-            rows = build_constraints(views, 0.2, alpha, 1e4, components=(4,))
+            rows = trio_rows(trio, 0, alpha, epsilon=0.2, guard_threshold=1e4, components=(4,))
             comps = view(trio, trio.ids[0])
             # exactly one row: the footprint gradient with its own decay budget
-            rows = build_constraints(
-                trio_views(CommGraph(3, (trio,)))[trio.ids[0]], 0.2, alpha, 1e4, components=(4,)
+            rows = trio_rows(
+                trio, trio.ids[0], alpha, epsilon=0.2, guard_threshold=1e4, components=(4,)
             )
             assert len(rows) == 1
             assert np.allclose(rows[0][0], cbf_gradient(view(trio, trio.ids[0]), 4))
@@ -218,12 +245,14 @@ FAR_TRIO = [(1000.5, 998.8, 1.5), (1001.8, 999.9, 2.0), (1000.2, 1001.3, 1.2)]
 @example(fovs=BELOW_AREA_TOL)
 @example(fovs=ABOVE_AREA_TOL)
 @example(fovs=FAR_TRIO)
-def test_trio_views_share_one_evaluation(caplog, fovs):
+def test_one_pass_shares_each_trio_evaluation(caplog, fovs):
     # A trio as a graph could hand it over, centred at its radical center
     # where that exists and at its centroid otherwise.  Its views hold the
     # same four values, permuted, so they compose to exactly equal barrier
     # values; a view is dropped, with one warning for its agent, exactly when
     # the triangle (all three) or that agent's J/K pair (that one) is degenerate.
+    # The pass runs with no components, so that it builds no rows and only
+    # the dropped views warn.
     try:
         center = radical_center(*fovs)
     except DegenerateTrio:
@@ -242,12 +271,14 @@ def test_trio_views_share_one_evaluation(caplog, fovs):
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="aircover.controller"):
-        views = trio_views(CommGraph(3, (trio,)))
+        built = build_constraints(CommGraph(3, (trio,)), FilterParams(components=()))
     assert sorted(r.args[0] for r in caplog.records) == expect_dropped
     assert all("degenerate, dropped" in r.getMessage() for r in caplog.records)
-    kept = [agent_views[0] for agent_views in views if agent_views]
+    kept = [view(trio, agent) for agent in trio.ids if built.kept[agent]]
     assert [v.viewpoint for v in kept] == [a for a in trio.ids if a not in expect_dropped]
-    assert all(len(agent_views) <= 1 for agent_views in views)
+    assert all(len(agent_kept) <= 1 for agent_kept in built.kept)
+    assert built.rows == [[], [], []]
+    assert built.trio_vals == ([kept[-1].vals] if kept else [])
     for v in kept:
         assert sorted(v.vals) == sorted(kept[0].vals)
         assert ncbf_value(v.vals, 0.2).value == ncbf_value(kept[0].vals, 0.2).value
@@ -380,7 +411,8 @@ class TestAgentControl:
         states = [AgentState(0.0, 0.0, 1.0, 1.0), AgentState(10.0, 0.0, 1.0, 1.0)]
         graph = build_graph(states, r=1.0)
         u_nom = np.array([0.1, 0.2, 0.0, 0.0])
-        out = agent_control(0, trio_views(graph)[0], u_nom, self.make_params())
+        params = self.make_params()
+        out = agent_control(build_constraints(graph, params).rows[0], u_nom, params)
         assert np.array_equal(out, u_nom)
 
     def test_safe_trio_zero_input_is_fixed(self):
@@ -395,7 +427,8 @@ class TestAgentControl:
         assert graph.trios_of(0)
         h = ncbf_value(view(graph.trios_of(0)[0], 0).vals, 0.2)
         assert h.value >= 0.0
-        out = agent_control(0, trio_views(graph)[0], np.zeros(4), self.make_params())
+        params = self.make_params()
+        out = agent_control(build_constraints(graph, params).rows[0], np.zeros(4), params)
         assert np.array_equal(out, np.zeros(4))
 
     def test_filtered_input_meets_every_constraint(self):
@@ -410,10 +443,8 @@ class TestAgentControl:
         assert graph.trios_of(0)
         params = self.make_params(w_lambda=3.0e6)
         u_nom = np.array([0.0, 0.4, 0.0, 0.0])
-        u = agent_control(0, trio_views(graph)[0], u_nom, params)
-        rows = build_constraints(
-            trio_views(graph)[0], params.epsilon, params.alpha, params.guard_threshold
-        )
+        rows = build_constraints(graph, params).rows[0]
+        u = agent_control(rows, u_nom, params)
         assert rows
         for a, b in rows:
             assert float(a @ u - b) >= -1e-8
@@ -434,8 +465,8 @@ class TestAgentControl:
             for agent in trio.ids:
                 u_nom = rng.normal(size=4) * np.array([0.5, 0.5, 0.3, 1e-4])
                 try:
-                    views = trio_views(graph)[agent]
-                    inputs[agent] = agent_control(agent, views, u_nom, params)
+                    rows = build_constraints(graph, params).rows[agent]
+                    inputs[agent] = agent_control(rows, u_nom, params)
                 except (Infeasible, NumericalFailure):
                     ok = False
                     break
@@ -480,12 +511,13 @@ class TestAgentControl:
             AgentState(-1.0, -0.6, 1.5, 1.0),
             AgentState(1.0, -0.6, 1.5, 1.0),
         ]
-        views = trio_views(build_graph(states, r=1.0))[0]
-        assert build_constraints(views, 0.2, ClassK(gain=1.0, power=3), 1e4)
+        params = self.make_params()
+        rows = build_constraints(build_graph(states, r=1.0), params).rows[0]
+        assert rows
         with pytest.raises(ValueError):
-            agent_control(0, views, np.array(u_nom), self.make_params())
+            agent_control(rows, np.array(u_nom), params)
 
-    def test_views_from_another_viewpoint_rejected(self):
+    def test_each_agent_gets_the_rows_of_its_own_view(self):
         # Gradients are taken w.r.t. the evaluating agent's own state, so
         # another agent's evaluations would constrain the wrong input.
         states = [
@@ -494,25 +526,17 @@ class TestAgentControl:
             AgentState(1.0, -0.6, 1.5, 1.0),
         ]
         graph = build_graph(states, r=1.0)
-        views = trio_views(graph)[1]
-        assert views
-        with pytest.raises(ValueError, match="viewpoint"):
-            agent_control(0, views, np.zeros(4), self.make_params())
+        (trio,) = graph.all_trios()
+        params = self.make_params()
+        rows = build_constraints(graph, params).rows
+        for agent in trio.ids:
+            own = view(trio, agent)
+            h = ncbf_value(own.vals, params.epsilon)
+            assert rows[agent]
+            assert [a for a, _ in rows[agent]] == [cbf_gradient(own, l) for l in h.active_set]
+        assert rows[0] != rows[1]
 
-    def test_infeasible_propagates(self, monkeypatch):
-        import aircover.controller as ctl
-
-        states = [
-            AgentState(0.0, 1.0, 1.5, 1.0),
-            AgentState(-1.0, -0.6, 1.5, 1.0),
-            AgentState(1.0, -0.6, 1.5, 1.0),
-        ]
-        graph = build_graph(states, r=1.0)
+    def test_infeasible_propagates(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])
-        monkeypatch.setattr(
-            ctl, "build_constraints", lambda *args, **kw: [(a, 1.0), (-a, 1.0)]
-        )
         with pytest.raises(Infeasible):
-            ctl.agent_control(
-                0, trio_views(graph)[0], np.zeros(4), self.make_params()
-            )
+            agent_control([(a, 1.0), (-a, 1.0)], np.zeros(4), self.make_params())

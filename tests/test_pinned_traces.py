@@ -16,6 +16,11 @@ a sign error in the solver's primal step, its QR or its dual step changes it.
 `tests/data/square25/` is the same layout with no jitter: an exact square
 lattice, whose cell centres are power-diagram vertices shared by four
 footprints, so the run goes through `build_graph`'s fan split on every step.
+
+`tests/data/trio_hf_only/` and `tests/data/trio_nominal_only/` are the bundled
+trio in the other two modes, 300 steps each.  In hf_only the filter composes
+the footprint condition alone while the trace composes all four; nominal_only
+runs the filter with no components, so every agent keeps its nominal input.
 """
 
 from pathlib import Path
@@ -25,7 +30,10 @@ import pytest
 from aircover import RunConfig, bundled_scenario, run_command
 
 DATA = Path(__file__).resolve().parent / "data"
-PINNED = {"trio": 300, "five_agents": 200, "nine_agents": 60, "lattice25_expand": 41, "square25": 41}
+PINNED = {"trio": 300, "five_agents": 200, "nine_agents": 60, "lattice25_expand": 41, "square25": 41,
+          "trio_hf_only": 300, "trio_nominal_only": 300}
+# Pins of a bundled scenario in another mode: name -> (scenario, mode).
+MODE_PINS = {"trio_hf_only": ("trio", "hf_only"), "trio_nominal_only": ("trio", "nominal_only")}
 RTOL = 1e-9
 ATOL = 1e-12
 
@@ -62,13 +70,14 @@ def same_cell(pinned, got):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_replay_matches_pinned_trace(name, tmp_path):
+    scenario, mode = MODE_PINS.get(name, (name, "ncbf"))
     config = DATA / name / "scenario.cfg"
     if not config.exists():
-        config = tmp_path / f"{name}.cfg"
-        config.write_text(bundled_scenario(name))
+        config = tmp_path / f"{scenario}.cfg"
+        config.write_text(bundled_scenario(scenario))
     out = tmp_path / "out"
     code = run_command(
-        RunConfig(scenario_path=str(config), out_dir=str(out), mode="ncbf", steps=PINNED[name])
+        RunConfig(scenario_path=str(config), out_dir=str(out), mode=mode, steps=PINNED[name])
     )
     assert code == 0
     for artifact, sep in (("trace.csv", ","), ("summary.txt", " = ")):

@@ -29,7 +29,6 @@ from aircover.controller import (
     NumericalFailure,
     QpProblem,
     _FEAS_TOL,
-    build_constraints,
     qp_weights,
     solve_qp,
 )
@@ -339,13 +338,10 @@ def lattice_qps():
     original_control = aircover.sim.agent_control
     original_qp = aircover.controller.solve_qp
 
-    def recording(viewpoint, views, u_nom, params):
-        rows = build_constraints(
-            views, params.epsilon, params.alpha, params.guard_threshold, params.components
-        )
+    def recording(rows, u_nom, params):
         weights = qp_weights(params.w_lambda)
         recorded.append(QpProblem(np.asarray(u_nom, dtype=float), weights, rows))
-        return original_control(viewpoint, views, u_nom, params)
+        return original_control(rows, u_nom, params)
 
     def solving(problem, *args, **kwargs):
         solved.append(problem)

@@ -368,13 +368,15 @@ class TestCaching:
         original_rows = aircover.controller.build_constraints
         original_qp = aircover.controller.solve_qp
 
-        def counting_control(viewpoint, views, u_nom, params):
-            controls.append(viewpoint)
-            return original_control(viewpoint, views, u_nom, params)
+        def counting_control(agent_rows, u_nom, params):
+            # The agent whose rows these are, in the step's one pass.
+            controls.append([r is agent_rows for r in rows[-3:]].index(True))
+            return original_control(agent_rows, u_nom, params)
 
         def recording_rows(*args, **kwargs):
-            rows.append(original_rows(*args, **kwargs))
-            return rows[-1]
+            built = original_rows(*args, **kwargs)
+            rows.extend(built.rows)
+            return built
 
         def recording_qp(problem):
             qps.append(problem)
@@ -394,6 +396,36 @@ class TestCaching:
         for problem in qps:
             assert tuple(problem.u_nom) == (0.0, -0.4, 0.0, 0.0)
             assert any(float(np.dot(a, problem.u_nom)) < b for a, b in problem.constraints)
+
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed-nominal", "coverage-nominal"])
+    def test_nominal_only_runs_the_filter_with_no_rows(self, monkeypatch, fixed):
+        # nominal_only is the filter with no barrier components: agent_control
+        # runs for every agent and step, gets no rows and hands back the
+        # nominal input exactly, and no QP is solved.  With fixed nominals the
+        # retreating mover of the test above would need a QP every step in ncbf.
+        calls, qps = [], []
+        original_control = aircover.sim.agent_control
+
+        def recording_control(agent_rows, u_nom, params):
+            u = original_control(agent_rows, u_nom, params)
+            calls.append((agent_rows, np.array(u_nom, dtype=float), u))
+            return u
+
+        monkeypatch.setattr(aircover.sim, "agent_control", recording_control)
+        monkeypatch.setattr(aircover.controller, "solve_qp", lambda *args, **kw: qps.append(args))
+        mover = AgentState(0.0, -1.6, 1.5, 1.0)
+        nominal = ((0.0, -0.4, 0.0, 0.0), ZERO, ZERO) if fixed else None
+        scenario = trio_scenario(
+            steps=5, mode="nominal_only", agents=(mover, *TRIO_AGENTS[1:]), fixed_nominal=nominal
+        )
+        run(scenario)
+        assert len(calls) == 3 * 5
+        for agent_rows, u_nom, u in calls:
+            assert agent_rows == []
+            assert u.tobytes() == u_nom.tobytes()
+        if fixed:
+            assert [tuple(u) for _, _, u in calls] == list(nominal) * 5
+        assert qps == []
 
     def test_degenerate_trio_warned_once_per_agent_step(self, monkeypatch, caplog):
         # A below-tolerance trio (built by hand, as in the controller tests)
