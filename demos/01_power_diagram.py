@@ -13,8 +13,8 @@ import numpy as np
 
 from aircover import (
     AgentState,
+    build_graph,
     footprint_rows,
-    make_trio,
     power_distance,
     sigma_d_frame,
 )
@@ -33,9 +33,10 @@ for x, y, z, lam, R in footprint_rows(states, r):
     print(f"agent at ({x:+.1f}, {y:+.1f}), z = {z:.1f}, lambda = {lam:.1f}: "
           f"footprint radius {R:.3f}")
 
-# The trio context holds the three agents' rows (x, y, z, lambda, R), whose
-# centers are the triangle, and the radical center v.
-trio = make_trio((0, 1, 2), states, r)
+# The three footprints overlap pairwise, so the communication graph has this
+# one trio.  Its context holds the three agents' rows (x, y, z, lambda, R),
+# whose centers are the triangle, and the radical center v.
+(trio,) = build_graph(states, r).trios
 v = trio.radical_center
 print(f"\nradical center v = ({v[0]:+.4f}, {v[1]:+.4f})")
 

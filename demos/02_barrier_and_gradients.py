@@ -19,7 +19,6 @@ from aircover import (
     cbf_components,
     cbf_gradient,
     detect_holes_grid,
-    make_trio,
     ncbf_value,
     partition,
     power_distance,
@@ -32,22 +31,29 @@ grid = CoverageGrid((-4, -4, 4, 4), 0.02)
 sensing = SensingParams(r=r, kappa=1.0, sigma=1.0, M=1.0, w=0.0)
 hoverers = [AgentState(-1.4, 0.0, 1.5, 1.0), AgentState(1.4, 0.0, 1.5, 1.0)]
 
+
+def trio_of(mover):
+    """The mover's one trio with the hoverers: their footprints overlap pairwise."""
+    (trio,) = build_graph([mover, *hoverers], r).trios
+    return trio
+
+
 # Slide a third agent away from the pair and watch the barrier cross zero.
 # (Exactly y = 0 would make the three centers collinear -- a degenerate
 # triangle the library rejects -- so the sweep starts just off the line.)
 print("mover y    h (barrier)   argmax   exact oracle   grid witnesses")
 for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
-    mover = AgentState(0.0, y, 1.5, 1.0)
-    trio = make_trio((0, 1, 2), [mover, *hoverers], r)
-    value = ncbf_value(cbf_components(trio)[0].vals, epsilon=0.2)
+    agents = [AgentState(0.0, y, 1.5, 1.0), *hoverers]
+    graph = build_graph(agents, r)
+    (trio,) = graph.trios  # the three footprints overlap pairwise
+    vals = cbf_components(trio)[0].vals
     # The exact test: v strictly inside the triangle and outside the footprints
     # (one footprint decides for all three, as v has equal power to each).
     inside, _ = point_in_triangle(*(row[:2] for row in trio.rows), trio.radical_center)
     x, y, _, _, R = trio.rows[0]
     holed = inside and power_distance((x, y, R), trio.radical_center) > 0.0
-    agents = [mover, *hoverers]
-    witnesses = detect_holes_grid(partition(agents, sensing, grid), grid, build_graph(agents, r))
-    print(f"{y:+7.1f}   {value.value:+11.4f}   comp {value.argmax}   "
+    witnesses = detect_holes_grid(partition(agents, sensing, grid), grid, graph)
+    print(f"{y:+7.1f}   {ncbf_value(vals):+11.4f}   comp {vals.index(max(vals)) + 1}   "
           f"{'HOLE' if holed else 'safe':>12}   {len(witnesses):>5}")
 
 # The four components from the mover's viewpoint: three triangle-side
@@ -57,12 +63,11 @@ for y in (-0.3, -0.6, -1.2, -1.5, -1.8, -2.2):
 # In a run, `build_constraints` makes this one call per trio and step, and the
 # filter's rows and the trace's barrier values both read it.
 mover = AgentState(0.0, -1.2, 1.5, 1.0)
-trio = make_trio((0, 1, 2), [mover, *hoverers], r)
-comps = cbf_components(trio)[0]
+comps = cbf_components(trio_of(mover))[0]
 print("\ncomponent values from the mover's viewpoint:",
       np.round(comps.vals, 4))
 print("almost-active set (within epsilon = 0.2 of the max):",
-      ncbf_value(comps.vals, 0.2).active_set)
+      tuple(l for l, h in enumerate(comps.vals, 1) if abs(h - max(comps.vals)) <= 0.2))
 
 # Every component has an analytic gradient in the agent's own four controls
 # (x, y, z, lambda), read from the same evaluation's working frame.  Check one
@@ -76,8 +81,7 @@ for coord in range(4):
     for sign in (+1.0, -1.0):
         bumped = [mover.x, mover.y, mover.z, mover.lam]
         bumped[coord] += sign * h
-        t = make_trio((0, 1, 2), [AgentState(*bumped), *hoverers], r)
-        vals.append(cbf_components(t)[0][component])
+        vals.append(cbf_components(trio_of(AgentState(*bumped)))[0].vals[component - 1])
     fd[coord] = (vals[0] - vals[1]) / (2.0 * h)
 print(f"\ncomponent {component} gradient (analytic):", np.round(grad, 6))
 print(f"component {component} gradient (finite diff):", np.round(fd, 6))

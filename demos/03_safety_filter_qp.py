@@ -20,9 +20,7 @@ from aircover import (
     build_constraints,
     build_graph,
     cbf_components,
-    make_trio,
     ncbf_value,
-    qp_weights,
     solve_qp,
 )
 
@@ -33,11 +31,12 @@ states = [
     AgentState(-1.4, 0.0, 1.5, 1.0),
     AgentState(1.4, 0.0, 1.5, 1.0),
 ]
-trio = make_trio((0, 1, 2), states, r)
+(trio,) = build_graph(states, r).trios
 mover_view = cbf_components(trio)[0]  # the trio's views come in id order
-value = ncbf_value(mover_view.vals, epsilon=0.2)
-print(f"barrier h = {value.value:.4f}, almost-active components: "
-      f"{value.active_set}")
+h = ncbf_value(mover_view.vals)
+# The almost-active components: those within epsilon = 0.2 of the max.
+active = tuple(l for l, hl in enumerate(mover_view.vals, 1) if abs(hl - h) <= 0.2)
+print(f"barrier h = {h:.4f}, almost-active components: {active}")
 
 # The mover's nominal input keeps retreating -- unsafe if left unfiltered.
 u_nom = np.array([0.0, -0.4, 0.0, 0.0])
@@ -52,7 +51,8 @@ for a, b in rows:
 
 # The focal-rate weight is huge, so the filter prefers to spend position and
 # altitude rates before touching the zoom.
-u = solve_qp(QpProblem(u_nom, qp_weights(1.0e6), rows))
+weights = (1.0, 1.0, 1.0, 1.0e6)
+u = solve_qp(QpProblem(u_nom, weights, rows))
 print("\nnominal input :", np.round(u_nom, 4))
 print("filtered input:", np.round(u, 4))
 print("deviation      :", np.round(u - u_nom, 4))
@@ -63,7 +63,7 @@ print("worst row residual at the solution:",
 # filter is inert.
 safe = [AgentState(0.0, -0.2, 1.5, 1.0), states[1], states[2]]
 rows_safe = build_constraints(build_graph(safe, r), params).rows[0]
-u_safe = solve_qp(QpProblem(u_nom, qp_weights(1.0e6), rows_safe))
+u_safe = solve_qp(QpProblem(u_nom, weights, rows_safe))
 print("\nwith a comfortable barrier the filter returns u_nom exactly:",
       bool(np.array_equal(u_safe, u_nom)))
 

@@ -28,13 +28,14 @@ print("\nstep    mover y    barrier h   certificate")
 for k in range(scenario.steps):
     trios = build_graph(world.states, scenario.sensing.r).trios_of(0)
     if trios:
-        value = ncbf_value(cbf_components(trios[0])[0].vals, scenario.epsilon)
-        if value.argmax != last_argmax or k % 400 == 0:
-            print(f"{k:>4}   {world.states[0, 1]:+8.3f}   {value.value:+9.4f}"
-                  f"   component {value.argmax}"
-                  + ("   <- switch" if last_argmax not in (None, value.argmax)
+        vals = cbf_components(trios[0])[0].vals
+        argmax = vals.index(max(vals)) + 1
+        if argmax != last_argmax or k % 400 == 0:
+            print(f"{k:>4}   {world.states[0, 1]:+8.3f}   {ncbf_value(vals):+9.4f}"
+                  f"   component {argmax}"
+                  + ("   <- switch" if last_argmax not in (None, argmax)
                      else ""))
-            last_argmax = value.argmax
+            last_argmax = argmax
     world, _ = step(world, scenario)
 print(f"final mover position: y = {world.states[0, 1]:+.3f}")
 

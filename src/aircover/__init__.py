@@ -15,7 +15,6 @@ from aircover.controller import (
     QpProblem,
     agent_control,
     build_constraints,
-    qp_weights,
     solve_qp,
 )
 from aircover.coverage import (
@@ -32,7 +31,6 @@ from aircover.geometry import (
     build_graph,
     detect_holes_grid,
     footprint_rows,
-    make_trio,
     power_distance,
     sigma_d_frame,
 )

@@ -12,19 +12,19 @@ membership.
 share one barrier with the roles permuted, so each view permutes the trio's
 four values and adds the agent's working frame (x-axis on segment JK, y-axis
 on the JK radical axis) with the frame coordinates of the footprint centers.
-`controller.build_constraints` makes the call for the filter and the trace:
-`ncbf_value` composes the values, and `cbf_gradient` reads the stored frame
-for one component's analytic gradient (the radical center has a closed form),
+`controller.build_constraints` makes the call for the filter and the trace,
+and picks each view's almost-active components; `ncbf_value` composes the
+values for the trace, and `cbf_gradient` reads the stored frame for one
+component's analytic gradient (the radical center has a closed form),
 rotated back to world coordinates; altitude and focal-length entries are
 frame-invariant.  The barrier's sign is a per-trio certificate, not a
 detector: the package's one hole detector is `geometry.detect_holes_grid`.
 
 Everything here runs on plain floats: the frame is the 4-tuple
 (ox, oy, ax, ay) of its origin and x-axis, the roles J and K are picked by
-position in the trio, a gradient is a 4-tuple, and the records are slot
-classes (the composed value works out its attaining component and
-almost-active set only when read), because on four numbers numpy's per-call
-overhead costs more than the arithmetic.
+position in the trio, a gradient is a 4-tuple, and a view is a slot class,
+because on four numbers numpy's per-call overhead costs more than the
+arithmetic.
 """
 
 from aircover.geometry import (
@@ -53,27 +53,6 @@ class CbfComponents:
     def __init__(self, vals, trio=None, viewpoint=None, frame=None, coords=None):
         self.vals, self.trio, self.viewpoint = vals, trio, viewpoint
         self.frame, self.coords = frame, coords
-
-    def __getitem__(self, component: int) -> float:
-        # 1-based component index.
-        return self.vals[component - 1]
-
-
-class NcbfValue:
-    """Max-composed barrier value; its attaining component and almost-active set are worked out when read."""
-
-    __slots__ = ("vals", "epsilon", "value")
-
-    def __init__(self, vals, epsilon: float):
-        self.vals, self.epsilon, self.value = vals, epsilon, max(vals)
-
-    @property
-    def argmax(self) -> int:
-        return self.vals.index(self.value) + 1
-
-    @property
-    def active_set(self) -> tuple:
-        return tuple(l + 1 for l, h in enumerate(self.vals) if abs(h - self.value) <= self.epsilon)
 
 
 def cbf_components(trio: TrioContext) -> tuple:
@@ -104,11 +83,9 @@ def cbf_components(trio: TrioContext) -> tuple:
     return tuple(views)
 
 
-def ncbf_value(vals, epsilon: float) -> NcbfValue:
-    """Max-compose four component values; the almost-active set {ℓ : |h_ℓ − h| ≤ ε} comes on demand."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return NcbfValue(vals, epsilon)
+def ncbf_value(vals) -> float:
+    """The barrier value: the max of a view's four component values."""
+    return max(vals)
 
 
 def cbf_gradient(components: CbfComponents, component: int) -> tuple:
@@ -174,6 +151,4 @@ def degenerate_guard(components: CbfComponents, threshold: float):
     Near-collinear triangles send the signed-area ratios to huge values; the
     returned indices are excluded from QP constraints for the step.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
     return [l for l in (1, 2, 3) if abs(components.vals[l - 1]) > threshold]

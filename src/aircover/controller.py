@@ -3,14 +3,15 @@
 `build_constraints` makes one pass over the graph's trios: it evaluates each
 once (`barrier.cbf_components`), drops a degenerate view with a warning,
 composes the trio's barrier once, and gives each agent one linear constraint
-per almost-active, non-suppressed component of its views, computing only
-those components' gradients; the simulator's trace reads the same pass.  An
-agent keeps its nominal input if every row holds there, or else minimally
-modifies it in the weighted least-squares sense.  The QP is tiny (4
-variables, a couple dozen constraints at most), so a deterministic dual
-active-set method is used rather than an external solver.  Rows are
-(4-tuple, float) pairs and the solver runs on Python floats: on 4-vectors
-numpy's per-call overhead costs more than the arithmetic.
+per almost-active (|h_ℓ − h| ≤ ε, the package's one such rule),
+non-suppressed component of its views, computing only those components'
+gradients; the simulator's trace reads the same pass.  `FilterParams` checks
+its knobs once, when built.  An agent keeps its nominal input if every row
+holds there, or else minimally modifies it in the weighted least-squares
+sense.  The QP is tiny (4 variables, a couple dozen constraints at most), so
+a deterministic dual active-set method is used rather than an external
+solver.  Rows are (4-tuple, float) pairs and the solver runs on Python
+floats: on 4-vectors numpy's per-call overhead costs more than the arithmetic.
 """
 
 import logging
@@ -65,15 +66,8 @@ class QpProblem:
     """min (u − u_nom)ᵀ W (u − u_nom)  s.t.  a·u ≥ b for every (a, b) in constraints."""
 
     u_nom: np.ndarray
-    weights: np.ndarray  # diagonal of W: (1, 1, 1, w_lambda)
+    weights: tuple  # diagonal of W: (1, 1, 1, w_lambda)
     constraints: list = field(default_factory=list)
-
-
-def qp_weights(w_lambda: float) -> np.ndarray:
-    """Diagonal input weight: unit on position/altitude rates, w_lambda on the focal rate."""
-    if not w_lambda > 0:
-        raise ValueError("w_lambda must be positive")
-    return np.array([1.0, 1.0, 1.0, float(w_lambda)])
 
 
 @dataclass(frozen=True)
@@ -89,6 +83,11 @@ class FilterParams:
     w_lambda: float = 3.0e6
     guard_threshold: float = 1.0e4
     components: tuple = ALL_COMPONENTS
+
+    def __post_init__(self):
+        for name in ("epsilon", "guard_threshold", "w_lambda"):
+            if not 0 < getattr(self, name) < math.inf:  # fails on NaN
+                raise ValueError(f"{name} must be positive and finite")
 
 
 class FilterRows(NamedTuple):
@@ -273,4 +272,4 @@ def agent_control(rows, u_nom, params: FilterParams) -> np.ndarray:
     valid = len(u) == 4 and all(map(math.isfinite, u))  # else solve_qp rejects it
     if not rows or (valid and all(_dot(a, u) - b >= -_FEAS_TOL for a, b in rows)):
         return u_nom.copy()  # solve_qp would return it unchanged
-    return solve_qp(QpProblem(u_nom, qp_weights(params.w_lambda), rows))
+    return solve_qp(QpProblem(u_nom, (1.0, 1.0, 1.0, params.w_lambda), rows))

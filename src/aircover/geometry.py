@@ -3,23 +3,23 @@
 The team's state is one (n, 4) float64 array with columns x, y, z, λ; a
 camera's ground footprint is the disk centered under it with radius
 R = r·z/λ, computed over a column.  The module provides the power distance
-to such disks, radical centers, the communication graph whose triangles
-drive the barrier functions, the per-triangle working frame used by the
-analytic gradients, and one detector for coverage holes: a grid oracle that
-reads the covered cells from the coverage partition and labels the uncovered
-ones by runs (`enclosed_cells`), so the module needs only numpy.
+to such disks, the communication graph whose triangles drive the barrier
+functions, the per-triangle working frame used by the analytic gradients,
+and one detector for coverage holes: a grid oracle that reads the covered
+cells from the coverage partition and labels the uncovered ones by runs
+(`enclosed_cells`), so the module needs only numpy.
 
 The per-trio kernels work on plain floats: on 2-vectors numpy's per-call
 overhead costs more than the arithmetic.  A disk is the triple (cx, cy, R);
 a trio holds its agents' rows (x, y, z, λ, R), read from the state array as
-Python floats.  A radical center (a float pair) solves two radical-axis
-equations by Cramer's rule, both written from a member of the trio's closest
-pair so that no lifted heights |c|² − R² cancel (the lifting view of power
-diagrams); the working frame is the 4-tuple (ox, oy, ax, ay) of its origin
-and x-axis, and both pick a trio's roles by position (`ROLE_POSITIONS`); a
-trio's triangle is the centers of its footprints.  `build_graph` runs the
-same solve on arrays over every candidate trio, tests the candidates against
-all footprints in fixed row blocks and keeps each vertex's fan triangles.
+Python floats, and its radical center (a float pair); the working frame is
+the 4-tuple (ox, oy, ax, ay) of its origin and x-axis, and picks a trio's
+roles by position (`ROLE_POSITIONS`); a trio's triangle is the centers of
+its footprints.  `build_graph` solves every candidate's radical center on
+arrays (`_radical_solve`: two radical-axis equations by Cramer's rule, both
+written from a member of the closest pair so that no lifted heights
+|c|² − R² cancel), tests the candidates against all footprints in fixed row
+blocks and keeps each vertex's fan triangles.
 """
 
 import math
@@ -123,20 +123,6 @@ def _radical_solve(bx, by, rb, ux, uy, ru, vx, vy, rv):
     return bx + (pu * vy - uy * pv) / det, by + (ux * pv - pu * vx) / det
 
 
-def radical_center(da, db, dc) -> tuple:
-    """Common equal-power point (x, y) of three disks (cx, cy, R) (their pairwise radical axes meet there)."""
-    (ax, ay, ra), (bx, by, rb), (cx, cy, rc) = da, db, dc
-    gaps = [dx * dx + dy * dy for dx, dy in ((bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by))]
-    if min(gaps) < CONCENTRIC_TOL * CONCENTRIC_TOL:
-        raise DegenerateTrio("concentric footprint pair")
-    if abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))) < AREA_TOL:
-        raise DegenerateTrio("collinear footprint centers")
-    # Solve from a member of the closest pair: a when that pair is (a, c), else b.
-    if gaps[1] < min(gaps[0], gaps[2]):
-        return _radical_solve(ax, ay, ra, bx - ax, by - ay, rb, cx - ax, cy - ay, rc)
-    return _radical_solve(bx, by, rb, ax - bx, ay - by, ra, cx - bx, cy - by, rc)
-
-
 def point_in_triangle(I, J, K, v):
     """Signed-area ratios of v against triangle IJK and the strict-interior test.
 
@@ -160,14 +146,6 @@ def footprint_rows(states, r: float) -> list:
     """Each agent's (x, y, z, λ, R) as floats: its row of an (n, 4) state array and its footprint radius r·z/λ."""
     states = np.asarray(states, dtype=float)
     return list(zip(*states.T.tolist(), (r * states[:, 2] / states[:, 3]).tolist()))
-
-
-def make_trio(ids, states, r: float) -> TrioContext:
-    """The TrioContext of rows ids of an (n, 4) state array; raises DegenerateTrio on bad geometry."""
-    ids = sorted(map(int, ids))
-    rows = footprint_rows(np.asarray(states, dtype=float)[ids], r)
-    center = radical_center(*((x, y, R) for x, y, _, _, R in rows))
-    return TrioContext(tuple(ids), tuple(rows), center, r)
 
 
 def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
@@ -278,8 +256,8 @@ def build_graph(states, r: float) -> CommGraph:
     n footprints, and a live vertex is a point where the three power cells
     meet, so they are pairwise adjacent.  A fan triangle whose footprints
     overlap pairwise is itself a candidate at the same vertex, solved and
-    tested there like any other, and a collinear or concentric one fails the
-    tests radical_center makes; so one mask decides both kinds of vertex, and
+    tested there like any other, and a collinear or concentric one is
+    dropped before the solve; so one mask decides both kinds of vertex, and
     the kept candidates are already in id order.  Cost: O(n²) center
     distances plus O(t·n) vertex tests over the t overlap 3-cliques, instead
     of O(n⁴).  The t candidate centers are solved together and tested against
@@ -302,12 +280,12 @@ def build_graph(states, r: float) -> CommGraph:
     pi, pj = np.nonzero(overlap)
     pair, K = np.nonzero(overlap[pi] & overlap[pj])
     I, J = pi[pair], pj[pair]
-    # Drop what radical_center rejects (a concentric pair, collinear centers)
-    # before solving, so no determinant near zero is divided by.
+    # Drop a concentric pair or collinear centers before solving, so no
+    # determinant near zero is divided by.
     area = 0.5 * ((cx[J] - cx[I]) * (cy[K] - cy[I]) - (cy[J] - cy[I]) * (cx[K] - cx[I]))
     d_ik, near = dist[I, K], np.minimum(dist[I, J], dist[J, K])
     ok = ~((np.minimum(near, d_ik) < CONCENTRIC_TOL) | (np.abs(area) < AREA_TOL))
-    # Solve from a member of the closest pair, as radical_center does: I when that pair is (I, K), else J.
+    # Solve from a member of the closest pair: I when that pair is (I, K), else J.
     at_i = (d_ik < near)[ok]
     I, J, K = I[ok], J[ok], K[ok]
     B, P = np.where(at_i, I, J), np.where(at_i, J, I)

@@ -6,9 +6,10 @@ switches by comparing trio sets, computes nominal inputs (coverage gradient
 or fixed per-agent vectors), filters each through the agent's rows from one
 pass over the trios that the trace shares (nominal_only's filter has no
 components, so no rows), and Euler-integrates the single-integrator dynamics
-over the whole array, with positive floors on altitude and focal length.
-Every step emits a TraceRecord of Python floats; the integration itself uses
-no randomness, so a scenario replays bit-identically.
+over the whole array, with positive floors on altitude and focal length.  A
+non-finite nominal input or next state stops the run with a
+FloatingPointError.  Every step emits a TraceRecord of Python floats; the
+integration itself uses no randomness, so a scenario replays bit-identically.
 """
 
 import logging
@@ -72,8 +73,7 @@ class Scenario:
         if not (finite and all(s.z > 0 and s.lam > 0 for s in self.agents)):
             raise ValueError(
                 "every agent needs finite coordinates and a positive altitude z and focal length lambda")
-        for name in ("dt", "grid_resolution", "min_z", "min_lambda",
-                     "epsilon", "guard_threshold", "w_lambda"):
+        for name in ("dt", "grid_resolution", "min_z", "min_lambda"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.steps < 1:
@@ -87,15 +87,15 @@ class Scenario:
                 raise ValueError("fixed_nominal needs one input per agent")
             if not all(np.shape(u) == (4,) and np.isfinite(u).all() for u in self.fixed_nominal):
                 raise ValueError("every fixed_nominal input must be four finite numbers")
+        self.filter_params()  # checks epsilon, guard_threshold and w_lambda
 
     def filter_params(self) -> FilterParams:
-        return FilterParams(
-            epsilon=self.epsilon,
-            alpha=self.alpha,
-            w_lambda=self.w_lambda,
-            guard_threshold=self.guard_threshold,
-            components=_MODE_COMPONENTS[self.mode],
-        )
+        """The filter's knobs, built (and checked) on first use and kept for the scenario's lifetime."""
+        if "_filter" not in self.__dict__:
+            fp = FilterParams(self.epsilon, self.alpha, self.w_lambda, self.guard_threshold,
+                              _MODE_COMPONENTS[self.mode])
+            object.__setattr__(self, "_filter", fp)
+        return self.__dict__["_filter"]
 
     def grid(self) -> CoverageGrid:
         """The coverage grid, built on first use and kept for the scenario's lifetime."""
@@ -131,6 +131,15 @@ class TraceRecord:
     clamped: tuple  # per agent, True when a floor clamp activated this step
 
 
+def _finite(step_index: int, what: str, rows) -> np.ndarray:
+    """rows as an (n, 4) array; FloatingPointError names the step and the first agent with a non-finite entry."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        agent = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise FloatingPointError(f"non-finite {what} at step {step_index}, agent {agent}")
+    return rows
+
+
 def initial_world(scenario: Scenario) -> WorldState:
     states = np.array(scenario.agents, dtype=float)
     states.flags.writeable = False
@@ -159,9 +168,9 @@ def step(world: WorldState, scenario: Scenario):
     if scenario.fixed_nominal is not None:
         nominals = np.array(scenario.fixed_nominal, dtype=float)
     else:
-        nominals = [
+        nominals = _finite(world.step, "nominal input", [
             nominal_input(i, states, params, scenario.density, grid, part) for i in range(n)
-        ]
+        ])
 
     # 5. One pass over the trios for every agent's rows and the trace's values
     #    (called through its module, so that a wrapper put there sees it).
@@ -177,7 +186,7 @@ def step(world: WorldState, scenario: Scenario):
             fallback[i] = True
 
     # 6. Euler integration, with floor clamps on z and lambda.
-    next_states = states + scenario.dt * np.array(inputs)
+    next_states = _finite(world.step, "next state", states + scenario.dt * np.array(inputs))
     floors = (scenario.min_z, scenario.min_lambda)
     clamped = (next_states[:, 2:] < floors).any(axis=1)
     np.maximum(next_states[:, 2:], floors, out=next_states[:, 2:])
@@ -185,7 +194,7 @@ def step(world: WorldState, scenario: Scenario):
 
     # 7. Telemetry for the pre-integration snapshot: each trio's value composed
     #    over all four conditions, once, read over each agent's kept views.
-    h = [ncbf_value(vals, scenario.epsilon).value for vals in built.trio_vals]
+    h = [ncbf_value(vals) for vals in built.trio_vals]
     min_ncbf = tuple(min((h[t] for t in ts), default=0.0) for ts in built.kept)
     if world.step % scenario.hole_check_every == 0:
         witnesses = len(detect_holes_grid(part, grid, graph))

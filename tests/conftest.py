@@ -5,12 +5,15 @@ from aircover.barrier import cbf_components
 from aircover.controller import ClassK
 from aircover.coverage import CoverageGrid, DensityField, SensingParams, partition, sensing_field
 from aircover.geometry import (
+    AREA_TOL,
     CONCENTRIC_TOL,
     AgentState,
     DegenerateTrio,
+    TrioContext,
+    _radical_solve,
     build_graph,
     detect_holes_grid,
-    make_trio,
+    footprint_rows,
     point_in_triangle,
     power_distance,
 )
@@ -27,6 +30,39 @@ NEAR_PAIR_TEAM = [
     AgentState(1.2, 0.9, 1.5, 1.0),
     AgentState(-0.4, 1.1, 1.2, 0.9),
 ]
+
+
+def radical_center(da, db, dc) -> tuple:
+    """Common equal-power point (x, y) of three disks (cx, cy, R) (their pairwise radical axes meet there)."""
+    (ax, ay, ra), (bx, by, rb), (cx, cy, rc) = da, db, dc
+    gaps = [dx * dx + dy * dy for dx, dy in ((bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by))]
+    if min(gaps) < CONCENTRIC_TOL * CONCENTRIC_TOL:
+        raise DegenerateTrio("concentric footprint pair")
+    if abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))) < AREA_TOL:
+        raise DegenerateTrio("collinear footprint centers")
+    # Solve from a member of the closest pair: a when that pair is (a, c), else b.
+    if gaps[1] < min(gaps[0], gaps[2]):
+        return _radical_solve(ax, ay, ra, bx - ax, by - ay, rb, cx - ax, cy - ay, rc)
+    return _radical_solve(bx, by, rb, ax - bx, ay - by, ra, cx - bx, cy - by, rc)
+
+
+def make_trio(ids, states, r: float) -> TrioContext:
+    """The TrioContext of rows ids of an (n, 4) state array; raises DegenerateTrio on bad geometry."""
+    ids = sorted(map(int, ids))
+    rows = footprint_rows(np.asarray(states, dtype=float)[ids], r)
+    center = radical_center(*((x, y, R) for x, y, _, _, R in rows))
+    return TrioContext(tuple(ids), tuple(rows), center, r)
+
+
+def argmax(vals) -> int:
+    """The 1-based component that attains a view's barrier value (the first, on a tie)."""
+    return vals.index(max(vals)) + 1
+
+
+def active_set(vals, epsilon: float) -> tuple:
+    """The almost-active set {ℓ : |h_ℓ − h| ≤ ε} of a view's values, 1-based, as `build_constraints` picks rows."""
+    value = max(vals)
+    return tuple(l for l, h in enumerate(vals, 1) if abs(h - value) <= epsilon)
 
 
 def oracle_witnesses(states, r, grid, graph):

@@ -24,7 +24,6 @@ from aircover.controller import (
     Infeasible,
     QpProblem,
     build_constraints,
-    qp_weights,
     solve_qp,
 )
 from aircover.coverage import CoverageGrid, DensityField, SensingParams
@@ -32,14 +31,16 @@ from aircover.geometry import (
     AgentState,
     CommGraph,
     build_graph,
-    make_trio,
     power_distance,
     sigma_d_frame,
 )
 from aircover.sim import Scenario, initial_world, run, step
 from conftest import (
+    active_set,
+    argmax,
     component_apex,
     disks,
+    make_trio,
     oracle_witnesses,
     radical_axis,
     random_trio,
@@ -68,8 +69,8 @@ def fd_component_gradient(trio, viewpoint, component, h=1e-6):
     idx = trio.ids.index(viewpoint)
     fd = np.zeros(4)
     for coord in range(4):
-        plus = view(_perturbed_trio(trio, idx, coord, h), viewpoint)[component]
-        minus = view(_perturbed_trio(trio, idx, coord, -h), viewpoint)[component]
+        plus = view(_perturbed_trio(trio, idx, coord, h), viewpoint).vals[component - 1]
+        minus = view(_perturbed_trio(trio, idx, coord, -h), viewpoint).vals[component - 1]
         fd[coord] = (plus - minus) / (2.0 * h)
     return fd
 
@@ -125,7 +126,7 @@ def test_criterion_3_hole_oracle_equivalence(rng):
         if not graph.all_trios():
             continue
         checked += 1
-        value = ncbf_value(view(trio, trio.ids[0]).vals, 0.2).value
+        value = ncbf_value(view(trio, trio.ids[0]).vals)
         xs, ys, radii = zip(*disks(trio))
         radius = max(radii)
         mission = (min(xs) - radius - 1.0, min(ys) - radius - 1.0,
@@ -155,7 +156,7 @@ def test_criterion_4_trio_passage_replication():
     for _ in range(scenario.steps):
         trios = build_graph(world.states, scenario.sensing.r).trios_of(0)
         if trios:
-            argmaxes.append(ncbf_value(view(trios[0], 0).vals, scenario.epsilon).argmax)
+            argmaxes.append(argmax(view(trios[0], 0).vals))
         else:
             argmaxes.append(None)
         world, _ = step(world, scenario)
@@ -338,7 +339,8 @@ def test_criterion_8_distributed_implies_central(rng):
     while trios_done < 500:
         trio = random_trio(rng)
         trios_done += 1
-        value = ncbf_value(view(trio, trio.ids[0]).vals, epsilon)
+        vals = view(trio, trio.ids[0]).vals
+        value, active = ncbf_value(vals), active_set(vals, epsilon)
         per_agent = {}
         solved = {}
         skip_components = set()
@@ -347,7 +349,7 @@ def test_criterion_8_distributed_implies_central(rng):
             suppressed = degenerate_guard(comps, 1e4)
             for local in suppressed:
                 apex = component_apex(trio, agent, local)
-                for glob in value.active_set:
+                for glob in active:
                     if component_apex(trio, trio.ids[0], glob) == apex:
                         skip_components.add(glob)
             params = FilterParams(epsilon=epsilon, alpha=alpha, guard_threshold=1e4)
@@ -355,13 +357,13 @@ def test_criterion_8_distributed_implies_central(rng):
             u_nom = rng.normal(size=4) * 2.0
             try:
                 solved[agent] = (
-                    solve_qp(QpProblem(u_nom, qp_weights(3.0e6), rows)) if rows else u_nom
+                    solve_qp(QpProblem(u_nom, (1.0, 1.0, 1.0, 3.0e6), rows)) if rows else u_nom
                 )
             except Infeasible:
                 solved[agent] = np.zeros(4)  # the simulator's fallback input
             per_agent[agent] = comps
 
-        for glob in value.active_set:
+        for glob in active:
             if glob in skip_components:
                 continue
             apex = component_apex(trio, trio.ids[0], glob)
@@ -374,7 +376,7 @@ def test_criterion_8_distributed_implies_central(rng):
                         l
                         for l in (1, 2, 3, 4)
                         if component_apex(trio, agent, l) == apex
-                        and abs(per_agent[agent][l] - value.value) <= epsilon + 1e-9
+                        and abs(per_agent[agent].vals[l - 1] - value) <= epsilon + 1e-9
                     ),
                     None,
                 )
@@ -387,13 +389,13 @@ def test_criterion_8_distributed_implies_central(rng):
                     break
                 contribution = float(grad @ solved[agent])
                 total += contribution
-                if contribution < -alpha(value.value) / 3.0 - 1e-9:
+                if contribution < -alpha(value) / 3.0 - 1e-9:
                     premise = False
                     break
             if not premise or degenerate:
                 continue
             checked += 1
-            if total < -alpha(value.value) - 3e-9:
+            if total < -alpha(value) - 3e-9:
                 failures += 1
     elapsed = time.monotonic() - t0
     ok = failures == 0 and checked >= 400 and elapsed < 5.0

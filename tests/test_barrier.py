@@ -13,15 +13,17 @@ from aircover.barrier import (
 )
 from aircover.geometry import (
     AgentState,
-    make_trio,
     point_in_triangle,
     power_distance,
     sigma_d_frame,
 )
 from conftest import (
+    active_set,
+    argmax,
     component_apex,
     disks,
     hole_exists_exact,
+    make_trio,
     random_trio,
     to_frame,
     triangle,
@@ -48,7 +50,7 @@ def fd_gradient(trio, viewpoint, component, step=FD_STEP):
             states = trio_states(trio)
             states[idx] = AgentState(*pert)
             t = make_trio(list(trio.ids), states, trio.r)
-            vals.append(view(t, viewpoint)[component])
+            vals.append(view(t, viewpoint).vals[component - 1])
         grad[p] = (vals[0] - vals[1]) / (2.0 * step)
     return grad
 
@@ -61,7 +63,7 @@ class TestComponents:
                 comps = view(trio, a)
                 f = disks(trio)[trio.ids.index(a)]
                 expect = -power_distance(f, trio.radical_center)
-                assert comps[4] == pytest.approx(expect, abs=1e-12)
+                assert comps.vals[3] == pytest.approx(expect, abs=1e-12)
 
     def test_boundary_footprint_component_zero(self):
         # Equal-power point exactly on all three circles: every power distance is 0.
@@ -72,7 +74,7 @@ class TestComponents:
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
         comps = view(trio, 0)
-        assert comps[4] == pytest.approx(0.0, abs=1e-12)
+        assert comps.vals[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_interior_point_negates_all_triangle_components(self, rng):
         found = 0
@@ -84,7 +86,7 @@ class TestComponents:
             found += 1
             for a in trio.ids:
                 comps = view(trio, a)
-                assert comps[1] < 0 and comps[2] < 0 and comps[3] < 0
+                assert comps.vals[0] < 0 and comps.vals[1] < 0 and comps.vals[2] < 0
         assert found >= 10
 
     def test_triangle_components_are_shared_ratios(self, rng):
@@ -97,44 +99,43 @@ class TestComponents:
                 comps = view(trio, a)
                 for l in (1, 2, 3):
                     apex = component_apex(trio, a, l)
-                    by_apex.setdefault(apex, []).append(comps[l])
+                    by_apex.setdefault(apex, []).append(comps.vals[l - 1])
             for apex, vals in by_apex.items():
                 assert len(vals) == 3
                 assert max(vals) - min(vals) < 1e-12
 
 
 class TestNcbfValue:
+    # argmax and active_set are the tests' oracles; build_constraints holds the rule.
     def test_max_and_window_example(self):
-        out = ncbf_value((-0.3, -0.2, -0.5, 0.4), epsilon=0.2)
-        assert out.value == pytest.approx(0.4)
-        assert out.argmax == 4
-        assert out.active_set == (4,)
+        vals = (-0.3, -0.2, -0.5, 0.4)
+        assert ncbf_value(vals) == pytest.approx(0.4)
+        assert argmax(vals) == 4
+        assert active_set(vals, 0.2) == (4,)
 
     def test_two_active_example(self):
-        out = ncbf_value((0.5, 0.45, -0.2, 0.1), epsilon=0.2)
-        assert out.value == pytest.approx(0.5)
-        assert out.argmax == 1
-        assert out.active_set == (1, 2)
+        vals = (0.5, 0.45, -0.2, 0.1)
+        assert ncbf_value(vals) == pytest.approx(0.5)
+        assert argmax(vals) == 1
+        assert active_set(vals, 0.2) == (1, 2)
 
     def test_closed_window_keeps_boundary_component(self):
-        out = ncbf_value((0.5, 0.3, -1.0, -1.0), epsilon=0.2)
-        assert out.active_set == (1, 2)
+        assert active_set((0.5, 0.3, -1.0, -1.0), 0.2) == (1, 2)
 
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ncbf_value((0.0, 0.0, 0.0, 0.0), epsilon=0.0)
+    def test_value_is_a_float(self):
+        assert type(ncbf_value((0.5, 0.3, -1.0, -1.0))) is float
 
     def test_viewpoints_agree(self, rng):
         for _ in range(100):
             trio = random_trio(rng)
-            vals = [ncbf_value(view(trio, a).vals, 0.2).value for a in trio.ids]
+            vals = [ncbf_value(view(trio, a).vals) for a in trio.ids]
             assert vals[0] == vals[1] == vals[2]
 
     def test_theorem_equivalence_with_exact_oracle(self, rng):
         checked = 0
         for _ in range(300):
             trio = random_trio(rng, require_overlap=True)
-            h = ncbf_value(view(trio, trio.ids[0]).vals, 0.2).value
+            h = ncbf_value(view(trio, trio.ids[0]).vals)
             if abs(h) < 1e-12:
                 continue  # boundary of the safe set: either call is defensible
             checked += 1
@@ -152,8 +153,8 @@ class TestNcbfValue:
                 q = R @ np.array([s.x, s.y]) + shift
                 moved.append(AgentState(q[0], q[1], s.z, s.lam))
             trio2 = make_trio(list(trio.ids), moved, trio.r)
-            h1 = ncbf_value(view(trio, trio.ids[0]).vals, 0.2).value
-            h2 = ncbf_value(view(trio2, trio.ids[0]).vals, 0.2).value
+            h1 = ncbf_value(view(trio, trio.ids[0]).vals)
+            h2 = ncbf_value(view(trio2, trio.ids[0]).vals)
             assert h1 == pytest.approx(h2, abs=1e-10)
 
 
@@ -273,7 +274,3 @@ class TestDegenerateGuard:
         trio = make_trio([0, 1, 2], states, r=1.0)
         comps = view(trio, 0)
         assert degenerate_guard(comps, 1e4)
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            degenerate_guard(CbfComponents(vals=(0, 0, 0, 0)), 0.0)

@@ -17,7 +17,6 @@ from aircover.controller import (
     QpProblem,
     agent_control,
     build_constraints,
-    qp_weights,
     solve_qp,
 )
 from aircover.geometry import (
@@ -30,10 +29,17 @@ from aircover.geometry import (
     TrioContext,
     build_graph,
     footprint_rows,
+)
+from conftest import (
+    active_set,
+    component_apex,
+    cross2,
     make_trio,
     radical_center,
+    random_trio,
+    trio_states,
+    view,
 )
-from conftest import component_apex, cross2, random_trio, trio_states, view
 
 
 def w_distance(u, u_nom, w):
@@ -69,6 +75,15 @@ class TestClassK:
             ClassK(gain=0.0, power=3)
 
 
+class TestFilterParams:
+    # The knobs are checked once here, not on every trio, view or QP.
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["epsilon", "w_lambda", "guard_threshold"])
+    def test_rejects_nonpositive_or_non_finite_knob(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            FilterParams(**{name: value})
+
+
 def trio_rows(trio, agent, alpha=ClassK(), **params):
     """An agent's rows from the pass over a graph of the one trio."""
     graph = CommGraph(3, (trio,))
@@ -92,10 +107,10 @@ class TestBuildConstraints:
         rows = trio_rows(trio, 0, alpha, epsilon=0.2, guard_threshold=1e4)
         assert len(rows) == 1
         a, b = rows[0]
-        h = ncbf_value(view(trio, 0).vals, 0.2)
-        assert h.active_set == (4,)
+        h = ncbf_value(view(trio, 0).vals)
+        assert active_set(view(trio, 0).vals, 0.2) == (4,)
         assert np.allclose(a, cbf_gradient(view(trio, 0), 4))
-        assert b == pytest.approx(-alpha(h.value) / 3.0)
+        assert b == pytest.approx(-alpha(h) / 3.0)
 
     def test_row_count_matches_active_set(self, rng):
         alpha = ClassK()
@@ -104,12 +119,12 @@ class TestBuildConstraints:
             for agent in trio.ids:
                 comps = view(trio, agent)
                 suppressed = set(degenerate_guard(comps, 1e4))
-                out = ncbf_value(view(trio, agent).vals, 0.2)
-                expected = [l for l in out.active_set if l not in suppressed]
+                vals = view(trio, agent).vals
+                expected = [l for l in active_set(vals, 0.2) if l not in suppressed]
                 rows = trio_rows(trio, agent, alpha, epsilon=0.2, guard_threshold=1e4)
                 assert len(rows) == len(expected)
                 for _, b in rows:
-                    assert b == pytest.approx(-alpha(out.value) / 3.0)
+                    assert b == pytest.approx(-alpha(ncbf_value(vals)) / 3.0)
 
     def test_guard_suppresses_blown_up_rows(self):
         # Near-collinear trio: the dominating ratio component exceeds the
@@ -190,7 +205,7 @@ class TestBuildConstraints:
             AgentState(1.4, 0.0, 1.5, 1.0),
         ]
         trio = make_trio([0, 1, 2], states, r=1.0)
-        assert ncbf_value(view(trio, 0).vals, 0.2).active_set == (4,)
+        assert active_set(view(trio, 0).vals, 0.2) == (4,)
         assert np.linalg.norm(cbf_gradient(view(trio, 0), 4)) < GRADIENT_FLOOR
         with caplog.at_level(logging.DEBUG, logger="aircover.controller"):
             rows = trio_rows(trio, 0, alpha)
@@ -210,7 +225,7 @@ class TestBuildConstraints:
             )
             assert len(rows) == 1
             assert np.allclose(rows[0][0], cbf_gradient(view(trio, trio.ids[0]), 4))
-            assert rows[0][1] == pytest.approx(-alpha(comps[4]) / 3.0)
+            assert rows[0][1] == pytest.approx(-alpha(comps.vals[3]) / 3.0)
 
 
 @st.composite
@@ -281,13 +296,13 @@ def test_one_pass_shares_each_trio_evaluation(caplog, fovs):
     assert built.trio_vals == ([kept[-1].vals] if kept else [])
     for v in kept:
         assert sorted(v.vals) == sorted(kept[0].vals)
-        assert ncbf_value(v.vals, 0.2).value == ncbf_value(kept[0].vals, 0.2).value
+        assert ncbf_value(v.vals) == ncbf_value(kept[0].vals)
 
 
 class TestSolveQp:
     def test_no_constraints_returns_nominal(self):
         u_nom = np.array([0.1, -0.2, 0.3, 1e-5])
-        out = solve_qp(QpProblem(u_nom=u_nom, weights=qp_weights(3e6), constraints=[]))
+        out = solve_qp(QpProblem(u_nom=u_nom, weights=(1.0, 1.0, 1.0, 3e6), constraints=[]))
         assert np.array_equal(out, u_nom)
         assert out is not u_nom
 
@@ -425,8 +440,7 @@ class TestAgentControl:
         ]
         graph = build_graph(states, r=1.0)
         assert graph.trios_of(0)
-        h = ncbf_value(view(graph.trios_of(0)[0], 0).vals, 0.2)
-        assert h.value >= 0.0
+        assert ncbf_value(view(graph.trios_of(0)[0], 0).vals) >= 0.0
         params = self.make_params()
         out = agent_control(build_constraints(graph, params).rows[0], np.zeros(4), params)
         assert np.array_equal(out, np.zeros(4))
@@ -473,11 +487,10 @@ class TestAgentControl:
             if not ok:
                 continue
             checked += 1
-            out = ncbf_value(view(trio, trio.ids[0]).vals, params.epsilon)
-            h = out.value
             comps = view(trio, trio.ids[0])
+            h = ncbf_value(comps.vals)
             suppressed = set(degenerate_guard(comps, params.guard_threshold))
-            for l in out.active_set:
+            for l in active_set(comps.vals, params.epsilon):
                 if l in suppressed:
                     continue
                 apex = component_apex(trio, trio.ids[0], l)
@@ -531,9 +544,8 @@ class TestAgentControl:
         rows = build_constraints(graph, params).rows
         for agent in trio.ids:
             own = view(trio, agent)
-            h = ncbf_value(own.vals, params.epsilon)
             assert rows[agent]
-            assert [a for a, _ in rows[agent]] == [cbf_gradient(own, l) for l in h.active_set]
+            assert [a for a, _ in rows[agent]] == [cbf_gradient(own, l) for l in active_set(own.vals, params.epsilon)]
         assert rows[0] != rows[1]
 
     def test_infeasible_propagates(self):

@@ -22,9 +22,7 @@ def trio_barriers(states, scenario):
     out = {}
     for trio in build_graph(states, scenario.sensing.r).all_trios():
         try:
-            out[trio.ids] = min(
-                ncbf_value(view(trio, a).vals, scenario.epsilon).value for a in trio.ids
-            )
+            out[trio.ids] = min(ncbf_value(view(trio, a).vals) for a in trio.ids)
         except DegenerateTrio:
             continue
     return out

@@ -5,10 +5,8 @@ from aircover.geometry import (
     AgentState,
     DegenerateTrio,
     build_graph,
-    make_trio,
     point_in_triangle,
     power_distance,
-    radical_center,
     sigma_d_frame,
 )
 from aircover.coverage import CoverageGrid
@@ -18,8 +16,10 @@ from conftest import (
     frame_rotation,
     grid_witnesses,
     hole_exists_exact,
+    make_trio,
     oracle_witnesses,
     radical_axis,
+    radical_center,
     random_trio,
     roles,
     to_frame,

@@ -18,11 +18,9 @@ from aircover.geometry import (
     AgentState,
     DegenerateTrio,
     build_graph,
-    make_trio,
     power_distance,
-    radical_center,
 )
-from conftest import NEAR_PAIR_TEAM, SQUARE_TEAM, radical_axis
+from conftest import NEAR_PAIR_TEAM, SQUARE_TEAM, make_trio, radical_axis, radical_center
 
 
 def _fovs_overlap(fa, fb):

@@ -25,12 +25,20 @@ from aircover.geometry import (
     AgentState,
     DegenerateTrio,
     build_graph,
-    make_trio,
     power_distance,
-    radical_center,
     sigma_d_frame,
 )
-from conftest import NEAR_PAIR_TEAM, SQUARE_TEAM, cross2, disks, frame_rotation, roles, view
+from conftest import (
+    NEAR_PAIR_TEAM,
+    SQUARE_TEAM,
+    cross2,
+    disks,
+    frame_rotation,
+    make_trio,
+    radical_center,
+    roles,
+    view,
+)
 
 RTOL = 1e-12
 

@@ -29,7 +29,6 @@ from aircover.controller import (
     NumericalFailure,
     QpProblem,
     _FEAS_TOL,
-    qp_weights,
     solve_qp,
 )
 from aircover.sim import run
@@ -339,7 +338,7 @@ def lattice_qps():
     original_qp = aircover.controller.solve_qp
 
     def recording(rows, u_nom, params):
-        weights = qp_weights(params.w_lambda)
+        weights = (1.0, 1.0, 1.0, params.w_lambda)
         recorded.append(QpProblem(np.asarray(u_nom, dtype=float), weights, rows))
         return original_control(rows, u_nom, params)
 

@@ -1,5 +1,6 @@
 """Tests for the discrete-time simulator."""
 
+import itertools
 import logging
 import math
 from dataclasses import replace
@@ -11,10 +12,11 @@ import aircover.barrier
 import aircover.controller
 import aircover.sim
 from aircover.cli import bundled_scenario, parse_config, serialize
-from aircover.controller import ClassK
+from aircover.controller import ClassK, FilterParams
 from aircover.coverage import DensityField, SensingParams
 from aircover.geometry import AgentState, CommGraph, TrioContext, footprint_rows
 from aircover.sim import MODES, Scenario, TraceRecord, initial_world, run, step
+from conftest import fuzz_scenarios
 
 MISSION = (-3.5, -3.5, 3.5, 3.5)
 SENSING = SensingParams(r=1.0, kappa=4.0, sigma=1.0, M=1.6, w=0.2)
@@ -241,6 +243,27 @@ class TestStep:
                 values.extend(row)
             assert np.all(np.isfinite(values))
 
+    def test_non_finite_next_state_names_step_and_agent(self):
+        # Agent 1's fixed nominal is finite, but its Euler step overflows.
+        scenario = trio_scenario(dt=10.0, fixed_nominal=(ZERO, (1e308, 0.0, 0.0, 0.0), ZERO))
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match=r"non-finite next state at step 0, agent 1"):
+            step(initial_world(scenario), scenario)
+
+    def test_fuzz_run_177_in_hf_only_stops_at_its_first_non_finite_nominal(self):
+        # The run's agents drift to |x| ~ 1e27; at step 53 nominal_input
+        # divides by A − λ = 0.  Integrated, that NaN crashed step 54 in
+        # CoverageGrid.window with "cannot convert float NaN to integer".
+        ((_, scenario),) = itertools.islice(fuzz_scenarios(178), 177, None)
+        scenario = replace(scenario, mode="hf_only")
+        world = initial_world(scenario)
+        # pytest turns numpy's RuntimeWarnings into errors; the run's overflows are expected.
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"non-finite nominal input at step 53, agent 4"):
+            for _ in range(scenario.steps):
+                world, _ = step(world, scenario)
+        assert world.step == 53
+
 
 class TestRun:
     def test_single_step_run_equals_one_step_call(self):
@@ -320,6 +343,14 @@ class TestCaching:
         finer = replace(scenario, grid_resolution=0.05)
         assert finer.grid() is not grid
         assert finer.grid().resolution == 0.05
+
+    def test_filter_params_built_once_per_scenario(self):
+        scenario = trio_scenario(mode="hf_only")
+        fp = scenario.filter_params()
+        assert scenario.filter_params() is fp
+        assert fp == FilterParams(epsilon=0.2, alpha=ClassK(gain=20.0, power=3), w_lambda=1.0e6,
+                                  guard_threshold=1e4, components=(4,))
+        assert replace(scenario, mode="ncbf").filter_params().components == (1, 2, 3, 4)
 
     def test_cached_grid_leaves_equality_and_round_trip_alone(self):
         scenario = trio_scenario()
