@@ -144,11 +144,3 @@ def cbf_gradient(components: CbfComponents, component: int) -> tuple:
     _, _, ax, ay = components.frame
     return (ax * gx - ay * gy, ay * gx + ax * gy, d_z, d_lam)
 
-
-def degenerate_guard(components: CbfComponents, threshold: float):
-    """Indices among the triangle components whose magnitude exceeds the blow-up threshold.
-
-    Near-collinear triangles send the signed-area ratios to huge values; the
-    returned indices are excluded from QP constraints for the step.
-    """
-    return [l for l in (1, 2, 3) if abs(components.vals[l - 1]) > threshold]

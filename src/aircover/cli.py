@@ -77,10 +77,10 @@ class RunConfig:
     emit: tuple = ("trace", "summary")
 
 
-def _tokens_with_columns(line):
+def _tokens_with_columns(line, start=0):
     out = []
-    col = 0
-    for token in line.split():
+    col = start
+    for token in line[start:].split():
         col = line.index(token, col)
         out.append((token, col + 1))
         col += len(token)
@@ -160,7 +160,7 @@ def parse_config(text) -> Scenario:
                 raise ParseError(f"duplicate key '{key}' in [{section}]", lineno, col)
             seen.add(lineno_key)
             if section == "density":
-                parts = _tokens_with_columns(line)[2:]  # after 'mission' and '='
+                parts = _tokens_with_columns(line, line.index("=") + 1)  # after '=', columns in line
                 if len(parts) != 4:
                     raise ParseError("mission needs 4 numbers: xmin ymin xmax ymax", lineno, col)
                 mission = tuple(_parse_float(tok, c, lineno) for tok, c in parts)

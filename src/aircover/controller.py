@@ -3,15 +3,16 @@
 `build_constraints` makes one pass over the graph's trios: it evaluates each
 once (`barrier.cbf_components`), drops a degenerate view with a warning,
 composes the trio's barrier once, and gives each agent one linear constraint
-per almost-active (|h_ℓ − h| ≤ ε, the package's one such rule),
-non-suppressed component of its views, computing only those components'
-gradients; the simulator's trace reads the same pass.  `FilterParams` checks
-its knobs once, when built.  An agent keeps its nominal input if every row
-holds there, or else minimally modifies it in the weighted least-squares
-sense.  The QP is tiny (4 variables, a couple dozen constraints at most), so
-a deterministic dual active-set method is used rather than an external
-solver.  Rows are (4-tuple, float) pairs and the solver runs on Python
-floats: on 4-vectors numpy's per-call overhead costs more than the arithmetic.
+per almost-active (|h_ℓ − h| ≤ ε) component of its views that the guard
+(|h_ℓ| > threshold for ℓ ∈ 1..3) keeps, the package's one rule of each kind,
+computing only those gradients; the simulator's trace reads the same pass.
+`FilterParams` checks its knobs once, when built.  An agent keeps its
+nominal input if every row holds there, or else minimally modifies it in
+the weighted least-squares sense.  The QP is tiny (4 variables, a couple
+dozen constraints at most), so a deterministic dual active-set method is
+used rather than an external solver.  Rows are (4-tuple, float) pairs and
+the solver runs on Python floats: on 4-vectors numpy's per-call overhead
+costs more than the arithmetic.
 """
 
 import logging
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aircover.barrier import cbf_components, cbf_gradient, degenerate_guard
+from aircover.barrier import cbf_components, cbf_gradient
 from aircover.geometry import DegenerateTrio
 
 log = logging.getLogger(__name__)
@@ -104,13 +105,13 @@ def build_constraints(graph, params: FilterParams) -> FilterRows:
     A trio's views hold its four values, permuted, so the value composed over
     `params.components` and b = −α(h)/3 (the decay budget split evenly across
     its three agents) are taken once.  Each kept view adds one (a, b) row per
-    almost-active, non-suppressed component, a being the component's
+    almost-active component that the guard keeps, a being the component's
     world-frame gradient (a 4-tuple) with respect to the agent's own state.
     """
     rows = [[] for _ in range(graph.n)]
     kept = [[] for _ in range(graph.n)]
     trio_vals = []
-    components, epsilon = params.components, params.epsilon
+    components, epsilon, threshold = params.components, params.epsilon, params.guard_threshold
     for trio in graph.all_trios():
         try:
             evaluated = cbf_components(trio)
@@ -131,14 +132,15 @@ def build_constraints(graph, params: FilterParams) -> FilterRows:
         b = -params.alpha(value) / 3.0
         for view in views:
             viewpoint, vals = view.viewpoint, view.vals
-            suppressed = degenerate_guard(view, params.guard_threshold)
             try:
                 for l in components:
-                    if abs(vals[l - 1] - value) > epsilon:
+                    h = vals[l - 1]
+                    if abs(h - value) > epsilon:
                         continue
-                    if l in suppressed:
+                    # The guard: near-collinear triangles blow the side ratios up.
+                    if l != 4 and abs(h) > threshold:
                         log.debug("agent %d trio %s: component %d suppressed (|%.3g| > %.3g)",
-                                  viewpoint, trio.ids, l, vals[l - 1], params.guard_threshold)
+                                  viewpoint, trio.ids, l, h, threshold)
                         continue
                     a = cbf_gradient(view, l)
                     norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
@@ -187,7 +189,7 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     w_lambda = 3e6 would square the conditioning.  The solve runs on Python
     floats and returns a float64 array.
     """
-    u_nom = tuple(map(float, problem.u_nom))
+    u_nom = tuple(np.asarray(problem.u_nom, dtype=float).tolist())
     w = tuple(map(float, problem.weights))
     if len(u_nom) != 4 or len(w) != 4 or not all(x > 0.0 for x in w):
         raise ValueError("u_nom and weights must be 4-vectors, weights positive")
@@ -206,7 +208,7 @@ def solve_qp(problem: QpProblem, max_iter: int = 200) -> np.ndarray:
     mu = []  # their multipliers, kept aligned with S
     iters = 0
     while True:
-        resid = [_dot(a, u) - bb for a, bb in zip(A, b)]
+        resid = [a[0] * u[0] + a[1] * u[1] + a[2] * u[2] + a[3] * u[3] - bb for a, bb in zip(A, b)]  # _dot
         s_p = min(resid)
         if s_p >= -_FEAS_TOL:
             return np.array(u)
@@ -269,7 +271,7 @@ def agent_control(rows, u_nom, params: FilterParams) -> np.ndarray:
     """
     u_nom = np.asarray(u_nom, dtype=float)
     u = u_nom.tolist()
-    valid = len(u) == 4 and all(map(math.isfinite, u))  # else solve_qp rejects it
-    if not rows or (valid and all(_dot(a, u) - b >= -_FEAS_TOL for a, b in rows)):
-        return u_nom.copy()  # solve_qp would return it unchanged
+    if not rows or (len(u) == 4 and all(map(math.isfinite, u)) and all(  # else solve_qp rejects u_nom
+            a[0] * u[0] + a[1] * u[1] + a[2] * u[2] + a[3] * u[3] - b >= -_FEAS_TOL for a, b in rows)):
+        return u_nom.copy()  # every row holds (summed in _dot's order): solve_qp would return u_nom
     return solve_qp(QpProblem(u_nom, (1.0, 1.0, 1.0, params.w_lambda), rows))

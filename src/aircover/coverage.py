@@ -8,8 +8,9 @@ penalize redundant coverage.  The nominal input is the gradient ascent of that
 objective, evaluated by midpoint quadrature with analytic partials.
 
 The quadrature visits each agent only on its window: the grid cells under
-its footprint's bounding box, with a one-cell margin.  ``partition``
-evaluates the sensing model once per agent on that window and keeps the
+its footprint's bounding box, with a one-cell margin, all windows taken in
+one span computation.  ``partition`` evaluates the sensing model once per
+agent on its window's axes (an x column and a y row) and keeps the
 terms for the nominal inputs, with each point's owner (read by the hole
 oracle), running best quality and quality sum (for the objective); the
 density mass phi·cell_area is computed once per grid and density.  A
@@ -102,6 +103,8 @@ class CoverageGrid:
         self.shape = (nx, ny)
         self.spacing = (dx, dy)
         self.points = np.column_stack([XX.ravel(), YY.ravel()])
+        self.axes = (xs[:, None], ys[None, :])  # the x-axis as a column, the y-axis as a row
+        self._span_frame = [np.array(v, dtype=float)[:, None] for v in (self.mission[:2], self.spacing, self.shape)]
         self.cell_area = dx * dy
         self._mass = (None, None)  # (density, its point masses)
 
@@ -109,14 +112,15 @@ class CoverageGrid:
         """View of a per-point array in the (nx, ny) cell layout."""
         return values.reshape(self.shape + values.shape[1:])
 
-    def window(self, cx: float, cy: float, radius: float) -> tuple:
-        """(x, y) cell slices under a disk's bounding box, with a one-cell margin."""
-        spans = []
-        for c, lo, d, n in zip((cx, cy), self.mission[:2], self.spacing, self.shape):
-            start = math.floor((c - radius - lo) / d - 0.5) - 1
-            stop = math.ceil((c + radius - lo) / d - 0.5) + 2
-            spans.append(slice(min(max(start, 0), n), min(max(stop, 0), n)))
-        return tuple(spans)
+    def window(self, cx, cy, radius) -> list:
+        """(x, y) cell slices under each disk's bounding box, with a one-cell margin (one entry per disk)."""
+        c = np.array((cx, cy, radius), dtype=float).reshape(3, -1)
+        if not np.isfinite(c).all():
+            raise ValueError("window needs finite centres and radii")
+        lo, d, n = self._span_frame
+        edges = np.floor((c[:2] - c[2] - lo) / d - 0.5) - 1, np.ceil((c[:2] + c[2] - lo) / d - 0.5) + 2
+        (x0, y0), (x1, y1) = (np.minimum(np.maximum(v, 0), n).astype(int).tolist() for v in edges)
+        return list(zip(map(slice, x0, x1), map(slice, y0, y1)))
 
     def mass(self, density: "DensityField") -> np.ndarray:
         """Read-only point masses phi·cell_area, computed once per density object."""
@@ -134,7 +138,7 @@ class FieldWindow:
     cells are the window's slices of the grid's cell layout; terms the
     `_field_terms` at the window's points, from which the quality f, the
     closed (covered) and open (d² < R²) footprint masks and the gradient are
-    all taken.  Arrays have the window's (wx, wy) shape.
+    all taken.  Arrays are (wx, wy), but dx is (wx, 1) and dy (1, wy): the window's axes.
     """
 
     cells: tuple
@@ -167,20 +171,28 @@ class CoverageReport:
     H: float
 
 
-def _field_terms(state, params: SensingParams, points):
-    """Vectorized pieces of the sensing model of one state row (x, y, z, λ) at ground points (..., 2)."""
+def _field_terms(state, params: SensingParams, px, py):
+    """Vectorized pieces of the sensing model of one state row (x, y, z, λ) at ground points px, py.
+
+    px and py broadcast: a window's x column (wx, 1) and y row (1, wy), or two point columns.
+    A is a float64, so that a later division by A − λ = 0 gives inf, not an error.
+    """
     x, y, z, lam = state
-    dx = x - points[..., 0]
-    dy = y - points[..., 1]
+    dx = x - px
+    dy = y - py
     d2 = dx * dx + dy * dy
     s = np.sqrt(d2 + z**2)
-    A = np.sqrt(lam**2 + params.r**2)
+    A = math.sqrt(lam**2 + params.r**2)
     radius = params.r * z / lam
-    f_pers = (A * z / s - lam) / (A - lam)
-    f_res = (lam / A) ** params.kappa * np.exp(
-        -((s - params.M) ** 2) / (2.0 * params.sigma**2)
-    )
-    return dx, dy, d2, s, A, radius, f_pers, f_res
+    f_pers = A * z / s  # the terms below are taken in place, in the order of their formulas
+    f_pers -= lam
+    f_pers /= A - lam
+    f_res = s - params.M
+    f_res *= f_res
+    f_res /= -2.0 * params.sigma**2  # −a/c is a/(−c) exactly
+    np.exp(f_res, out=f_res)
+    f_res *= (lam / A) ** params.kappa
+    return dx, dy, d2, s, np.float64(A), radius, f_pers, f_res
 
 
 def _masked_quality(terms):
@@ -222,7 +234,7 @@ def _gradient(state, params: SensingParams, terms) -> np.ndarray:
 
 def sensing_field(state, params: SensingParams, points):
     """Quality, closed, and strict footprint masks of one agent over many points."""
-    terms = _field_terms(state, params, points)
+    terms = _field_terms(state, params, points[..., 0], points[..., 1])
     _, _, d2, _, _, radius, _, _ = terms
     return (*_masked_quality(terms), d2 < radius**2)
 
@@ -232,7 +244,7 @@ def sensing_gradient(state, params: SensingParams, points) -> np.ndarray:
 
     Valid at points strictly inside the footprint; the caller masks.
     """
-    return _gradient(state, params, _field_terms(state, params, points))
+    return _gradient(state, params, _field_terms(state, params, points[..., 0], points[..., 1]))
 
 
 def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
@@ -241,18 +253,19 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
     Keeps each point's running best quality and quality sum beside its
     owner; a point is covered exactly where it has one.
     """
-    points = grid.cells(grid.points)
     n = len(grid.points)
     owner, best, total = np.full(n, -1), np.full(n, -np.inf), np.zeros(n)
     owner_cells, best_cells, total_cells = grid.cells(owner), grid.cells(best), grid.cells(total)
+    rows = footprint_rows(states, params.r)
+    xs, ys, _, _, radii = zip(*rows)
     windows = []
-    for i, (x, y, z, lam, radius) in enumerate(footprint_rows(states, params.r)):
-        cells = grid.window(x, y, radius)
-        terms = _field_terms((x, y, z, lam), params, points[cells])
+    for i, ((x, y, z, lam, _), cells) in enumerate(zip(rows, grid.window(xs, ys, radii))):
+        terms = _field_terms((x, y, z, lam), params, grid.axes[0][cells[0]], grid.axes[1][:, cells[1]])
         f, covered = _masked_quality(terms)
         # Only a strictly better quality takes a point: ties stay with the lower index.
         best_w = best_cells[cells]
-        wins = covered & (f > best_w)
+        wins = f > best_w
+        wins &= covered
         np.copyto(best_w, f, where=wins)
         np.copyto(owner_cells[cells], i, where=wins)
         total_w = total_cells[cells]
@@ -328,10 +341,11 @@ def nominal_input(
     tilt = z * inv_s
     tilt -= 1.0
     r2 = params.r**2
+    # dx and dy lie on the window's axes: each dot takes them at full size, so its sum keeps its order.
     return np.array(
         [
-            np.vdot(planar, dx) / sigma2,
-            np.vdot(planar, dy) / sigma2,
+            np.vdot(planar, dx.repeat(s.shape[1], axis=1)) / sigma2,
+            np.vdot(planar, dy.repeat(s.shape[0], axis=0)) / sigma2,
             z * res.sum() / sigma2 + A / (A - lam) * np.vdot(pers, d2),
             params.kappa * r2 / (lam * A * A) * m_both.sum()
             + r2 / (A * (A - lam) ** 2) * np.vdot(m_res, tilt),

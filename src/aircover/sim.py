@@ -104,6 +104,14 @@ class Scenario:
             object.__setattr__(self, "_grid", grid)
         return self.__dict__["_grid"]
 
+    def fixed_inputs(self) -> np.ndarray:
+        """fixed_nominal as a read-only (n, 4) array, built on first use and kept; None under coverage control."""
+        if "_fixed_inputs" not in self.__dict__ and self.fixed_nominal is not None:
+            inputs = np.array(self.fixed_nominal, dtype=float)
+            inputs.flags.writeable = False
+            object.__setattr__(self, "_fixed_inputs", inputs)
+        return self.__dict__.get("_fixed_inputs")
+
 
 @dataclass(frozen=True)
 class WorldState:
@@ -165,9 +173,8 @@ def step(world: WorldState, scenario: Scenario):
     report = coverage_objective(states, params, scenario.density, grid, part)
 
     # 4. Nominal inputs.
-    if scenario.fixed_nominal is not None:
-        nominals = np.array(scenario.fixed_nominal, dtype=float)
-    else:
+    nominals = scenario.fixed_inputs()
+    if nominals is None:
         nominals = _finite(world.step, "nominal input", [
             nominal_input(i, states, params, scenario.density, grid, part) for i in range(n)
         ])

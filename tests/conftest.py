@@ -65,6 +65,15 @@ def active_set(vals, epsilon: float) -> tuple:
     return tuple(l for l, h in enumerate(vals, 1) if abs(h - value) <= epsilon)
 
 
+def degenerate_guard(components, threshold: float) -> list:
+    """The guard rule: the triangle components (1..3) of a view whose magnitude exceeds the threshold.
+
+    Near-collinear triangles send the signed-area ratios to huge values;
+    `build_constraints` gives these components no row.
+    """
+    return [l for l in (1, 2, 3) if abs(components.vals[l - 1]) > threshold]
+
+
 def oracle_witnesses(states, r, grid, graph):
     """Grid-oracle witnesses of states on grid with a given graph.
 

@@ -14,7 +14,6 @@ import pytest
 
 from aircover.barrier import (
     cbf_gradient,
-    degenerate_guard,
     ncbf_value,
 )
 from aircover.cli import RunConfig, bundled_scenario, parse_config, run_command
@@ -39,6 +38,7 @@ from conftest import (
     active_set,
     argmax,
     component_apex,
+    degenerate_guard,
     disks,
     make_trio,
     oracle_witnesses,

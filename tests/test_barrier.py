@@ -8,7 +8,6 @@ from aircover.barrier import (
     CbfComponents,
     cbf_components,
     cbf_gradient,
-    degenerate_guard,
     ncbf_value,
 )
 from aircover.geometry import (
@@ -21,6 +20,7 @@ from conftest import (
     active_set,
     argmax,
     component_apex,
+    degenerate_guard,
     disks,
     hole_exists_exact,
     make_trio,

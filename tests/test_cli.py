@@ -162,6 +162,16 @@ class TestParseConfig:
             parse_config(text)
         assert (exc.value.line, exc.value.col) == (len(text.splitlines()), 3)
 
+    @pytest.mark.parametrize("line", ["mission=0 0 1 1", "mission =0 0 1 1", "mission= 0 0 1 1"])
+    def test_mission_needs_no_space_around_the_equals_sign(self, line):
+        scenario = parse_config("[agents]\n0 0 1 1\n[density]\n" + line + "\n")
+        assert scenario.density.mission == (0.0, 0.0, 1.0, 1.0)
+
+    def test_mission_token_column_counts_from_the_line_start(self):
+        with pytest.raises(ParseError, match="'x'") as err:
+            parse_config("[agents]\n0 0 1 1\n[density]\nmission=0 0 1 x\n")
+        assert (err.value.line, err.value.col) == (4, 15)
+
     def test_key_in_agents_section(self):
         with pytest.raises(ParseError, match="agent rows"):
             parse_config("[agents]\ncount = 3\n")

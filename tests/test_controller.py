@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from aircover.barrier import cbf_gradient, degenerate_guard, ncbf_value
+from aircover.barrier import cbf_gradient, ncbf_value
 from aircover.controller import (
     GRADIENT_FLOOR,
     ClassK,
     FilterParams,
     Infeasible,
     NumericalFailure,
+    _FEAS_TOL,
     QpProblem,
     agent_control,
     build_constraints,
@@ -34,6 +35,7 @@ from conftest import (
     active_set,
     component_apex,
     cross2,
+    degenerate_guard,
     make_trio,
     radical_center,
     random_trio,
@@ -127,18 +129,22 @@ class TestBuildConstraints:
                     assert b == pytest.approx(-alpha(ncbf_value(vals)) / 3.0)
 
     def test_guard_suppresses_blown_up_rows(self):
-        # Near-collinear trio: the dominating ratio component exceeds the
-        # guard and nothing else is in its window, so no constraints remain.
-        states = [
-            AgentState(0.0, 1e-6, 1.1, 1.0),
-            AgentState(-1.0, 0.0, 1.0, 1.0),
-            AgentState(1.0, 0.0, 1.0, 1.0),
-        ]
-        trio = make_trio([0, 1, 2], states, r=1.0)
-        comps = view(trio, 0)
-        assert degenerate_guard(comps, 1e4)
-        rows = trio_rows(trio, 0, epsilon=0.2, guard_threshold=1e4)
-        assert rows == []
+        # Near-collinear trios: each view's dominating ratio component exceeds
+        # the guard and nothing else is in its window, so no constraints
+        # remain.  With the apex at each id, every side component dominates
+        # some view.
+        apex = AgentState(0.0, 1e-6, 1.1, 1.0)
+        base = [AgentState(-1.0, 0.0, 1.0, 1.0), AgentState(1.0, 0.0, 1.0, 1.0)]
+        dominating = set()
+        for at in range(3):
+            trio = make_trio([0, 1, 2], base[:at] + [apex] + base[at:], r=1.0)
+            for agent in trio.ids:
+                comps = view(trio, agent)
+                (l,) = active_set(comps.vals, 0.2)
+                assert l in degenerate_guard(comps, 1e4)
+                dominating.add(l)
+                assert trio_rows(trio, agent, epsilon=0.2, guard_threshold=1e4) == []
+        assert dominating == {1, 2, 3}
 
     def test_below_tolerance_triangle_dropped_with_warning(self, caplog):
         # A trio whose triangle area is below AREA_TOL reaches the filter
@@ -513,8 +519,8 @@ class TestAgentControl:
         assert checked >= 100
 
     @pytest.mark.parametrize(
-        "u_nom", [(0.0, 0.0, math.inf, 0.0), (math.nan, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
-        ids=["inf", "nan", "short"],
+        "u_nom", [(0.0, 0.0, math.inf, 0.0), (-math.inf, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+        ids=["inf", "minus-inf", "nan", "short"],
     )
     def test_invalid_nominal_rejected_where_rows_hold(self, u_nom):
         # The safe trio's rows hold at zero input; an invalid nominal input
@@ -547,6 +553,31 @@ class TestAgentControl:
             assert rows[agent]
             assert [a for a, _ in rows[agent]] == [cbf_gradient(own, l) for l in active_set(own.vals, params.epsilon)]
         assert rows[0] != rows[1]
+
+    # A row whose a·u_nom is exactly 0 in any summation order, so its
+    # residual at u_nom is exactly −b.
+    EDGE_ROW = (0.5, 0.25, 2.0, 0.125)
+    EDGE_NOMINAL = (0.25, -0.5, 0.125, -2.0)
+
+    def test_row_at_the_tolerance_edge_holds(self, monkeypatch):
+        def no_solve(problem, max_iter=200):
+            raise AssertionError("solve_qp called for a row that holds")
+
+        import aircover.controller as ctl
+
+        monkeypatch.setattr(ctl, "solve_qp", no_solve)
+        u_nom = np.array(self.EDGE_NOMINAL)
+        out = agent_control([(self.EDGE_ROW, _FEAS_TOL)], u_nom, self.make_params())
+        assert out is not u_nom and out.dtype == np.float64
+        assert out.tolist() == list(self.EDGE_NOMINAL)
+
+    def test_row_one_float_past_the_edge_goes_to_solve_qp(self):
+        params = self.make_params()
+        rows = [(self.EDGE_ROW, math.nextafter(_FEAS_TOL, math.inf))]
+        u_nom = np.array(self.EDGE_NOMINAL)
+        out = agent_control(rows, u_nom, params)
+        want = solve_qp(QpProblem(u_nom, (1.0, 1.0, 1.0, params.w_lambda), rows))
+        assert out.tolist() == want.tolist() != list(self.EDGE_NOMINAL)
 
     def test_infeasible_propagates(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])

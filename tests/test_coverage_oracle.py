@@ -7,6 +7,7 @@ Its nominal input is the two-pull form: the full (4, k) gradient over the
 owned points minus w times the one over the overlap points.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -201,7 +202,58 @@ def test_random_teams_match_oracle(states, resolution):
 
 def test_window_is_a_subsequence_of_the_ravel_order():
     grid = CoverageGrid(MISSION, 0.5)
-    cells = grid.window(3.2, 11.0, 2.0)
+    (cells,) = grid.window(3.2, 11.0, 2.0)
     index = grid.cells(np.arange(len(grid.points)))[cells].ravel()
     assert np.all(np.diff(index) > 0)
     np.testing.assert_array_equal(grid.points[index], grid.cells(grid.points)[cells].reshape(-1, 2))
+
+
+def scalar_window(grid, cx, cy, radius):
+    """One disk's (x, y) cell slices by the scalar span rule: floor/ceil of the box edges in cell units, clipped."""
+    spans = []
+    for c, lo, d, n in zip((cx, cy), grid.mission[:2], grid.spacing, grid.shape):
+        start = math.floor((c - radius - lo) / d - 0.5) - 1
+        stop = math.ceil((c + radius - lo) / d - 0.5) + 2
+        spans.append(slice(min(max(start, 0), n), min(max(stop, 0), n)))
+    return tuple(spans)
+
+
+# (cx, cy, radius) on MISSION = (0, 0, 20, 12), each kind of span the rule must get right.
+WINDOW_CASES = {
+    "inside": [(6.0, 5.0, 2.0), (13.37, 7.61, 3.3), (10.0, 6.0, 0.5)],
+    "clipped_at_each_edge": [(0.4, 6.0, 2.0), (19.7, 6.0, 2.0), (10.0, 0.2, 2.0), (10.0, 11.9, 2.0),
+                             (-1.0, -1.5, 2.2), (21.0, 13.0, 2.5)],
+    "wholly_outside": [(-9.0, 6.0, 1.0), (35.0, 6.0, 2.0), (10.0, -7.5, 1.0), (10.0, 40.0, 3.0),
+                       (-50.0, -50.0, 0.1)],
+    "wider_than_the_mission": [(10.0, 6.0, 40.0), (-30.0, 60.0, 1e3), (5.0, 5.0, 1e12)],
+    "smaller_than_a_cell": [(6.0, 5.0, 0.01), (6.25, 5.25, 1e-9), (0.0, 12.0, 0.0), (19.99, 0.01, 1e-3)],
+    # Box edges on cell centres (at resolutions 0.5 and 1.3), where floor and ceil meet.
+    "edges_on_cell_centres": [(6.0, 5.0, 0.25), (6.25, 5.25, 0.5), (5.0, 5.0, 0.625), (7.5, 6.0, 1.875)],
+}
+
+
+@pytest.mark.parametrize("resolution", [0.25, 0.5, 1.3])
+@pytest.mark.parametrize("kind", sorted(WINDOW_CASES))
+def test_array_span_rule_matches_the_scalar_rule(kind, resolution):
+    grid = CoverageGrid(MISSION, resolution)
+    cx, cy, radius = zip(*WINDOW_CASES[kind])
+    assert grid.window(cx, cy, radius) == [scalar_window(grid, *disk) for disk in WINDOW_CASES[kind]]
+    for disk in WINDOW_CASES[kind]:
+        assert grid.window(*disk) == [scalar_window(grid, *disk)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), min_size=1, max_size=12),
+       st.sampled_from([0.2, 0.45, 1.3]))
+def test_array_span_rule_matches_the_scalar_rule_on_random_disks(disks, resolution):
+    grid = CoverageGrid(MISSION, resolution)
+    assert grid.window(*zip(*disks)) == [scalar_window(grid, *disk) for disk in disks]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_non_finite_window_input_raises(slot, bad):
+    disks = [[6.0, 5.0, 2.0], [13.0, 7.0, 3.0]]
+    disks[1][slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CoverageGrid(MISSION, 0.5).window(*zip(*disks))

@@ -358,6 +358,21 @@ class TestCaching:
         assert scenario == trio_scenario()
         assert parse_config(serialize(scenario)) == scenario
 
+    def test_fixed_inputs_built_once_read_only_and_outside_the_fields(self):
+        scenario = trio_scenario()
+        inputs = scenario.fixed_inputs()
+        assert scenario.fixed_inputs() is inputs and not inputs.flags.writeable
+        np.testing.assert_array_equal(inputs, np.array(scenario.fixed_nominal, dtype=float))
+        assert scenario == trio_scenario() and parse_config(serialize(scenario)) == scenario
+        moved = replace(scenario, fixed_nominal=(ZERO, ZERO, (0.0, 0.0, 0.1, 0.0)))
+        assert moved.fixed_inputs()[2].tolist() == [0.0, 0.0, 0.1, 0.0]
+        assert trio_scenario(fixed_nominal=None).fixed_inputs() is None
+        # A step runs on the kept read-only array (it writes none of it) and
+        # records what a scenario without the kept array records.
+        world = initial_world(scenario)
+        fresh = replace(scenario)
+        assert step(world, scenario)[1] == step(world, fresh)[1]
+
     @pytest.mark.parametrize("mode", MODES)
     def test_one_barrier_evaluation_per_trio_viewpoint(self, monkeypatch, mode):
         # The filter and the trace share one evaluation per trio a step, which
