@@ -12,7 +12,7 @@ traces.
 import pathlib
 import tempfile
 
-from aircover import RunConfig, parse_config, run_command, serialize
+from aircover import parse_config, run_command, serialize
 from aircover.cli import bundled_scenario
 
 # Three scenarios ship with the package.
@@ -36,9 +36,8 @@ with tempfile.TemporaryDirectory() as tmp:
     out = pathlib.Path(tmp) / "trio_run"
     config_path = out.parent / "trio.cfg"
     config_path.write_text(bundled_scenario("trio"))
-    code = run_command(RunConfig(scenario_path=str(config_path),
-                                 out_dir=str(out), steps=300,
-                                 emit=("trace", "summary", "plotdata")))
+    code = run_command(str(config_path), str(out), steps=300,
+                       emit=("trace", "summary", "plotdata"))
     print(f"\nrun_command exit code: {code}")
     for artifact in sorted(out.iterdir()):
         print(f"  {artifact.name:>18}: {artifact.stat().st_size} bytes")

@@ -41,8 +41,8 @@ __version__ = "0.1.0"
 # The CLI's names resolve on first use (PEP 562), so that `python -m
 # aircover.cli` does not find aircover.cli already imported by this package.
 _CLI_NAMES = (
-    "ParseError", "RunConfig", "ValidationError", "bundled_scenario", "parse_config",
-    "run_command", "serialize",
+    "ParseError", "ValidationError", "bundled_scenario", "parse_config", "run_command",
+    "serialize",
 )
 
 

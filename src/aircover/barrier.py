@@ -48,11 +48,10 @@ class CbfComponents:
     composition and the guard; gradients need the rest.
     """
 
-    __slots__ = ("vals", "trio", "viewpoint", "frame", "coords")
+    __slots__ = ("vals", "viewpoint", "frame", "coords")
 
-    def __init__(self, vals, trio=None, viewpoint=None, frame=None, coords=None):
-        self.vals, self.trio, self.viewpoint = vals, trio, viewpoint
-        self.frame, self.coords = frame, coords
+    def __init__(self, vals, viewpoint=None, frame=None, coords=None):
+        self.vals, self.viewpoint, self.frame, self.coords = vals, viewpoint, frame, coords
 
 
 def cbf_components(trio: TrioContext) -> tuple:
@@ -79,7 +78,7 @@ def cbf_components(trio: TrioContext) -> tuple:
         dx, dy = xi - ox, yi - oy
         coords = (ax * dx + ay * dy, -ay * dx + ax * dy, ax * (xj - ox) + ay * (yj - oy),
                   ax * (xk - ox) + ay * (yk - oy), Ri**2, Rj**2, Rk**2, z, lam, trio.r)
-        views.append(CbfComponents((neg[pk], neg[pi], neg[pj], h_f), trio, viewpoint, frame, coords))
+        views.append(CbfComponents((neg[pk], neg[pi], neg[pj], h_f), viewpoint, frame, coords))
     return tuple(views)
 
 

@@ -9,10 +9,10 @@ mixture component.  The remaining sections hold ``key = value`` pairs.
 Numbers are finite decimal floats (``nan`` and ``inf`` are errors); ``#``
 starts a comment; unknown sections and keys are errors.  Omitted keys take
 the dataclass defaults of ``Scenario`` and ``ClassK`` (sim dt=0.01,
-steps=1000, mode ncbf, grid_resolution=0.25, min_z=0.05, min_lambda=1e-4,
-hole_check_every=10; controller epsilon=0.2, alpha h^3, w_lambda=3e6,
-guard_threshold=1e4) and, in ``[sensing]``, r=1, kappa=4, sigma=3, M=11,
-w=0.4.
+steps=1000, mode ncbf, grid_resolution=0.25, hole_check_every=10; controller
+epsilon=0.2, alpha h^3, w_lambda=3e6, guard_threshold=1e4) and, in
+``[sensing]``, r=1, kappa=4, sigma=3, M=11, w=0.4.  The integrator's floors,
+z >= 0.05 m and lambda >= 1e-4 (``sim.MIN_Z``, ``sim.MIN_LAMBDA``), are fixed.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 from itertools import chain
 from operator import itemgetter
@@ -43,7 +43,7 @@ EMIT_CHOICES = ("trace", "summary", "plotdata")
 _KEYS = {
     "sensing": {"r": float, "kappa": float, "sigma": float, "M": float, "w": float},
     "sim": {"dt": float, "steps": int, "mode": str, "grid_resolution": float,
-            "min_z": float, "min_lambda": float, "hole_check_every": int},
+            "hole_check_every": int},
     "controller": {"epsilon": float, "alpha_gain": float, "alpha_power": int,
                    "w_lambda": float, "guard_threshold": float},
 }
@@ -63,18 +63,6 @@ class ParseError(Exception):
 
 class ValidationError(Exception):
     """Well-formed scenario text whose values violate an invariant."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: scenario path, output directory, and overrides."""
-
-    scenario_path: str
-    out_dir: str
-    mode: str = None
-    steps: int = None
-    dt: float = None
-    emit: tuple = ("trace", "summary")
 
 
 def _tokens_with_columns(line, start=0):
@@ -294,45 +282,53 @@ def emit_plotdata(records, out_dir):
     return paths
 
 
-def run_command(config: RunConfig) -> int:
-    """Execute one scenario run and write the requested outputs."""
-    path = Path(config.scenario_path)
+def run_command(scenario_path, out_dir, mode=None, steps=None, emit=("trace", "summary")) -> int:
+    """Run the scenario file at scenario_path, with mode and steps overridden when given,
+    and write the artifacts named in emit to out_dir; returns the exit code."""
+    path = Path(scenario_path)
     try:
         text = path.read_text()
     except OSError as exc:
         print(f"error: cannot read scenario '{path}': {exc}", file=sys.stderr)
         return 2
     try:
-        mode = config.mode and config.mode.replace("-", "_")
-        overrides = {"mode": mode, "steps": config.steps, "dt": config.dt}
+        overrides = {"mode": mode and mode.replace("-", "_"), "steps": steps}
         scenario = replace(parse_config(text), **{k: v for k, v in overrides.items() if v is not None})
     except (ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for flag in config.emit:
+    for flag in emit:
         if flag not in EMIT_CHOICES:
             print(f"error: unknown emit flag '{flag}'", file=sys.stderr)
             return 2
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory '{out_dir}': {exc}", file=sys.stderr)
+        return 2
     try:
         records, summary = run(scenario)
     except Exception as exc:  # unrecoverable runtime failure
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1
-    if "trace" in config.emit:
+    if "trace" in emit:
         write_trace(records, out_dir / "trace.csv")
-    if "summary" in config.emit:
+    if "summary" in emit:
         write_summary(summary, out_dir / "summary.txt")
-    if "plotdata" in config.emit:
+    if "plotdata" in emit:
         emit_plotdata(records, out_dir)
     return 0
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get(LOG_ENV_VAR, "WARNING").upper())
+    level = os.environ.get(LOG_ENV_VAR, "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: {LOG_ENV_VAR}={os.environ[LOG_ENV_VAR]!r} is not a logging level", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level)
     parser = argparse.ArgumentParser(
         prog="aircover", description="Deterministic camera-team coverage simulator"
     )
@@ -342,7 +338,6 @@ def main(argv=None) -> int:
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES])
     runp.add_argument("--steps", type=int)
-    runp.add_argument("--dt", type=float)
     runp.add_argument(
         "--emit",
         action="append",
@@ -351,16 +346,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     emit_args = args.emit if args.emit else ["trace,summary"]
-    return run_command(
-        RunConfig(
-            scenario_path=args.config,
-            out_dir=args.out,
-            mode=args.mode,
-            steps=args.steps,
-            dt=args.dt,
-            emit=tuple(s.strip() for arg in emit_args for s in arg.split(",") if s.strip()),
-        )
-    )
+    emit = tuple(s.strip() for arg in emit_args for s in arg.split(",") if s.strip())
+    return run_command(args.config, args.out, args.mode, args.steps, emit)
 
 
 if __name__ == "__main__":

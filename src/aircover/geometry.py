@@ -98,7 +98,7 @@ class CommGraph:
         return list(self.trios)
 
     def trio_keys(self):
-        return {t.ids for t in self.trios}
+        return frozenset(t.ids for t in self.trios)
 
 
 def power_distance(disk, q) -> float:

@@ -15,6 +15,7 @@ integration itself uses no randomness, so a scenario replays bit-identically.
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,10 @@ log = logging.getLogger(__name__)
 _MODE_COMPONENTS = {"ncbf": ALL_COMPONENTS, "hf_only": (4,), "nominal_only": ()}
 MODES = tuple(_MODE_COMPONENTS)
 
+# The Euler step's floors on altitude z (m) and focal length lambda.
+MIN_Z = 0.05
+MIN_LAMBDA = 1e-4
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -60,8 +65,6 @@ class Scenario:
     mode: str = "ncbf"
     guard_threshold: float = 1e4
     grid_resolution: float = 0.25
-    min_z: float = 0.05
-    min_lambda: float = 1e-4
     hole_check_every: int = 10
     fixed_nominal: tuple = None  # per-agent 4-vectors; None means coverage control
 
@@ -73,7 +76,7 @@ class Scenario:
         if not (finite and all(s.z > 0 and s.lam > 0 for s in self.agents)):
             raise ValueError(
                 "every agent needs finite coordinates and a positive altitude z and focal length lambda")
-        for name in ("dt", "grid_resolution", "min_z", "min_lambda"):
+        for name in ("dt", "grid_resolution"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.steps < 1:
@@ -87,30 +90,29 @@ class Scenario:
                 raise ValueError("fixed_nominal needs one input per agent")
             if not all(np.shape(u) == (4,) and np.isfinite(u).all() for u in self.fixed_nominal):
                 raise ValueError("every fixed_nominal input must be four finite numbers")
-        self.filter_params()  # checks epsilon, guard_threshold and w_lambda
+        self.filter_params  # checks epsilon, guard_threshold and w_lambda
 
+    # Each cached_property is built on first read and kept in the instance
+    # __dict__, outside the fields, so equality and replace() ignore it.
+    @cached_property
     def filter_params(self) -> FilterParams:
-        """The filter's knobs, built (and checked) on first use and kept for the scenario's lifetime."""
-        if "_filter" not in self.__dict__:
-            fp = FilterParams(self.epsilon, self.alpha, self.w_lambda, self.guard_threshold,
-                              _MODE_COMPONENTS[self.mode])
-            object.__setattr__(self, "_filter", fp)
-        return self.__dict__["_filter"]
+        """The filter's knobs, built (and checked) once."""
+        return FilterParams(self.epsilon, self.alpha, self.w_lambda, self.guard_threshold,
+                            _MODE_COMPONENTS[self.mode])
 
+    @cached_property
     def grid(self) -> CoverageGrid:
-        """The coverage grid, built on first use and kept for the scenario's lifetime."""
-        if "_grid" not in self.__dict__:
-            grid = CoverageGrid(self.density.mission, self.grid_resolution)
-            object.__setattr__(self, "_grid", grid)
-        return self.__dict__["_grid"]
+        """The coverage grid, built once."""
+        return CoverageGrid(self.density.mission, self.grid_resolution)
 
+    @cached_property
     def fixed_inputs(self) -> np.ndarray:
-        """fixed_nominal as a read-only (n, 4) array, built on first use and kept; None under coverage control."""
-        if "_fixed_inputs" not in self.__dict__ and self.fixed_nominal is not None:
-            inputs = np.array(self.fixed_nominal, dtype=float)
-            inputs.flags.writeable = False
-            object.__setattr__(self, "_fixed_inputs", inputs)
-        return self.__dict__.get("_fixed_inputs")
+        """fixed_nominal as a read-only (n, 4) array, built once; None under coverage control."""
+        if self.fixed_nominal is None:
+            return None
+        inputs = np.array(self.fixed_nominal, dtype=float)
+        inputs.flags.writeable = False
+        return inputs
 
 
 @dataclass(frozen=True)
@@ -168,12 +170,12 @@ def step(world: WorldState, scenario: Scenario):
     switch = world.trio_keys is not None and keys != world.trio_keys
 
     # 3. Shared metrics of the (read-only) snapshot.
-    grid = scenario.grid()
+    grid = scenario.grid
     part = partition(states, params, grid)
     report = coverage_objective(states, params, scenario.density, grid, part)
 
     # 4. Nominal inputs.
-    nominals = scenario.fixed_inputs()
+    nominals = scenario.fixed_inputs
     if nominals is None:
         nominals = _finite(world.step, "nominal input", [
             nominal_input(i, states, params, scenario.density, grid, part) for i in range(n)
@@ -181,7 +183,7 @@ def step(world: WorldState, scenario: Scenario):
 
     # 5. One pass over the trios for every agent's rows and the trace's values
     #    (called through its module, so that a wrapper put there sees it).
-    fp = scenario.filter_params()
+    fp = scenario.filter_params
     built = controller.build_constraints(graph, fp)
     inputs, fallback = [], [False] * n
     for i in range(n):
@@ -194,7 +196,7 @@ def step(world: WorldState, scenario: Scenario):
 
     # 6. Euler integration, with floor clamps on z and lambda.
     next_states = _finite(world.step, "next state", states + scenario.dt * np.array(inputs))
-    floors = (scenario.min_z, scenario.min_lambda)
+    floors = (MIN_Z, MIN_LAMBDA)
     clamped = (next_states[:, 2:] < floors).any(axis=1)
     np.maximum(next_states[:, 2:], floors, out=next_states[:, 2:])
     next_states.flags.writeable = False
@@ -238,7 +240,7 @@ def run(scenario: Scenario):
         world, record = step(world, scenario)
         records.append(record)
     final_report = coverage_objective(
-        world.states, scenario.sensing, scenario.density, scenario.grid()
+        world.states, scenario.sensing, scenario.density, scenario.grid
     )
     sampled = [r for r in records if r.hole_witnesses >= 0]
     summary = {

@@ -16,7 +16,7 @@ from aircover.barrier import (
     cbf_gradient,
     ncbf_value,
 )
-from aircover.cli import RunConfig, bundled_scenario, parse_config, run_command
+from aircover.cli import bundled_scenario, parse_config, run_command
 from aircover.controller import (
     ClassK,
     FilterParams,
@@ -410,9 +410,7 @@ def test_criterion_9_determinism(tmp_path):
     outputs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        code = run_command(
-            RunConfig(scenario_path=str(scenario_path), out_dir=str(out), steps=150)
-        )
+        code = run_command(str(scenario_path), str(out), steps=150)
         assert code == 0
         outputs.append((out / "trace.csv").read_bytes())
     elapsed = time.monotonic() - t0

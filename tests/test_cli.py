@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from aircover.cli import (
     ParseError,
-    RunConfig,
     ValidationError,
     bundled_scenario,
     emit_plotdata,
@@ -25,6 +24,10 @@ from aircover.controller import ClassK
 from aircover.coverage import DensityField, SensingParams
 from aircover.geometry import AgentState
 from aircover.sim import MODES, Scenario, run
+
+DATA = Path(__file__).resolve().parent / "data"
+# The pinned runs that ship their own scenario file.
+PINNED_CONFIGS = ("lattice25_expand", "square25")
 
 MINIMAL = """
 [agents]
@@ -120,6 +123,13 @@ class TestParseConfig:
         assert err.value.line == 5
         assert err.value.col == 3
         assert "bogus" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["min_z", "min_lambda"])
+    def test_fixed_integrator_floor_is_an_unknown_key(self, key):
+        # The floors are constants of the Euler step, not settings.
+        with pytest.raises(ParseError, match=f"unknown key '{key}' in \\[sim\\]") as err:
+            parse_config(MINIMAL + f"\n[sim]\n {key} = 0.05\n")
+        assert (err.value.line, err.value.col) == (len(MINIMAL.splitlines()) + 3, 2)
 
     def test_unknown_section(self):
         with pytest.raises(ParseError, match="unknown section"):
@@ -235,10 +245,13 @@ def scenarios_off_default(draw):
 
 
 class TestSerialize:
-    @pytest.mark.parametrize("name", ["trio", "nine_agents", "five_agents"])
+    @pytest.mark.parametrize("name", ["trio", "nine_agents", "five_agents", *PINNED_CONFIGS])
     def test_bundled_round_trip(self, name):
-        scenario = parse_config(bundled_scenario(name))
-        assert parse_config(serialize(scenario)) == scenario
+        text = (DATA / name / "scenario.cfg").read_text() if name in PINNED_CONFIGS else bundled_scenario(name)
+        scenario = parse_config(text)
+        text = serialize(scenario)
+        assert parse_config(text) == scenario
+        assert "min_z" not in text and "min_lambda" not in text
 
     def test_serialize_is_idempotent(self):
         scenario = parse_config(MINIMAL)
@@ -295,12 +308,7 @@ class TestRunCommand:
         return str(path)
 
     def test_writes_trace_and_summary(self, tmp_path):
-        cfg = RunConfig(
-            scenario_path=self.write_trio(tmp_path),
-            out_dir=str(tmp_path / "out"),
-            steps=40,
-        )
-        assert run_command(cfg) == 0
+        assert run_command(self.write_trio(tmp_path), str(tmp_path / "out"), steps=40) == 0
         trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert trace[0].startswith("#")
         header = trace[1].split(",")
@@ -319,36 +327,27 @@ class TestRunCommand:
         assert "mode = 'ncbf'" in summary
 
     def test_plotdata_files(self, tmp_path):
-        cfg = RunConfig(
-            scenario_path=self.write_trio(tmp_path),
-            out_dir=str(tmp_path / "out"),
-            steps=1,
-            emit=("plotdata",),
-        )
-        assert run_command(cfg) == 0
+        assert run_command(self.write_trio(tmp_path), str(tmp_path / "out"), steps=1, emit=("plotdata",)) == 0
         for name in ("plot_positions", "plot_radius", "plot_ncbf", "plot_global"):
             lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
             assert len(lines) == 2  # header + exactly one data row
         assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_missing_scenario_path(self, tmp_path, capsys):
-        cfg = RunConfig(scenario_path=str(tmp_path / "nope.cfg"), out_dir=str(tmp_path))
-        assert run_command(cfg) != 0
+        assert run_command(str(tmp_path / "nope.cfg"), str(tmp_path)) != 0
         assert "cannot read scenario" in capsys.readouterr().err
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL + "\n[sim]\ndt = 0.0\n")
-        cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"))
-        assert run_command(cfg) == 2
+        assert run_command(str(path), str(tmp_path / "out")) == 2
         assert "dt must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", NONPOSITIVE_FILTER_KNOBS)
     def test_nonpositive_filter_knob_exits_before_running(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.cfg"
         path.write_text(trio_with(key, value))
-        cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
-        assert run_command(cfg) == 2
+        assert run_command(str(path), str(tmp_path / "out"), steps=5) == 2
         assert "must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -356,8 +355,7 @@ class TestRunCommand:
     def test_nonpositive_altitude_or_focal_length_exits_before_running(self, tmp_path, capsys, row):
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL.replace(FIRST_AGENT, row))
-        cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
-        assert run_command(cfg) == 2
+        assert run_command(str(path), str(tmp_path / "out"), steps=5) == 2
         assert "positive altitude z and focal length lambda" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -365,29 +363,24 @@ class TestRunCommand:
     def test_non_finite_number_exits_before_running(self, tmp_path, capsys, case):
         path = tmp_path / "bad.cfg"
         path.write_text(trio_with_non_finite(case)[0])
-        cfg = RunConfig(scenario_path=str(path), out_dir=str(tmp_path / "out"), steps=5)
-        assert run_command(cfg) == 2
+        assert run_command(str(path), str(tmp_path / "out"), steps=5) == 2
         assert "expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_mode_override_uses_hyphenated_name(self, tmp_path):
-        cfg = RunConfig(
-            scenario_path=self.write_trio(tmp_path),
-            out_dir=str(tmp_path / "out"),
-            mode="hf-only",
-            steps=5,
-            emit=("summary",),
-        )
-        assert run_command(cfg) == 0
+        out = str(tmp_path / "out")
+        assert run_command(self.write_trio(tmp_path), out, mode="hf-only", steps=5, emit=("summary",)) == 0
         assert "mode = 'hf_only'" in (tmp_path / "out" / "summary.txt").read_text()
 
+    def test_out_naming_an_existing_file_exits_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        assert run_command(self.write_trio(tmp_path), str(out), steps=5) == 2
+        assert f"error: cannot create output directory '{out}'" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
     def test_unknown_emit_flag(self, tmp_path, capsys):
-        cfg = RunConfig(
-            scenario_path=self.write_trio(tmp_path),
-            out_dir=str(tmp_path / "out"),
-            emit=("video",),
-        )
-        assert run_command(cfg) == 2
+        assert run_command(self.write_trio(tmp_path), str(tmp_path / "out"), emit=("video",)) == 2
         assert "emit" in capsys.readouterr().err
 
 
@@ -412,13 +405,23 @@ class TestMain:
         for name in ("trace.csv", "summary.txt", "plot_positions.csv"):
             assert (tmp_path / "out" / name).exists()
 
-    @pytest.mark.parametrize("dt", ["nan", "inf"])
-    def test_non_finite_dt_flag_exits_before_running(self, tmp_path, capsys, dt):
+    def test_dt_flag_is_rejected(self, tmp_path, capsys):
+        # dt is the scenario file's key, not a flag.
         path = tmp_path / "scenario.cfg"
         path.write_text(bundled_scenario("trio"))
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--dt", dt])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--dt", "0.02"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_log_level_exits_before_running(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AIRCOVER_LOG", "verbose")
+        path = tmp_path / "scenario.cfg"
+        path.write_text(bundled_scenario("trio"))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--steps", "2"])
         assert code == 2
-        assert "dt must be positive and finite" in capsys.readouterr().err
+        assert "error: AIRCOVER_LOG='verbose' is not a logging level" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", [m.replace("_", "-") for m in MODES])

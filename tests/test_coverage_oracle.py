@@ -168,7 +168,7 @@ def test_bundled_snapshots_match_oracle(bundled, w):
     scenario, snapshots = bundled
     params = scenario.sensing if w is None else replace(scenario.sensing, w=w)
     for states in snapshots:
-        assert_nominals_match_oracle(states, scenario.grid(), scenario.density, params)
+        assert_nominals_match_oracle(states, scenario.grid, scenario.density, params)
 
 
 @st.composite

@@ -45,10 +45,10 @@ def local_input(scenario, states, agent):
     if scenario.fixed_nominal is not None:
         u_nom = np.array(scenario.fixed_nominal[agent], dtype=float)
     else:
-        grid = scenario.grid()
+        grid = scenario.grid
         part = partition(sub, scenario.sensing, grid)
         u_nom = nominal_input(me, sub, scenario.sensing, scenario.density, grid, part)
-    fp = scenario.filter_params()
+    fp = scenario.filter_params
     rows = build_constraints(build_graph(sub, scenario.sensing.r), fp).rows[me]
     try:
         return u_nom, agent_control(rows, u_nom, fp)

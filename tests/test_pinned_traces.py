@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from aircover import RunConfig, bundled_scenario, run_command
+from aircover import bundled_scenario, run_command
 
 DATA = Path(__file__).resolve().parent / "data"
 PINNED = {"trio": 300, "five_agents": 200, "nine_agents": 60, "lattice25_expand": 41, "square25": 41,
@@ -76,9 +76,7 @@ def test_replay_matches_pinned_trace(name, tmp_path):
         config = tmp_path / f"{scenario}.cfg"
         config.write_text(bundled_scenario(scenario))
     out = tmp_path / "out"
-    code = run_command(
-        RunConfig(scenario_path=str(config), out_dir=str(out), mode=mode, steps=PINNED[name])
-    )
+    code = run_command(str(config), str(out), mode=mode, steps=PINNED[name])
     assert code == 0
     for artifact, sep in (("trace.csv", ","), ("summary.txt", " = ")):
         pinned = (DATA / name / artifact).read_text()

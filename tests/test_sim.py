@@ -15,7 +15,7 @@ from aircover.cli import bundled_scenario, parse_config, serialize
 from aircover.controller import ClassK, FilterParams
 from aircover.coverage import DensityField, SensingParams
 from aircover.geometry import AgentState, CommGraph, TrioContext, footprint_rows
-from aircover.sim import MODES, Scenario, TraceRecord, initial_world, run, step
+from aircover.sim import MIN_LAMBDA, MIN_Z, MODES, Scenario, TraceRecord, initial_world, run, step
 from conftest import fuzz_scenarios
 
 MISSION = (-3.5, -3.5, 3.5, 3.5)
@@ -85,10 +85,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             trio_scenario(mode="other")
         with pytest.raises(ValueError):
-            trio_scenario(min_z=0.0)
-        with pytest.raises(ValueError):
-            trio_scenario(min_lambda=-1.0)
-        with pytest.raises(ValueError):
             trio_scenario(agents=())
         with pytest.raises(ValueError):
             trio_scenario(fixed_nominal=(ZERO,))
@@ -101,7 +97,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "field,value",
         [(name, value) for value in (math.nan, math.inf) for name in
-         ("dt", "epsilon", "guard_threshold", "w_lambda", "grid_resolution", "min_z", "min_lambda")],
+         ("dt", "epsilon", "guard_threshold", "w_lambda", "grid_resolution")],
     )
     def test_rejects_nan_and_infinite_values(self, field, value):
         with pytest.raises(ValueError, match="must be positive"):
@@ -140,8 +136,8 @@ class TestScenarioValidation:
             NON_FINITE_SCENARIOS[case](scenario)
 
     def test_mode_selects_barrier_components(self):
-        assert trio_scenario(mode="ncbf").filter_params().components == (1, 2, 3, 4)
-        assert trio_scenario(mode="hf_only").filter_params().components == (4,)
+        assert trio_scenario(mode="ncbf").filter_params.components == (1, 2, 3, 4)
+        assert trio_scenario(mode="hf_only").filter_params.components == (4,)
 
 
 class TestStep:
@@ -209,8 +205,6 @@ class TestStep:
             steps=3,
             mode="nominal_only",
             grid_resolution=0.2,
-            min_z=0.05,
-            min_lambda=1e-4,
             fixed_nominal=((0.0, 0.0, -100.0, -200.0), ZERO),
         )
         records, summary = run(scenario)
@@ -221,10 +215,10 @@ class TestStep:
         world = initial_world(scenario)
         for _ in range(3):
             world, _ = step(world, scenario)
-            assert world.states[0, 2] >= scenario.min_z
-            assert world.states[0, 3] >= scenario.min_lambda
+            assert world.states[0, 2] >= MIN_Z
+            assert world.states[0, 3] >= MIN_LAMBDA
             assert world.states[1].tolist() == list(scenario.agents[1])
-        assert world.states[0, 2:].tolist() == [scenario.min_z, scenario.min_lambda]
+        assert world.states[0, 2:].tolist() == [MIN_Z, MIN_LAMBDA]
 
     def test_hole_oracle_cadence_and_sentinel(self):
         scenario = trio_scenario(steps=25, hole_check_every=10)
@@ -338,35 +332,35 @@ class TestCaching:
 
     def test_grid_built_once_per_scenario(self):
         scenario = trio_scenario()
-        grid = scenario.grid()
-        assert scenario.grid() is grid
+        grid = scenario.grid
+        assert scenario.grid is grid
         finer = replace(scenario, grid_resolution=0.05)
-        assert finer.grid() is not grid
-        assert finer.grid().resolution == 0.05
+        assert finer.grid is not grid
+        assert finer.grid.resolution == 0.05
 
     def test_filter_params_built_once_per_scenario(self):
         scenario = trio_scenario(mode="hf_only")
-        fp = scenario.filter_params()
-        assert scenario.filter_params() is fp
+        fp = scenario.filter_params
+        assert scenario.filter_params is fp
         assert fp == FilterParams(epsilon=0.2, alpha=ClassK(gain=20.0, power=3), w_lambda=1.0e6,
                                   guard_threshold=1e4, components=(4,))
-        assert replace(scenario, mode="ncbf").filter_params().components == (1, 2, 3, 4)
+        assert replace(scenario, mode="ncbf").filter_params.components == (1, 2, 3, 4)
 
     def test_cached_grid_leaves_equality_and_round_trip_alone(self):
         scenario = trio_scenario()
-        scenario.grid()
+        scenario.grid
         assert scenario == trio_scenario()
         assert parse_config(serialize(scenario)) == scenario
 
     def test_fixed_inputs_built_once_read_only_and_outside_the_fields(self):
         scenario = trio_scenario()
-        inputs = scenario.fixed_inputs()
-        assert scenario.fixed_inputs() is inputs and not inputs.flags.writeable
+        inputs = scenario.fixed_inputs
+        assert scenario.fixed_inputs is inputs and not inputs.flags.writeable
         np.testing.assert_array_equal(inputs, np.array(scenario.fixed_nominal, dtype=float))
         assert scenario == trio_scenario() and parse_config(serialize(scenario)) == scenario
         moved = replace(scenario, fixed_nominal=(ZERO, ZERO, (0.0, 0.0, 0.1, 0.0)))
-        assert moved.fixed_inputs()[2].tolist() == [0.0, 0.0, 0.1, 0.0]
-        assert trio_scenario(fixed_nominal=None).fixed_inputs() is None
+        assert moved.fixed_inputs[2].tolist() == [0.0, 0.0, 0.1, 0.0]
+        assert trio_scenario(fixed_nominal=None).fixed_inputs is None
         # A step runs on the kept read-only array (it writes none of it) and
         # records what a scenario without the kept array records.
         world = initial_world(scenario)
