@@ -10,17 +10,19 @@ objective, evaluated by midpoint quadrature with analytic partials.
 The quadrature visits each agent only on its window: the grid cells under
 its footprint's bounding box, with a one-cell margin, all windows taken in
 one span computation.  ``partition`` evaluates the sensing model once per
-agent on its window's axes (an x column and a y row) and keeps the
-terms for the nominal inputs, with each point's owner (read by the hole
-oracle), running best quality and quality sum (for the objective); the
-density mass phi·cell_area is computed once per grid and density.  A
-nominal input is one reduction per agent: the window's mass is signed (+1
-on owned, −w on overlap points of the open footprint, 0 elsewhere) and
-dotted with per-point factors of the four partials.
+agent on its window's axes (an x column and a y row), unless handed it as
+known from an earlier step, and keeps the terms for the nominal inputs,
+with each point's owner (read by the hole oracle), running best quality
+and quality sum (for the objective); the density mass phi·cell_area is
+computed once per grid and density.  A nominal input is one reduction per
+agent: the window's mass is signed (+1 on owned, −w on overlap points of
+the open footprint, 0 elsewhere) and dotted with per-point factors of the
+four partials.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,20 +133,30 @@ class CoverageGrid:
         return self._mass[1]
 
 
-@dataclass(slots=True)
-class FieldWindow:
+class FieldWindow(NamedTuple):
     """One agent's sensing model on its grid window.
 
     cells are the window's slices of the grid's cell layout; terms the
     `_field_terms` at the window's points, from which the quality f, the
     closed (covered) and open (d² < R²) footprint masks and the gradient are
     all taken.  Arrays are (wx, wy), but dx is (wx, 1) and dy (1, wy): the window's axes.
+    It depends only on the agent's state row, the sensing parameters and the
+    grid.  A named tuple: immutable, and made at about half a frozen
+    dataclass's cost, once per agent and step.
     """
 
     cells: tuple
     terms: tuple
     f: np.ndarray
     covered: np.ndarray
+
+    def seal(self) -> "FieldWindow":
+        """Make the window's arrays read-only, so that two steps can share them; returns the window."""
+        if self.f.flags.writeable:  # f goes last: a window with a read-only f is sealed
+            for array in (*self.terms, self.covered, self.f):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+        return self
 
 
 @dataclass(frozen=True)
@@ -247,11 +259,13 @@ def sensing_gradient(state, params: SensingParams, points) -> np.ndarray:
     return _gradient(state, params, _field_terms(state, params, points[..., 0], points[..., 1]))
 
 
-def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
+def partition(states, params: SensingParams, grid: CoverageGrid, known=None) -> Partition:
     """Assign each grid point to its best covering agent (lowest index on ties).
 
     Keeps each point's running best quality and quality sum beside its
-    owner; a point is covered exactly where it has one.
+    owner; a point is covered exactly where it has one.  known[i], if not
+    None, is agent i's window made for the same row, params and grid: it is
+    reused, not evaluated again, and still updates ownership in index order.
     """
     n = len(grid.points)
     owner, best, total = np.full(n, -1), np.full(n, -np.inf), np.zeros(n)
@@ -260,8 +274,11 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
     xs, ys, _, _, radii = zip(*rows)
     windows = []
     for i, ((x, y, z, lam, _), cells) in enumerate(zip(rows, grid.window(xs, ys, radii))):
-        terms = _field_terms((x, y, z, lam), params, grid.axes[0][cells[0]], grid.axes[1][:, cells[1]])
-        f, covered = _masked_quality(terms)
+        window = None if known is None else known[i]
+        if window is None:
+            terms = _field_terms((x, y, z, lam), params, grid.axes[0][cells[0]], grid.axes[1][:, cells[1]])
+            window = FieldWindow(cells, terms, *_masked_quality(terms))
+        f, covered = window.f, window.covered
         # Only a strictly better quality takes a point: ties stay with the lower index.
         best_w = best_cells[cells]
         wins = f > best_w
@@ -270,7 +287,7 @@ def partition(states, params: SensingParams, grid: CoverageGrid) -> Partition:
         np.copyto(owner_cells[cells], i, where=wins)
         total_w = total_cells[cells]
         total_w += f  # f is zero off the footprint: a point covered once keeps total == best
-        windows.append(FieldWindow(cells, terms, f, covered))
+        windows.append(window)
     return Partition(owner=owner, best=best, total=total, windows=tuple(windows))
 
 

@@ -274,7 +274,8 @@ def build_graph(states, r: float) -> CommGraph:
     # so tangent pairs are decided as a per-pair norm would decide them.
     diff = (centers[:, None, :] - centers[None, :, :])[..., None, :]
     dist = np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0]
-    overlap = np.triu(dist <= radii[:, None] + radii[None, :], 1)
+    overlap = dist <= radii[:, None] + radii[None, :]
+    overlap &= np.arange(n)[:, None] < np.arange(n)  # strict upper triangle: i < j
 
     # Every overlap 3-clique i < j < k, in lexicographic order.
     pi, pj = np.nonzero(overlap)

@@ -6,7 +6,9 @@ switches by comparing trio sets, computes nominal inputs (coverage gradient
 or fixed per-agent vectors), filters each through the agent's rows from one
 pass over the trios that the trace shares (nominal_only's filter has no
 components, so no rows), and Euler-integrates the single-integrator dynamics
-over the whole array, with positive floors on altitude and focal length.  A
+over the whole array, with positive floors on altitude and focal length.  An
+agent whose row comes out of the step bit for bit unchanged hands its
+sensing window to the next step, which skips re-evaluating it.  A
 non-finite nominal input or next state stops the run with a
 FloatingPointError.  Every step emits a TraceRecord of Python floats; the
 integration itself uses no randomness, so a scenario replays bit-identically.
@@ -117,11 +119,17 @@ class Scenario:
 
 @dataclass(frozen=True)
 class WorldState:
-    """Integrator state: step index, the read-only (n, 4) state array, and last step's trio sets."""
+    """Integrator state: step index, the read-only (n, 4) state array, and last step's trio sets.
+
+    known is (grid, windows): per agent, its read-only FieldWindow on that
+    grid where the last step left its row bit for bit unchanged, else None;
+    None when every row changed.  Each Scenario builds its own grid.
+    """
 
     step: int
     states: np.ndarray
     trio_keys: frozenset = None
+    known: tuple = None
 
 
 @dataclass(frozen=True)
@@ -169,9 +177,10 @@ def step(world: WorldState, scenario: Scenario):
     keys = graph.trio_keys()
     switch = world.trio_keys is not None and keys != world.trio_keys
 
-    # 3. Shared metrics of the (read-only) snapshot.
+    # 3. Shared metrics of the (read-only) snapshot, reusing windows carried on this grid.
     grid = scenario.grid
-    part = partition(states, params, grid)
+    known = world.known[1] if world.known and world.known[0] is grid else None
+    part = partition(states, params, grid, known)
     report = coverage_objective(states, params, scenario.density, grid, part)
 
     # 4. Nominal inputs.
@@ -225,7 +234,14 @@ def step(world: WorldState, scenario: Scenario):
     for value in (record.H, record.H_M, record.H_O, *record.min_ncbf):
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite trace value at step {world.step}")
-    return WorldState(step=world.step + 1, states=next_states, trio_keys=keys), record
+
+    # 8. Carry, read-only, the window of each agent whose row is bit for bit
+    #    unchanged (int64 views, so that −0.0 → 0.0 counts as a change).
+    same = (next_states.view(np.int64) == states.view(np.int64)).all(axis=1).tolist()
+    carried = None
+    if any(same):
+        carried = (grid, tuple(w.seal() if s else None for w, s in zip(part.windows, same)))
+    return WorldState(step=world.step + 1, states=next_states, trio_keys=keys, known=carried), record
 
 
 def run(scenario: Scenario):

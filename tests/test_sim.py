@@ -4,12 +4,14 @@ import itertools
 import logging
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aircover.barrier
 import aircover.controller
+import aircover.coverage
 import aircover.sim
 from aircover.cli import bundled_scenario, parse_config, serialize
 from aircover.controller import ClassK, FilterParams
@@ -493,3 +495,120 @@ class TestCaching:
         assert record.trio_counts == (1, 1, 1)
         assert record.min_ncbf == (0.0, 0.0, 0.0)
         assert record.fallback == (False, False, False)
+
+
+def _bytes(value):
+    """dtype, shape and bytes of an array or scalar: equal exactly when bit-identical."""
+    array = np.asarray(value)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _window_bytes(window):
+    return window.cells, [_bytes(v) for v in (*window.terms, window.f, window.covered)]
+
+
+def _recording_partitions(monkeypatch):
+    """Wrap the step's partition; each call appends (states, params, grid, known, result)."""
+    calls = []
+    original = aircover.sim.partition
+
+    def recording(states, params, grid, known=None):
+        part = original(states, params, grid, known)
+        calls.append((states, params, grid, known, part))
+        return part
+
+    monkeypatch.setattr(aircover.sim, "partition", recording)
+    return calls
+
+
+def _stepped(scenario, steps):
+    """The worlds after each of the scenario's first `steps` steps."""
+    world = initial_world(scenario)
+    worlds = []
+    for _ in range(steps):
+        world, _ = step(world, scenario)
+        worlds.append(world)
+    return worlds
+
+
+class TestCarriedWindows:
+    """A step hands the window of each agent whose row it left bit for bit unchanged to the next step."""
+
+    def test_trio_hoverers_windows_are_carried_and_the_mover_never(self, monkeypatch):
+        calls = _recording_partitions(monkeypatch)
+        worlds = _stepped(parse_config(bundled_scenario("trio")), 300)
+        windows = [part.windows for *_, part in calls]
+        assert calls[0][3] is None
+        for before, after in zip(windows, windows[1:]):
+            assert after[1] is before[1] and after[2] is before[2]
+            assert after[0] is not before[0]
+        assert all(world.known[1][0] is None for world in worlds)
+
+    def test_carried_partition_equals_a_fresh_one_bit_for_bit(self, monkeypatch):
+        calls = _recording_partitions(monkeypatch)
+        _stepped(parse_config(bundled_scenario("trio")), 300)
+        assert sum(known is not None for *_, known, _ in calls) == 299
+        for states, params, grid, _, part in calls:
+            fresh = aircover.coverage.partition(states, params, grid)
+            for name in ("owner", "best", "total"):
+                assert _bytes(getattr(part, name)) == _bytes(getattr(fresh, name))
+            assert [_window_bytes(w) for w in part.windows] == [_window_bytes(w) for w in fresh.windows]
+
+    def test_a_row_moved_by_one_ulp_is_recomputed(self, monkeypatch):
+        # nominal_only hands agent 1 its fixed input, which moves x by one ulp.
+        x = TRIO_AGENTS[1].x
+        nudge = (np.nextafter(x, np.inf) - x) / 0.01
+        scenario = trio_scenario(mode="nominal_only", fixed_nominal=(ZERO, (nudge, 0.0, 0.0, 0.0), ZERO))
+        calls = _recording_partitions(monkeypatch)
+        first, _ = _stepped(scenario, 2)
+        assert first.states[1, 0] == np.nextafter(x, np.inf)
+        assert [w is not None for w in first.known[1]] == [True, False, True]
+        assert calls[1][3][1] is None and calls[1][4].windows[1] is not calls[0][4].windows[1]
+
+    def test_a_coordinate_flipped_from_negative_to_positive_zero_is_recomputed(self, monkeypatch):
+        # −0.0 + dt·0.0 is +0.0: equal as floats, but not bit for bit.
+        agents = (TRIO_AGENTS[0]._replace(x=-0.0), *TRIO_AGENTS[1:])
+        scenario = trio_scenario(agents=agents, fixed_nominal=(ZERO, ZERO, ZERO))
+        calls = _recording_partitions(monkeypatch)
+        first, second = _stepped(scenario, 2)
+        assert math.copysign(1.0, first.states[0, 0]) == 1.0
+        assert [w is not None for w in first.known[1]] == [False, True, True]
+        assert all(w is not None for w in second.known[1])
+        for states, params, grid, _, part in calls:
+            fresh = aircover.coverage.partition(states, params, grid)
+            assert [_window_bytes(w) for w in part.windows] == [_window_bytes(w) for w in fresh.windows]
+
+    @pytest.mark.parametrize("change", [
+        lambda s: replace(s, grid_resolution=0.05),
+        lambda s: replace(s, sensing=replace(s.sensing, r=1.1)),
+    ], ids=["grid_resolution", "sensing_r"])
+    def test_another_scenario_recomputes_every_window(self, monkeypatch, change):
+        scenario = trio_scenario()
+        (world,) = _stepped(scenario, 1)
+        assert world.known is not None
+        other = change(scenario)
+        calls = _recording_partitions(monkeypatch)
+        _, record = step(world, other)
+        assert calls[0][3] is None
+        _, fresh = step(replace(world, known=None), other)
+        assert record == fresh
+
+    @pytest.mark.parametrize("scenario", [
+        replace(parse_config(bundled_scenario("nine_agents")), steps=20),
+        replace(parse_config((Path(__file__).parent / "data" / "lattice25_expand" / "scenario.cfg").read_text()),
+                steps=41),
+    ], ids=["nine_agents", "lattice25_expand"])
+    def test_teams_that_always_move_carry_nothing(self, scenario):
+        assert all(world.known is None for world in _stepped(scenario, scenario.steps))
+
+    def test_a_carried_window_is_read_only(self):
+        scenario = trio_scenario()
+        (world,) = _stepped(scenario, 1)
+        window = world.known[1][1]
+        arrays = [v for v in (*window.terms, window.f, window.covered) if isinstance(v, np.ndarray)]
+        assert len(arrays) == 8  # dx, dy, d2, s, f_pers, f_res, f, covered
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(AttributeError):
+            window.f = np.zeros_like(window.f)
