@@ -13,11 +13,12 @@ one span computation.  ``partition`` evaluates the sensing model once per
 agent on its window's axes (an x column and a y row), unless handed it as
 known from an earlier step, and keeps the terms for the nominal inputs,
 with each point's owner (read by the hole oracle), running best quality
-and quality sum (for the objective); the density mass phi·cell_area is
-computed once per grid and density.  A nominal input is one reduction per
-agent: the window's mass is signed (+1 on owned, −w on overlap points of
-the open footprint, 0 elsewhere) and dotted with per-point factors of the
-four partials.
+and quality sum (for the objective).  The grid is its two axes, and the
+density takes coordinates that broadcast: its mass phi·cell_area is taken
+once per grid and density, on the x column and y row.  A nominal input is
+one reduction per agent: the window's mass is signed (+1 on owned, −w on
+overlap points of the open footprint, 0 elsewhere) and dotted with
+per-point factors of the four partials.
 """
 
 import math
@@ -63,48 +64,44 @@ class DensityField:
             if not 0 < scale < math.inf:
                 raise ValueError("component scales must be positive and finite")
 
-    def phi(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(points))
-        for weight, mean, scale in self.components:
-            d2 = (points[:, 0] - mean[0]) ** 2 + (points[:, 1] - mean[1]) ** 2
-            out += weight * np.exp(-d2 / (2.0 * scale**2))
+    def phi(self, px, py) -> np.ndarray:
+        """Density at ground points px, py, zero outside the mission; px and py broadcast (the grid's
+        x column and y row, or two point columns), and each component's terms are taken in place."""
+        px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+        out = None if self.components else np.zeros(np.broadcast_shapes(px.shape, py.shape))
+        for weight, (mx, my), scale in self.components:
+            dx, dy = px - mx, py - my
+            term = dx * dx + dy * dy  # then each term in its formula's order
+            term /= -2.0 * scale**2  # −a/c is a/(−c) exactly
+            np.exp(term, out=term)
+            term *= weight
+            out = term if out is None else np.add(out, term, out=out)  # the first term is the sum
         xmin, ymin, xmax, ymax = self.mission
-        inside = (
-            (points[:, 0] >= xmin)
-            & (points[:, 0] <= xmax)
-            & (points[:, 1] >= ymin)
-            & (points[:, 1] <= ymax)
-        )
-        return np.where(inside, out, 0.0)
+        np.copyto(out, 0.0, where=~((px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)))
+        return out
 
 
 class CoverageGrid:
-    """Uniform midpoint grid over the mission rectangle.
+    """Uniform midpoint grid over the mission rectangle, held as its two axes.
 
-    Points are in the ravel order of an (nx, ny) cell layout; ``cells`` views
-    any per-point array in that layout, so a window of cells is a
-    subsequence of the points.
+    The points, never listed, pair the x column and y row of ``axes`` in the
+    ravel order of an (nx, ny) cell layout, which ``cells`` views, so a
+    window of cells is a subsequence of the points.
     """
 
     def __init__(self, mission, resolution: float):
-        if not resolution > 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
         xmin, ymin, xmax, ymax = mission
-        if not (xmax > xmin and ymax > ymin):
-            raise ValueError("mission rectangle is empty")
-        nx = max(1, int(np.ceil((xmax - xmin) / resolution)))
-        ny = max(1, int(np.ceil((ymax - ymin) / resolution)))
-        dx = (xmax - xmin) / nx
-        dy = (ymax - ymin) / ny
-        xs = xmin + (np.arange(nx) + 0.5) * dx
-        ys = ymin + (np.arange(ny) + 0.5) * dy
-        XX, YY = np.meshgrid(xs, ys, indexing="ij")
+        if not (all(map(math.isfinite, mission)) and xmax > xmin and ymax > ymin):
+            raise ValueError("mission rectangle must be finite and nonempty")
+        nx, ny = max(1, math.ceil((xmax - xmin) / resolution)), max(1, math.ceil((ymax - ymin) / resolution))
+        dx, dy = (xmax - xmin) / nx, (ymax - ymin) / ny
+        xs, ys = xmin + (np.arange(nx) + 0.5) * dx, ymin + (np.arange(ny) + 0.5) * dy
         self.mission = tuple(float(v) for v in mission)
         self.resolution = float(resolution)
         self.shape = (nx, ny)
         self.spacing = (dx, dy)
-        self.points = np.column_stack([XX.ravel(), YY.ravel()])
         self.axes = (xs[:, None], ys[None, :])  # the x-axis as a column, the y-axis as a row
         self._span_frame = [np.array(v, dtype=float)[:, None] for v in (self.mission[:2], self.spacing, self.shape)]
         self.cell_area = dx * dy
@@ -127,7 +124,8 @@ class CoverageGrid:
     def mass(self, density: "DensityField") -> np.ndarray:
         """Read-only point masses phi·cell_area, computed once per density object."""
         if self._mass[0] is not density:
-            mass = density.phi(self.points) * self.cell_area
+            mass = density.phi(*self.axes).ravel()
+            mass *= self.cell_area
             mass.flags.writeable = False
             self._mass = (density, mass)
         return self._mass[1]
@@ -165,13 +163,15 @@ class Partition:
 
     owner[q] is the covering agent of maximal sensing quality (−1 when no
     footprint covers q), best[q] its quality (−inf if none) and total[q] the
-    sum over covering agents; windows[i] is agent i's sensing model.
+    sum over covering agents; windows[i] and rows[i] are agent i's sensing
+    model and its (x, y, z, λ, R) floats (`footprint_rows`).
     """
 
     owner: np.ndarray
     best: np.ndarray
     total: np.ndarray
     windows: tuple
+    rows: tuple
 
 
 @dataclass(frozen=True)
@@ -267,10 +267,8 @@ def partition(states, params: SensingParams, grid: CoverageGrid, known=None) -> 
     None, is agent i's window made for the same row, params and grid: it is
     reused, not evaluated again, and still updates ownership in index order.
     """
-    n = len(grid.points)
-    owner, best, total = np.full(n, -1), np.full(n, -np.inf), np.zeros(n)
-    owner_cells, best_cells, total_cells = grid.cells(owner), grid.cells(best), grid.cells(total)
-    rows = footprint_rows(states, params.r)
+    owner_cells, best_cells, total_cells = np.full(grid.shape, -1), np.full(grid.shape, -np.inf), np.zeros(grid.shape)
+    rows = tuple(footprint_rows(states, params.r))
     xs, ys, _, _, radii = zip(*rows)
     windows = []
     for i, ((x, y, z, lam, _), cells) in enumerate(zip(rows, grid.window(xs, ys, radii))):
@@ -288,7 +286,7 @@ def partition(states, params: SensingParams, grid: CoverageGrid, known=None) -> 
         total_w = total_cells[cells]
         total_w += f  # f is zero off the footprint: a point covered once keeps total == best
         windows.append(window)
-    return Partition(owner=owner, best=best, total=total, windows=tuple(windows))
+    return Partition(owner_cells.ravel(), best_cells.ravel(), total_cells.ravel(), tuple(windows), rows)
 
 
 def coverage_objective(

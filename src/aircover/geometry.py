@@ -226,7 +226,8 @@ def detect_holes_grid(part, grid, graph):
     does not touch the mission boundary (`enclosed_cells`, a run-length
     labelling).  Returns the witness points as an (m, 2) array.
     """
-    points = grid.points[enclosed_cells(grid.cells(part.owner) < 0).ravel()]
+    ix, iy = np.nonzero(enclosed_cells(grid.cells(part.owner) < 0))  # in ravel order
+    points = np.column_stack((grid.axes[0][ix, 0], grid.axes[1][0, iy]))
     if not len(points):
         return np.empty((0, 2))
     inside_any = np.zeros(len(points), dtype=bool)

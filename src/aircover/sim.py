@@ -39,7 +39,7 @@ from aircover.coverage import (
     nominal_input,
     partition,
 )
-from aircover.geometry import build_graph, detect_holes_grid, footprint_rows
+from aircover.geometry import AgentState, build_graph, detect_holes_grid
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +71,8 @@ class Scenario:
     fixed_nominal: tuple = None  # per-agent 4-vectors; None means coverage control
 
     def __post_init__(self):
-        if not self.agents:
-            raise ValueError("scenario needs at least one agent")
+        if not (self.agents and all(isinstance(s, AgentState) for s in self.agents)):
+            raise ValueError("scenario needs at least one agent, and agents must be AgentState rows")
         # Each check fails on NaN.
         finite = all(math.isfinite(v) for s in self.agents for v in (s.x, s.y, s.z, s.lam))
         if not (finite and all(s.z > 0 and s.lam > 0 for s in self.agents)):
@@ -220,7 +220,7 @@ def step(world: WorldState, scenario: Scenario):
         witnesses = -1
     record = TraceRecord(
         step=world.step,
-        agents=tuple(footprint_rows(states, params.r)),
+        agents=part.rows,
         min_ncbf=min_ncbf,
         trio_counts=tuple(len(graph.trios_of(i)) for i in range(n)),
         H=report.H,

@@ -46,6 +46,12 @@ def radical_center(da, db, dc) -> tuple:
     return _radical_solve(bx, by, rb, ax - bx, ay - by, ra, cx - bx, cy - by, rc)
 
 
+def grid_points(grid) -> np.ndarray:
+    """A CoverageGrid's cell centres as an (nx·ny, 2) point list, in the ravel order of its cell layout."""
+    xs, ys = np.broadcast_arrays(*grid.axes)
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
 def make_trio(ids, states, r: float) -> TrioContext:
     """The TrioContext of rows ids of an (n, 4) state array; raises DegenerateTrio on bad geometry."""
     ids = sorted(map(int, ids))

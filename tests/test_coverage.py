@@ -1,5 +1,7 @@
 """Tests for the sensing model, partition, objective, and nominal input."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from aircover.coverage import (
     sensing_gradient,
 )
 from aircover.geometry import AgentState
-from conftest import DensePartition, sensing_quality
+from conftest import DensePartition, grid_points, sensing_quality
 
 PARAMS = SensingParams(r=1.0, kappa=4.0, sigma=3.0, M=11.0, w=0.4)
 
@@ -142,7 +144,7 @@ class TestSensingGradient:
 class TestDensityField:
     def test_zero_outside_mission(self):
         dens = DensityField(components=((1.0, (5.0, 5.0), 2.0),), mission=(0, 0, 10, 10))
-        inside, outside = dens.phi([[5.0, 5.0], [11.0, 5.0]])
+        inside, outside = dens.phi([5.0, 11.0], [5.0, 5.0])
         assert inside > 0.0
         assert outside == 0.0
 
@@ -154,7 +156,8 @@ class TestDensityField:
             components=((1.0, (3.0, 3.0), 2.0), (0.5, (7.0, 6.0), 1.5)), mission=mission
         )
         pts = np.array([[2.0, 2.0], [5.0, 5.0], [8.0, 7.0]])
-        np.testing.assert_allclose(both.phi(pts), a.phi(pts) + b.phi(pts), rtol=1e-15)
+        px, py = pts.T
+        np.testing.assert_allclose(both.phi(px, py), a.phi(px, py) + b.phi(px, py), rtol=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -169,9 +172,10 @@ class TestCoverageGrid:
     def test_midpoints_tile_the_mission(self):
         grid = CoverageGrid((0, 0, 12, 8), 0.5)
         assert grid.shape == (24, 16)
-        assert grid.cell_area * len(grid.points) == pytest.approx(12 * 8)
-        assert np.all(grid.points[:, 0] > 0) and np.all(grid.points[:, 0] < 12)
-        assert np.all(grid.points[:, 1] > 0) and np.all(grid.points[:, 1] < 8)
+        points = grid_points(grid)
+        assert grid.cell_area * len(points) == pytest.approx(12 * 8)
+        assert np.all(points[:, 0] > 0) and np.all(points[:, 0] < 12)
+        assert np.all(points[:, 1] > 0) and np.all(points[:, 1] < 8)
 
     def test_mass_cached_per_density(self):
         grid = CoverageGrid((0, 0, 12, 8), 0.5)
@@ -180,14 +184,25 @@ class TestCoverageGrid:
         mass = grid.mass(near)
         assert grid.mass(near) is mass
         assert not mass.flags.writeable
-        np.testing.assert_array_equal(mass, near.phi(grid.points) * grid.cell_area)
-        np.testing.assert_array_equal(grid.mass(far), far.phi(grid.points) * grid.cell_area)
+        px, py = grid_points(grid).T
+        np.testing.assert_array_equal(mass, near.phi(px, py) * grid.cell_area)
+        np.testing.assert_array_equal(grid.mass(far), far.phi(px, py) * grid.cell_area)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CoverageGrid((0, 0, 10, 10), 0.0)
         with pytest.raises(ValueError):
             CoverageGrid((0, 0, -1, 10), 0.5)
+
+    @pytest.mark.parametrize("position", range(5), ids=["xmin", "ymin", "xmax", "ymax", "resolution"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_mission_or_resolution(self, position, value):
+        # An infinite resolution used to give a 1×1 grid, an infinite mission
+        # bound an OverflowError.
+        args = [0.0, 0.0, 1.0, 1.0, 0.5]
+        args[position] = value
+        with pytest.raises(ValueError, match="finite"):
+            CoverageGrid(tuple(args[:4]), args[4])
 
 
 class TestPartition:
@@ -228,7 +243,7 @@ class TestPartition:
         ]
         part = DensePartition(partition(states, PARAMS, grid), grid)
         owned = [part.owner == i for i in range(5)]
-        total = np.zeros(len(grid.points), dtype=int)
+        total = np.zeros(len(grid_points(grid)), dtype=int)
         for mask in owned:
             total += mask.astype(int)
         assert np.all(total <= 1)
@@ -277,7 +292,8 @@ class TestCoverageObjective:
         part = DensePartition(part, self.grid)
         best = np.where(part.covered, part.f, -np.inf).max(axis=0)
         best = np.where(part.covered.any(axis=0), best, 0.0)
-        point_mass = self.density.phi(self.grid.points) * self.grid.cell_area
+        px, py = grid_points(self.grid).T
+        point_mass = self.density.phi(px, py) * self.grid.cell_area
         assert report.H_M == pytest.approx(float(np.sum(best * point_mass)), abs=1e-12)
 
     def test_decomposition(self):

@@ -27,7 +27,7 @@ from aircover.coverage import (
 )
 from aircover.geometry import AgentState
 from aircover.sim import initial_world, step
-from conftest import DensePartition
+from conftest import DensePartition, grid_points
 
 PARAMS = SensingParams(r=1.0, kappa=4.0, sigma=3.0, M=11.0, w=0.4)
 MISSION = (0.0, 0.0, 20.0, 12.0)
@@ -38,7 +38,7 @@ DENSITY = DensityField(
 
 def oracle_partition(states, params, grid):
     """(owner, f, covered, strict) over the full grid."""
-    fields = [sensing_field(s, params, grid.points) for s in states]
+    fields = [sensing_field(s, params, grid_points(grid)) for s in states]
     f = np.array([field[0] for field in fields])
     covered = np.array([field[1] for field in fields])
     strict = np.array([field[2] for field in fields])
@@ -50,7 +50,8 @@ def oracle_partition(states, params, grid):
 def oracle_objective(states, params, density, grid):
     """(H_M, H_O): per-agent sums over owned and over covered-but-not-owned points."""
     owner, f, covered, _ = oracle_partition(states, params, grid)
-    point_mass = density.phi(grid.points) * grid.cell_area
+    points = grid_points(grid)
+    point_mass = density.phi(points[:, 0], points[:, 1]) * grid.cell_area
     H_M = sum(float(np.sum(f[i] * point_mass, where=owner == i)) for i in range(len(states)))
     H_O = sum(
         float(np.sum(f[i] * point_mass, where=covered[i] & (owner != i)))
@@ -62,13 +63,14 @@ def oracle_objective(states, params, density, grid):
 def oracle_nominals(states, params, density, grid):
     """Every agent's nominal input from one dense partition."""
     owner, _, covered, strict = oracle_partition(states, params, grid)
-    point_mass = density.phi(grid.points) * grid.cell_area
+    points = grid_points(grid)
+    point_mass = density.phi(points[:, 0], points[:, 1]) * grid.cell_area
     out = []
     for i, state in enumerate(states):
         own = (owner == i) & strict[i]
         lose = covered[i] & (owner != i) & strict[i]
-        u = sensing_gradient(state, params, grid.points[own]) @ point_mass[own]
-        out.append(u - params.w * (sensing_gradient(state, params, grid.points[lose]) @ point_mass[lose]))
+        u = sensing_gradient(state, params, points[own]) @ point_mass[own]
+        out.append(u - params.w * (sensing_gradient(state, params, points[lose]) @ point_mass[lose]))
     return out
 
 
@@ -200,12 +202,46 @@ def test_random_teams_match_oracle(states, resolution):
     assert_matches_oracle(states, CoverageGrid(MISSION, resolution))
 
 
+@st.composite
+def densities_on_grids(draw):
+    """A mixture of 0–3 components on a random grid; the density's mission overlaps the grid's, so its clip shows."""
+    x0, y0 = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    w, h = draw(st.floats(0.5, 30.0)), draw(st.floats(0.5, 30.0))
+    mission = (x0, y0, x0 + w, y0 + h)
+    lo = (draw(st.floats(x0 - 5.0, x0 + 0.4 * w)), draw(st.floats(y0 - 5.0, y0 + 0.4 * h)))
+    hi = (draw(st.floats(x0 + 0.6 * w, x0 + w + 5.0)), draw(st.floats(y0 + 0.6 * h, y0 + h + 5.0)))
+    components = tuple(
+        (draw(st.floats(0.0, 3.0)), (draw(st.floats(x0, x0 + w)), draw(st.floats(y0, y0 + h))),
+         draw(st.floats(0.05, 20.0)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return DensityField(components, (*lo, *hi)), CoverageGrid(mission, draw(st.floats(0.05, 2.0)))
+
+
+# Fixed example: on a 0.5 m grid from 0, cell centres sit at 0.25 + 0.5k, so
+# every edge of the density's mission falls exactly on a row or column of them.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(densities_on_grids())
+@example((DensityField(((1.0, (2.0, 2.0), 1.5), (0.5, (3.0, 1.0), 0.7)), (0.25, 0.75, 2.25, 3.25)),
+          CoverageGrid((0.0, 0.0, 4.0, 4.0), 0.5)))
+def test_density_on_the_axes_is_the_density_on_the_points(case):
+    density, grid = case
+    px, py = grid_points(grid).T
+    on_points = density.phi(px, py)
+    on_axes = density.phi(*grid.axes)
+    assert on_axes.shape == grid.shape
+    np.testing.assert_array_equal(on_axes.ravel(), on_points)
+    assert on_axes.ravel().tobytes() == on_points.tobytes()  # bit for bit, signed zeros too
+    np.testing.assert_array_equal(grid.mass(density), on_points * grid.cell_area)
+
+
 def test_window_is_a_subsequence_of_the_ravel_order():
     grid = CoverageGrid(MISSION, 0.5)
     (cells,) = grid.window(3.2, 11.0, 2.0)
-    index = grid.cells(np.arange(len(grid.points)))[cells].ravel()
+    points = grid_points(grid)
+    index = grid.cells(np.arange(len(points)))[cells].ravel()
     assert np.all(np.diff(index) > 0)
-    np.testing.assert_array_equal(grid.points[index], grid.cells(grid.points)[cells].reshape(-1, 2))
+    np.testing.assert_array_equal(points[index], grid.cells(points)[cells].reshape(-1, 2))
 
 
 def scalar_window(grid, cx, cy, radius):

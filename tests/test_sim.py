@@ -125,6 +125,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             replace(SENSING, **{field: math.nan})
 
+    def test_rejects_agents_that_are_not_agent_states(self):
+        # Plain tuples used to fail with an AttributeError on s.x; they are
+        # refused, not coerced, so that serialize keeps writing AgentState floats.
+        with pytest.raises(ValueError, match="agents must be AgentState rows"):
+            Scenario(
+                agents=((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0)),
+                sensing=SensingParams(1, 4, 3, 11, 0.4),
+                density=DensityField(((1.0, (0, 0), 1.0),), (-3, -3, 3, 3)),
+            )
+        with pytest.raises(ValueError, match="agents must be AgentState rows"):
+            trio_scenario(agents=(TRIO_AGENTS[0], tuple(TRIO_AGENTS[1]), TRIO_AGENTS[2]))
+
     def test_class_k_rejects_nan_gain(self):
         with pytest.raises(ValueError, match="gain must be positive"):
             ClassK(gain=math.nan)
@@ -320,9 +332,9 @@ class TestCaching:
         calls = []
         original = DensityField.phi
 
-        def counting(self, points):
-            calls.append(len(points))
-            return original(self, points)
+        def counting(self, px, py):
+            calls.append(np.broadcast(px, py).size)
+            return original(self, px, py)
 
         monkeypatch.setattr(DensityField, "phi", counting)
         counts = []
@@ -331,6 +343,21 @@ class TestCaching:
             run(trio_scenario(steps=steps, fixed_nominal=None))
             counts.append(len(calls))
         assert counts == [1, 1]
+
+    def test_footprint_rows_taken_once_per_step(self, monkeypatch):
+        # The partition's rows feed the trace record; sim makes no second conversion.
+        calls = []
+
+        def counting(states, r):
+            calls.append(len(states))
+            return footprint_rows(states, r)
+
+        monkeypatch.setattr(aircover.coverage, "footprint_rows", counting)
+        monkeypatch.setattr(aircover.sim, "footprint_rows", counting, raising=False)
+        scenario = trio_scenario(steps=1)
+        _, record = step(initial_world(scenario), scenario)
+        assert calls == [3]
+        assert record.agents == tuple(footprint_rows(np.array(TRIO_AGENTS), SENSING.r))
 
     def test_grid_built_once_per_scenario(self):
         scenario = trio_scenario()
