@@ -70,8 +70,10 @@ print("almost-active set (within epsilon = 0.2 of the max):",
       tuple(l for l, h in enumerate(comps.vals, 1) if abs(h - max(comps.vals)) <= 0.2))
 
 # Every component has an analytic gradient in the agent's own four controls
-# (x, y, z, lambda), read from the same evaluation's working frame.  Check one
-# against central finite differences.
+# (x, y, z, lambda): the footprint condition's from one world-frame closed form
+# that the trio's three agents share, a side condition's from the agent's
+# working frame, built the first time one is asked for.  Check one against
+# central finite differences.
 component = 4
 grad = cbf_gradient(comps, component)
 h = 1e-6

@@ -10,15 +10,17 @@ membership.
 
 `cbf_components` is the one evaluation of a trio per step: its three agents
 share one barrier with the roles permuted, so each view permutes the trio's
-four values and adds the agent's working frame (x-axis on segment JK, y-axis
-on the JK radical axis) with the frame coordinates of the footprint centers.
-`controller.build_constraints` makes the call for the filter and the trace,
-and picks each view's almost-active components; `ncbf_value` composes the
-values for the trace, and `cbf_gradient` reads the stored frame for one
-component's analytic gradient (the radical center has a closed form),
-rotated back to world coordinates; altitude and focal-length entries are
-frame-invariant.  The barrier's sign is a per-trio certificate, not a
-detector: the package's one hole detector is `geometry.detect_holes_grid`.
+four values.  `controller.build_constraints` makes the call for the filter
+and the trace; `ncbf_value` composes the values for the trace, and
+`cbf_gradient` gives one component's analytic world-frame gradient.  h_f is
+the same for the three members, and so is its gradient's closed form: J and
+K fixed, the radical center v moves along their radical axis, so
+∂h_f/∂c_I = 2λ_I(v − c_I) and ∂h_f/∂R_I² = λ_I, with λ_I the barycentric
+coordinate of v at vertex I.  A side ratio's gradient is taken in the
+viewpoint's working frame (x-axis on segment JK, y-axis on the JK radical
+axis), which a view builds only when one is asked for.  The barrier's sign
+is a per-trio certificate, not a detector: the package's one hole detector
+is `geometry.detect_holes_grid`.
 
 Everything here runs on plain floats: the frame is the 4-tuple
 (ox, oy, ax, ay) of its origin and x-axis, the roles J and K are picked by
@@ -27,7 +29,10 @@ because on four numbers numpy's per-call overhead costs more than the
 arithmetic.
 """
 
+import math
+
 from aircover.geometry import (
+    CONCENTRIC_TOL,
     ROLE_POSITIONS,
     DegenerateTrio,
     TrioContext,
@@ -36,22 +41,38 @@ from aircover.geometry import (
     sigma_d_frame,
 )
 
+LINE_TOL = 1e-12  # meters: a viewpoint closer to the line through the other two has no gradients
+
 
 class CbfComponents:
     """One agent's view of a trio: the four condition values and what their gradients need.
 
-    `vals` is ordered (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint).
-    `frame` is the viewpoint's working frame (ox, oy, ax, ay) and `coords` holds
-    (x_i, y_i, x_j, x_k, R_i², R_j², R_k², z, λ, r): the frame coordinates of
-    the three footprint centers, the squared radii, the viewpoint's altitude
-    and focal length, and the sensing constant.  Values alone suffice for
-    composition and the guard; gradients need the rest.
+    `vals` is ordered (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint) and `height` is the
+    viewpoint's distance from line JK.  `frame`, the working frame (ox, oy, ax, ay), is built
+    on first read; `coords` is (x_i, y_i, x_j, x_k, R_i², R_j², R_k², z, λ, r), the frame
+    coordinates of the footprint centers, the squared radii, z, λ and the sensing constant.
     """
 
-    __slots__ = ("vals", "viewpoint", "frame", "coords")
+    __slots__ = ("vals", "viewpoint", "trio", "position", "height", "_frame")
 
-    def __init__(self, vals, viewpoint=None, frame=None, coords=None):
-        self.vals, self.viewpoint, self.frame, self.coords = vals, viewpoint, frame, coords
+    def __init__(self, vals, viewpoint=None, trio=None, position=None, height=None):
+        self.vals, self.viewpoint, self.trio, self.position, self.height = vals, viewpoint, trio, position, height
+        self._frame = None
+
+    @property
+    def frame(self) -> tuple:
+        if self._frame is None:
+            self._frame = sigma_d_frame(self.trio, self.viewpoint)
+        return self._frame
+
+    @property
+    def coords(self) -> tuple:
+        ox, oy, ax, ay = self.frame
+        (xi, yi, z, lam, Ri), (xj, yj, _, _, Rj), (xk, yk, _, _, Rk) = (
+            self.trio.rows[p] for p in ROLE_POSITIONS[self.position])
+        dx, dy = xi - ox, yi - oy
+        return (ax * dx + ay * dy, -ay * dx + ax * dy, ax * (xj - ox) + ay * (yj - oy),
+                ax * (xk - ox) + ay * (yk - oy), Ri**2, Rj**2, Rk**2, z, lam, self.trio.r)
 
 
 def cbf_components(trio: TrioContext) -> tuple:
@@ -59,26 +80,21 @@ def cbf_components(trio: TrioContext) -> tuple:
 
     The ratios of lines 01, 12, 20 are the radical center's barycentric coordinates λ₂, λ₀, λ₁;
     with h_f its negated power distance to footprint 0 (equal for all three there), the agent at
-    position p, with roles (I, J, K) = ROLE_POSITIONS[p], sees (−λ_K, −λ_I, −λ_J, h_f).
+    position p, with roles (I, J, K) = ROLE_POSITIONS[p], sees (−λ_K, −λ_I, −λ_J, h_f).  A view
+    whose J and K coincide fails `sigma_d_frame`'s test, taken here with its arithmetic.
     Raises DegenerateTrio when the triangle's area is below tolerance.
     """
-    rows, v = trio.rows, trio.radical_center
-    _, (l2, l0, l1) = point_in_triangle(rows[0][:2], rows[1][:2], rows[2][:2], v)
-    neg = (-l0, -l1, -l2)
-    h_f = -power_distance((rows[0][0], rows[0][1], rows[0][4]), v)
+    v = trio.radical_center
+    (x0, y0, _, _, r0), (x1, y1, _, _, _), (x2, y2, _, _, _) = trio.rows
+    _, (l2, l0, l1) = point_in_triangle((x0, y0), (x1, y1), (x2, y2), v)
+    h_f = -power_distance((x0, y0, r0), v)
+    area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))  # |JK| times each viewpoint's height
     views = []
-    for viewpoint, (pi, pj, pk) in zip(trio.ids, ROLE_POSITIONS):
-        try:
-            frame = sigma_d_frame(trio, viewpoint)
-        except DegenerateTrio as exc:
-            views.append(exc)
-            continue
-        (xi, yi, z, lam, Ri), (xj, yj, _, _, Rj), (xk, yk, _, _, Rk) = rows[pi], rows[pj], rows[pk]
-        ox, oy, ax, ay = frame
-        dx, dy = xi - ox, yi - oy
-        coords = (ax * dx + ay * dy, -ay * dx + ax * dy, ax * (xj - ox) + ay * (yj - oy),
-                  ax * (xk - ox) + ay * (yk - oy), Ri**2, Rj**2, Rk**2, z, lam, trio.r)
-        views.append(CbfComponents((neg[pk], neg[pi], neg[pj], h_f), viewpoint, frame, coords))
+    for p, vals, dx, dy in ((0, (-l2, -l0, -l1, h_f), x2 - x1, y2 - y1), (1, (-l2, -l1, -l0, h_f), x2 - x0, y2 - y0),
+                            (2, (-l1, -l2, -l0, h_f), x1 - x0, y1 - y0)):
+        nd = math.sqrt(dx * dx + dy * dy)
+        views.append(DegenerateTrio("coincident J/K centers") if nd < CONCENTRIC_TOL
+                     else CbfComponents(vals, trio.ids[p], trio, p, area2 / nd))
     return tuple(views)
 
 
@@ -90,56 +106,35 @@ def ncbf_value(vals) -> float:
 def cbf_gradient(components: CbfComponents, component: int) -> tuple:
     """Analytic world-frame gradient (∂x, ∂y, ∂z, ∂λ) of one component w.r.t. the viewpoint agent's state.
 
-    Derivatives are taken holding the other two agents fixed; the working
-    frame they define is therefore constant, and the world planar gradient is
-    the frame rotation transposed applied to the frame planar gradient.
+    Derivatives are taken holding the other two agents fixed.  The footprint
+    component has a world-frame closed form; a side ratio's gradient is taken
+    in the working frame, which the other two fix, and rotated back by the
+    frame rotation transposed.
     """
     if component not in (1, 2, 3, 4):
         raise ValueError("component must be 1..4")
-    xi, yi, xj, xk, Ri2, Rj2, Rk2, z, lam, r = components.coords
-    if abs(yi) < 1e-12:
+    if components.height < LINE_TOL:
         raise DegenerateTrio("viewpoint agent on the line through the other two")
-    # Derivative of the squared footprint radius w.r.t. altitude and focal length.
-    dR2_dz = 2.0 * r**2 * z / lam**2
-    dR2_dlam = -2.0 * r**2 * z**2 / lam**3
-    # C compares the two power offsets that set the radical-center height.
-    C = (xi**2 - Ri2) - (xj**2 - Rj2)
-    vy = (C + yi**2) / (2.0 * yi)
-
     if component == 4:
-        # Footprint membership: h = R_i² − x_i² − (v_y − y_i)².
-        g = vy / yi
-        d_x = -2.0 * xi * g
-        d_y = 2.0 * vy * (vy - yi) / yi
-        dh_dR2 = g
-        gx, gy = d_x, d_y
-        d_z = dh_dR2 * dR2_dz
-        d_lam = dh_dR2 * dR2_dlam
-    elif component == 2:
+        # h_f = R_I² − |v − c_I|², v moving along n = perp(c_K − c_J): with
+        # g = ((v − c_J)·n) / ((c_J − c_I)·n) = −λ_I = vals[1], ∂h_f/∂c_I = −2g(v − c_I) and ∂h_f/∂R_I² = −g.
+        trio, m = components.trio, -2.0 * components.vals[1]
+        x, y, z, lam, R = trio.rows[components.position]
+        vx, vy = trio.radical_center
+        t = m * R * R  # ∂R²/∂z = 2R²/z and ∂R²/∂λ = −2R²/λ
+        return (m * (vx - x), m * (vy - y), t / z, -t / lam)
+    xi, yi, xj, xk, Ri2, Rj2, Rk2, z, lam, r = components.coords
+    # (gx, gy) is the frame planar gradient and k = ∂h/∂R_i²; C compares the power
+    # offsets of I and of O, the other end of the component's line.
+    xo, denom, Ro2 = (xk, xj - xk, Rk2) if component == 3 else (xj, xk - xj, Rj2)
+    C = (xi**2 - Ri2) - (xo**2 - Ro2)
+    if component == 2:
         # −ratio_JKI with ratio_JKI = v_y / y_i.
-        d_x = xi / yi**2
-        d_y = -C / yi**3
-        dh_dR2 = -1.0 / (2.0 * yi**2)
-        gx, gy = -d_x, -d_y
-        d_z = -dh_dR2 * dR2_dz
-        d_lam = -dh_dR2 * dR2_dlam
+        gx, gy, k = -xi / yi**2, C / yi**3, 1.0 / (2.0 * yi**2)
     else:
         # Components 1 and 3 are symmetric under the J↔K swap.
-        if component == 1:
-            xo, denom, Ro2 = xj, xk - xj, Rj2
-            Co = C
-        else:
-            xo, denom, Ro2 = xk, xj - xk, Rk2
-            Co = (xi**2 - Ri2) - (xk**2 - Rk2)
-        d_x = -(3.0 * xi**2 - 2.0 * xo * xi + (yi**2 - Ri2) - (xo**2 - Ro2)) / (
-            2.0 * denom * yi**2
-        )
-        d_y = (xi - xo) * Co / (denom * yi**3)
-        dh_dR2 = (xi - xo) / (2.0 * denom * yi**2)
-        gx, gy = -d_x, -d_y
-        d_z = -dh_dR2 * dR2_dz
-        d_lam = -dh_dR2 * dR2_dlam
-
+        gx = (3.0 * xi**2 - 2.0 * xo * xi + (yi**2 - Ri2) - (xo**2 - Ro2)) / (2.0 * denom * yi**2)
+        gy, k = -(xi - xo) * C / (denom * yi**3), -(xi - xo) / (2.0 * denom * yi**2)
     _, _, ax, ay = components.frame
-    return (ax * gx - ay * gy, ay * gx + ax * gy, d_z, d_lam)
-
+    # ∂R²/∂z and ∂R²/∂λ with R = r·z/λ.
+    return (ax * gx - ay * gy, ay * gx + ax * gy, k * (2.0 * r**2 * z / lam**2), k * (-2.0 * r**2 * z**2 / lam**3))

@@ -123,6 +123,27 @@ def view(trio, viewpoint):
     return evaluated
 
 
+def frame_footprint_gradient(view):
+    """The footprint component's gradient by the working-frame formula, the oracle of its closed form.
+
+    In the viewpoint's frame v = (0, v_y) and h_f = R_i² − x_i² − (v_y − y_i)²,
+    with v_y = (C + y_i²)/(2y_i) and C = (x_i² − R_i²) − (x_j² − R_j²); so
+    ∂h_f/∂R_i² = v_y/y_i.  The planar gradient is rotated back to world
+    coordinates.  Raises DegenerateTrio where `cbf_gradient` drops the view.
+    """
+    xi, yi, xj, xk, Ri2, Rj2, Rk2, z, lam, r = view.coords
+    if abs(yi) < 1e-12:
+        raise DegenerateTrio("viewpoint agent on the line through the other two")
+    C = (xi**2 - Ri2) - (xj**2 - Rj2)
+    vy = (C + yi**2) / (2.0 * yi)
+    g = vy / yi
+    d_x = -2.0 * xi * g
+    d_y = 2.0 * vy * (vy - yi) / yi
+    _, _, ax, ay = view.frame
+    return (ax * d_x - ay * d_y, ay * d_x + ax * d_y,
+            g * (2.0 * r**2 * z / lam**2), g * (-2.0 * r**2 * z**2 / lam**3))
+
+
 def hole_exists_exact(trio) -> bool:
     """Exact hole oracle: the radical center is strictly inside the triangle and outside every footprint.
 

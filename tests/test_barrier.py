@@ -160,7 +160,7 @@ class TestNcbfValue:
 
 class TestGradients:
     def test_one_frame_per_evaluation(self, rng, monkeypatch):
-        # Each view's working frame is built with the trio's values; gradients reuse it.
+        # A view builds its working frame for its first side gradient; later gradients reuse it.
         calls = []
         original = aircover.barrier.sigma_d_frame
 

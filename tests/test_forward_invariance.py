@@ -6,15 +6,24 @@ whose start already has a hole, no trio that was in the graph with h >= 0
 at one step may be in it with h < 0 at the next.  A trio's h is the minimum
 over its three viewpoints of the composed barrier.  A trio that enters the
 graph already below zero is the known failure of trio switching and is not
-asserted here.
+asserted here; fuzz run 185, its smallest case, is pinned as a strict
+xfail in every mode until switching is made safe (ROADMAP item 1).
 """
 
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
 from aircover.barrier import ncbf_value
+from aircover.cli import parse_config
 from aircover.geometry import DegenerateTrio, build_graph
-from aircover.sim import initial_world, step
+from aircover.sim import MODES, initial_world, step
 from conftest import fuzz_scenarios, hole_exists_exact, view
 
 RUNS = 12
+# Fuzz run 185 over 60 steps with the hole oracle on every step (its origin is in the file).
+CLOSURE_185 = Path(__file__).resolve().parent / "data" / "closure_185" / "scenario.cfg"
 
 
 def trio_barriers(states, scenario):
@@ -49,3 +58,30 @@ def test_safe_trios_stay_safe_on_the_fuzz():
     assert started >= RUNS - 2
     assert kept > 0
     assert falls == []
+
+
+def test_closure_185_starts_hole_free():
+    # Three disks with an open pair enclose no hole: no trio at step 0.
+    scenario = parse_config(CLOSURE_185.read_text())
+    assert (scenario.steps, scenario.hole_check_every) == (60, 1)
+    assert build_graph(scenario.agents, scenario.sensing.r).all_trios() == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("mode", MODES)
+def test_closure_185_stays_hole_free(mode):
+    # No trio exists before step 41, so the filter has no rows and every mode
+    # moves alike; trio (0, 1, 2) then closes with h < 0 and the grid sees
+    # the hole on steps 41-44.
+    scenario = replace(parse_config(CLOSURE_185.read_text()), mode=mode)
+    world = initial_world(scenario)
+    present, entries, witnessed = set(), [], []
+    for _ in range(scenario.steps):
+        barriers = trio_barriers(world.states, scenario)
+        entries += [(world.step, ids, h) for ids, h in barriers.items() if ids not in present and h < 0.0]
+        present = set(barriers)
+        world, record = step(world, scenario)
+        if record.hole_witnesses > 0:
+            witnessed.append((record.step, record.hole_witnesses))
+    assert witnessed == []
+    assert entries == []

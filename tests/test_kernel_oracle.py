@@ -4,7 +4,9 @@ The oracles below are the earlier numpy versions of `radical_center`
 (`np.linalg.solve` on the two radical-axis equations), `sigma_d_frame`
 (rotation stacked with `np.vstack`) and `cbf_components` (one signed-area
 split of the id-ordered triangle, permuted into each viewpoint's roles, and
-frame coordinates through that rotation).  The float kernels round
+frame coordinates through that rotation), and the working-frame formula of
+the footprint gradient that its world-frame closed form replaced
+(`conftest.frame_footprint_gradient`).  The float kernels round
 differently, so values are
 compared within 1e-12 relative to the scale that rounding can reach for the
 problem at hand (a 2×2 solve's condition number times its magnitudes).
@@ -15,14 +17,20 @@ arithmetic from a given radical center.
 
 from fractions import Fraction
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import aircover.controller
+from aircover.barrier import cbf_components, cbf_gradient
+from aircover.controller import FilterParams, build_constraints
 from aircover.geometry import (
     AREA_TOL,
     CONCENTRIC_TOL,
     AgentState,
+    CommGraph,
     DegenerateTrio,
     build_graph,
     power_distance,
@@ -33,6 +41,7 @@ from conftest import (
     SQUARE_TEAM,
     cross2,
     disks,
+    frame_footprint_gradient,
     frame_rotation,
     make_trio,
     radical_center,
@@ -223,6 +232,86 @@ def test_frame_and_components_match_numpy(fovs):
         vals, coords = expect
         assert comps.vals == vals
         assert np.abs(np.array(comps.coords[:4]) - coords).max() <= RTOL * scale
+
+
+# Viewpoint 0's frame flipped (R_J² − R_K² = 8.75 > ‖JK‖² = 1, so its x-axis
+# runs from K to J), and viewpoint 0 9e-13 m off a 3,000 m line JK, under
+# the frame's 1e-12 m (the triangle's area, 1.35e-9 m², is above AREA_TOL).
+FLIPPED = [(0.5, 1.5, 1.0), (0.0, 0.0, 3.0), (1.0, 0.0, 0.5)]
+ON_LINE = [(0.0, 9e-13, 2000.0), (-1500.0, 0.0, 2500.0), (1500.0, 0.0, 2500.0)]
+
+
+def raised(fn, *args):
+    """fn(*args), or the DegenerateTrio it raises."""
+    try:
+        return fn(*args)
+    except DegenerateTrio as exc:
+        return exc
+
+
+def footprint_scale(trio, position):
+    """What rounding can reach in a footprint row.
+
+    The closed form 2λ_I(v − c_I) carries the solve's reach, and the frame
+    formula the frame's, times (1 + |λ_I|)(1 + ‖v − c_I‖); the frame formula
+    divides by the viewpoint's frame height y_i as well, which multiplies its
+    reach by 1 + m/|y_i| over the trio's magnitudes m.
+    """
+    comps = cbf_components(trio)[position]
+    v = np.array(trio.radical_center)
+    offset = float(np.linalg.norm(v - np.array(trio.rows[position][:2])))
+    m = max(abs(x) + abs(y) + R for x, y, R in disks(trio))
+    return ((1.0 + abs(comps.vals[1])) * (1.0 + offset) * (1.0 + m / comps.height)
+            * (solve_scale(disks(trio), v) + frame_scale(trio)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(footprint_trios())
+@example(NEAR_COLLINEAR)
+@example(FAR)
+@example(FLIPPED)
+@example(ON_LINE)
+def test_footprint_closed_form_matches_frame_formula(fovs):
+    # Each member's footprint row from the world-frame closed form against
+    # the working-frame formula: the same rows, or the same DegenerateTrio.
+    trio = outcome(trio_of, fovs)
+    assume(trio is not None)
+    views = outcome(cbf_components, trio)
+    assume(views is not None)
+    for position, comps in enumerate(views):
+        if isinstance(comps, DegenerateTrio):
+            continue
+        expect, got = raised(frame_footprint_gradient, comps), raised(cbf_gradient, comps, 4)
+        if isinstance(expect, DegenerateTrio):
+            assert isinstance(got, DegenerateTrio) and str(got) == str(expect)
+            continue
+        assert all(type(x) is float for x in got)
+        error = max(abs(g - e) for g, e in zip(got, expect))
+        assert error <= RTOL * footprint_scale(trio, position)
+
+
+def test_pinned_footprint_examples_and_the_on_line_drop(monkeypatch, caplog):
+    # FLIPPED flips viewpoint 0's frame.  On ON_LINE, the filter drops agent
+    # 0's row with the same warning under either form and keeps the rows of
+    # agents 1 and 2, whose heights over their JK are 1.8e-12 m.
+    assert sigma_d_frame(trio_of(FLIPPED), 0)[2] < 0.0
+    graph = CommGraph(3, (trio_of(ON_LINE),))
+    built = {}
+    for form in ("closed", "frame"):
+        if form == "frame":
+            monkeypatch.setattr(aircover.controller, "cbf_gradient", lambda comps, l: (
+                frame_footprint_gradient(comps) if l == 4 else cbf_gradient(comps, l)))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="aircover.controller"):
+            rows = build_constraints(graph, FilterParams()).rows
+        built[form] = rows, caplog.messages
+    (closed, warned), (framed, framed_warned) = built["closed"], built["frame"]
+    assert warned == framed_warned == [
+        "agent 0 trio (0, 1, 2) degenerate, dropped: viewpoint agent on the line through the other two"]
+    assert closed[0] == framed[0] == []
+    for agent in (1, 2):
+        ((a, b),), ((fa, fb),) = closed[agent], framed[agent]
+        assert b == fb and np.allclose(a, fa, rtol=1e-12, atol=0.0)
 
 
 def test_near_pair_frame_origin_is_exact():

@@ -398,12 +398,15 @@ class TestCaching:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_barrier_evaluation_per_trio_viewpoint(self, monkeypatch, mode):
-        # The filter and the trace share one evaluation per trio a step, which
-        # builds one working frame per (trio, viewpoint): every trio is
-        # evaluated once a step for its three agents.
-        calls, frames = [], []
+        # The filter and the trace share one evaluation per trio a step: every
+        # trio is evaluated once a step for its three agents.  A view builds its
+        # working frame only when a side ratio's gradient is asked of it, and
+        # once: the frames are the views asked for one, in order, and there are
+        # none where the filter composes no side ratio.
+        calls, frames, asked = [], [], []
         original = aircover.barrier.cbf_components
         original_frame = aircover.barrier.sigma_d_frame
+        original_gradient = aircover.controller.cbf_gradient
 
         def counting(trio):
             calls.append(trio.ids)
@@ -413,20 +416,31 @@ class TestCaching:
             frames.append((trio.ids, viewpoint))
             return original_frame(trio, viewpoint)
 
+        def recording_gradient(view, component):
+            if component != 4 and all(view is not seen for seen in asked):
+                asked.append(view)
+            return original_gradient(view, component)
+
         for module in (aircover.barrier, aircover.controller):
             monkeypatch.setattr(module, "cbf_components", counting)
         monkeypatch.setattr(aircover.barrier, "sigma_d_frame", counting_frame)
+        monkeypatch.setattr(aircover.controller, "cbf_gradient", recording_gradient)
+        side_frames = 0
         for scenario in (
             trio_scenario(steps=4, mode=mode),
             replace(parse_config(bundled_scenario("five_agents")), steps=3, mode=mode),
         ):
             calls.clear()
             frames.clear()
+            asked.clear()
             records, _ = run(scenario)
             incident = sum(sum(r.trio_counts) for r in records)
             assert incident > 0
             assert 3 * len(calls) == incident
-            assert frames == [(ids, agent) for ids in calls for agent in ids]
+            assert frames == [(view.trio.ids, view.viewpoint) for view in asked]
+            side_frames += len(frames)
+        # Only ncbf composes the side ratios, and these runs ask for some.
+        assert (side_frames > 0) == (mode == "ncbf")
 
     def test_qp_only_for_an_agent_whose_rows_fail_at_its_nominal(self, monkeypatch):
         # The mover retreats from the gap, so its row fails at its nominal
