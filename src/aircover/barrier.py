@@ -8,19 +8,17 @@ no hole exists.  Component indices are 1-based: 1..3 are the triangle-side
 conditions (lines IJ, JK, KI with I the viewpoint agent), 4 is footprint
 membership.
 
-`cbf_components` is the one evaluation of a trio per step: its three agents
-share one barrier with the roles permuted, so each view permutes the trio's
-four values.  `controller.build_constraints` makes the call for the filter
-and the trace; `ncbf_value` composes the values for the trace, and
-`cbf_gradient` gives one component's analytic world-frame gradient.  h_f is
-the same for the three members, and so is its gradient's closed form: J and
-K fixed, the radical center v moves along their radical axis, so
-∂h_f/∂c_I = 2λ_I(v − c_I) and ∂h_f/∂R_I² = λ_I, with λ_I the barycentric
-coordinate of v at vertex I.  A side ratio's gradient is taken in the
-viewpoint's working frame (x-axis on segment JK, y-axis on the JK radical
-axis), which a view builds only when one is asked for.  The barrier's sign
-is a per-trio certificate, not a detector: the package's one hole detector
-is `geometry.detect_holes_grid`.
+`cbf_components` is the one evaluation of a trio per step (for the filter
+and the trace, via `controller.build_constraints`): its three agents share
+one barrier with the roles permuted, so each view permutes the trio's four
+values.  `ncbf_value` composes them, and `cbf_gradient` gives one component's
+analytic world-frame gradient.  h_f's has one closed form for all three
+members: J and K fixed, the radical center v moves along their radical axis,
+so ∂h_f/∂c_I = 2λ_I(v − c_I) and ∂h_f/∂R_I² = λ_I, λ_I being v's barycentric
+coordinate at I.  A side ratio's is taken in the viewpoint's working frame
+(x-axis on JK, y-axis on the JK radical axis), built only when one is asked
+for.  The barrier's sign is a per-trio certificate; the package's one hole
+detector is `geometry.detect_holes_grid`.
 
 Everything here runs on plain floats: the frame is the 4-tuple
 (ox, oy, ax, ay) of its origin and x-axis, the roles J and K are picked by
@@ -29,13 +27,11 @@ because on four numbers numpy's per-call overhead costs more than the
 arithmetic.
 """
 
-import math
-
 from aircover.geometry import (
-    CONCENTRIC_TOL,
     ROLE_POSITIONS,
     DegenerateTrio,
     TrioContext,
+    jk_length,
     point_in_triangle,
     power_distance,
     sigma_d_frame,
@@ -45,12 +41,10 @@ LINE_TOL = 1e-12  # meters: a viewpoint closer to the line through the other two
 
 
 class CbfComponents:
-    """One agent's view of a trio: the four condition values and what their gradients need.
+    """One agent's view of a trio: `vals` = (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint).
 
-    `vals` is ordered (−ratio_IJK, −ratio_JKI, −ratio_KIJ, footprint) and `height` is the
-    viewpoint's distance from line JK.  `frame`, the working frame (ox, oy, ax, ay), is built
-    on first read; `coords` is (x_i, y_i, x_j, x_k, R_i², R_j², R_k², z, λ, r), the frame
-    coordinates of the footprint centers, the squared radii, z, λ and the sensing constant.
+    `height` is the viewpoint's distance from line JK; `frame` (ox, oy, ax, ay) is built on first
+    read, and `coords` is the frame's (x_i, y_i, x_j, x_k), then (R_i², R_j², R_k², z, λ, r).
     """
 
     __slots__ = ("vals", "viewpoint", "trio", "position", "height", "_frame")
@@ -81,20 +75,24 @@ def cbf_components(trio: TrioContext) -> tuple:
     The ratios of lines 01, 12, 20 are the radical center's barycentric coordinates λ₂, λ₀, λ₁;
     with h_f its negated power distance to footprint 0 (equal for all three there), the agent at
     position p, with roles (I, J, K) = ROLE_POSITIONS[p], sees (−λ_K, −λ_I, −λ_J, h_f).  A view
-    whose J and K coincide fails `sigma_d_frame`'s test, taken here with its arithmetic.
-    Raises DegenerateTrio when the triangle's area is below tolerance.
+    whose J and K coincide fails `jk_length`, as its frame would.  Raises DegenerateTrio when the
+    triangle's area is below tolerance.
     """
     v = trio.radical_center
-    (x0, y0, _, _, r0), (x1, y1, _, _, _), (x2, y2, _, _, _) = trio.rows
+    rows = trio.rows
+    (x0, y0, _, _, r0), (x1, y1, _, _, _), (x2, y2, _, _, _) = rows
     _, (l2, l0, l1) = point_in_triangle((x0, y0), (x1, y1), (x2, y2), v)
+    neg = (-l0, -l1, -l2)
     h_f = -power_distance((x0, y0, r0), v)
     area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))  # |JK| times each viewpoint's height
     views = []
-    for p, vals, dx, dy in ((0, (-l2, -l0, -l1, h_f), x2 - x1, y2 - y1), (1, (-l2, -l1, -l0, h_f), x2 - x0, y2 - y0),
-                            (2, (-l1, -l2, -l0, h_f), x1 - x0, y1 - y0)):
-        nd = math.sqrt(dx * dx + dy * dy)
-        views.append(DegenerateTrio("coincident J/K centers") if nd < CONCENTRIC_TOL
-                     else CbfComponents(vals, trio.ids[p], trio, p, area2 / nd))
+    for p, (pi, pj, pk) in enumerate(ROLE_POSITIONS):
+        try:
+            _, nd = jk_length(rows[pk][0] - rows[pj][0], rows[pk][1] - rows[pj][1])
+        except DegenerateTrio as exc:
+            views.append(exc)
+            continue
+        views.append(CbfComponents((neg[pk], neg[pi], neg[pj], h_f), trio.ids[p], trio, p, area2 / nd))
     return tuple(views)
 
 
@@ -106,10 +104,8 @@ def ncbf_value(vals) -> float:
 def cbf_gradient(components: CbfComponents, component: int) -> tuple:
     """Analytic world-frame gradient (∂x, ∂y, ∂z, ∂λ) of one component w.r.t. the viewpoint agent's state.
 
-    Derivatives are taken holding the other two agents fixed.  The footprint
-    component has a world-frame closed form; a side ratio's gradient is taken
-    in the working frame, which the other two fix, and rotated back by the
-    frame rotation transposed.
+    The other two agents are held fixed.  The footprint component has a world-frame closed form;
+    a side ratio's gradient is taken in the working frame and rotated back.
     """
     if component not in (1, 2, 3, 4):
         raise ValueError("component must be 1..4")

@@ -1,20 +1,19 @@
 """Per-agent QP safety filter.
 
-`build_constraints` makes one pass over the graph's trios: it evaluates each
-once (`barrier.cbf_components`), drops a degenerate view with a warning,
-composes the trio's barrier once, and gives each agent one linear constraint
-per almost-active (|h_ℓ − h| ≤ ε) component of its views that the guard
-(|h_ℓ| > threshold for ℓ ∈ 1..3) keeps, the package's one rule of each kind,
-computing only those gradients: the footprint rows from the barrier's
-world-frame closed form, and a working frame only for a view with a side
-row.  The simulator's trace reads the same pass.  `FilterParams` checks its
-knobs once, when built.  An agent keeps its nominal input if every row
-holds there, or else minimally modifies it in the weighted least-squares
-sense.  The QP is tiny (4 variables, a couple dozen constraints at most),
-so a deterministic dual active-set method is used rather than an external
-solver.  Rows are (4-tuple, float) pairs and the solver runs on Python
-floats: on 4-vectors numpy's per-call overhead costs more than the
-arithmetic.
+`build_constraints` makes one pass over the graph's trios, which the
+simulator's trace also reads: it evaluates each once (`barrier.cbf_components`),
+drops a degenerate view with a warning, composes the trio's barrier once, and
+gives each agent one linear constraint per almost-active (|h_ℓ − h| ≤ ε)
+component of its views that the guard (|h_ℓ| > threshold for ℓ ∈ 1..3) keeps,
+the package's one rule of each kind.  It computes only those gradients: the
+footprint rows by the barrier's world-frame closed form, a working frame only
+for a view with a side row.  `FilterParams` checks its knobs once, when built.
+An agent keeps its nominal input if every row holds there, or else minimally
+modifies it in the weighted least-squares sense.  The QP is tiny (4 variables,
+a couple dozen constraints at most), so a deterministic dual active-set method
+is used rather than an external solver.  Rows are (4-tuple, float) pairs and
+the solver runs on Python floats: on 4-vectors numpy's per-call overhead costs
+more than the arithmetic.
 """
 
 import logging
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aircover.barrier import CbfComponents, cbf_components, cbf_gradient
+from aircover.barrier import cbf_components, cbf_gradient
 from aircover.geometry import DegenerateTrio
 
 log = logging.getLogger(__name__)
@@ -113,30 +112,29 @@ def build_constraints(graph, params: FilterParams) -> FilterRows:
     kept = [[] for _ in range(graph.n)]
     trio_vals = []
     components, epsilon, threshold = params.components, params.epsilon, params.guard_threshold
-    all_four = components == ALL_COMPONENTS
     for trio in graph.trios:
         try:
             evaluated = cbf_components(trio)
         except DegenerateTrio as exc:
             evaluated = (exc,) * 3
-        views = evaluated
-        if not type(views[0]) is type(views[1]) is type(views[2]) is CbfComponents:
-            views = [view for view in evaluated if not isinstance(view, DegenerateTrio)]
-            for agent, view in zip(trio.ids, evaluated):
-                if view not in views:
-                    log.warning("agent %d trio %s degenerate, dropped: %s", agent, trio.ids, view)
-            if not views:
-                continue
+        views = []
+        for agent, view in zip(trio.ids, evaluated):
+            if isinstance(view, DegenerateTrio):
+                log.warning("agent %d trio %s degenerate, dropped: %s", agent, trio.ids, view)
+            else:
+                views.append(view)
+                kept[agent].append(len(trio_vals))
+        if not views:
+            continue
         vals = views[-1].vals
         trio_vals.append(vals)
         # No components (nominal_only) compose no barrier and give no rows.
-        value = max(vals) if all_four else max((vals[l - 1] for l in components), default=0.0)
+        value = max((vals[l - 1] for l in components), default=0.0)
         b = -params.alpha(value) / 3.0
         # Every view holds h_f and the trio's three side ratios, permuted, none above the value.
-        near = (4,) if all_four and abs(max(vals[:3]) - value) > epsilon else components
+        near = (4,) if components == ALL_COMPONENTS and abs(max(vals[:3]) - value) > epsilon else components
         for view in views:
             viewpoint, vals = view.viewpoint, view.vals
-            kept[viewpoint].append(len(trio_vals) - 1)
             try:
                 for l in near:
                     h = vals[l - 1]

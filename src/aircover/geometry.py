@@ -148,6 +148,15 @@ def footprint_rows(states, r: float) -> list:
     return list(zip(*states.T.tolist(), (r * states[:, 2] / states[:, 3]).tolist()))
 
 
+def jk_length(dx: float, dy: float) -> tuple:
+    """(|JK|², |JK|) of a viewpoint's segment JK = (dx, dy); raises DegenerateTrio if J and K coincide."""
+    nd2 = dx * dx + dy * dy
+    nd = math.sqrt(nd2)
+    if nd < CONCENTRIC_TOL:
+        raise DegenerateTrio("coincident J/K centers")
+    return nd2, nd
+
+
 def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
     """Working frame for one viewpoint: x-axis on segment JK (K side positive), y-axis on the JK radical axis.
 
@@ -161,10 +170,7 @@ def sigma_d_frame(trio: TrioContext, distinguished: int) -> tuple:
     jx, jy, _, _, rj = trio.rows[pj]
     kx, ky, _, _, rk = trio.rows[pk]
     dx, dy = kx - jx, ky - jy
-    nd2 = dx * dx + dy * dy
-    nd = math.sqrt(nd2)
-    if nd < CONCENTRIC_TOL:
-        raise DegenerateTrio("coincident J/K centers")
+    nd2, nd = jk_length(dx, dy)
     # Origin: the radical axis meets line JK at s from J, s² − R_J² = (‖d‖ − s)² − R_K²,
     # with no lifted heights |c|² − R² to cancel however far the trio lies.
     dr2 = rj**2 - rk**2
